@@ -29,6 +29,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -54,6 +55,8 @@ WORDS_PER_ROUND = 8
 CHUNK_ROUNDS = 8192
 
 CSV_HEADER = ("round", "role", "ax", "ap", "bx", "bp")
+#: one batch.csv line; export_batch renders a whole chunk of them per call
+_CSV_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g\r\n"
 
 _U53 = 2.0 ** -53
 
@@ -322,6 +325,14 @@ def quadrant_bits(x, p) -> np.ndarray:
     return (2 * (x >= 0.0) + (p >= 0.0)).astype(np.uint8)
 
 
+def interleave(xs, ps) -> np.ndarray:
+    """The vector (xs[0], ps[0], xs[1], ps[1], ...) of two equal-size arrays."""
+    v = np.empty(2 * xs.size)
+    v[0::2] = xs
+    v[1::2] = ps
+    return v
+
+
 def apply_symmetrization(batch: QuadratureBatch,
                          transform: OrthogonalTransform,
                          side: str) -> QuadratureBatch:
@@ -343,17 +354,13 @@ def apply_symmetrization(batch: QuadratureBatch,
         )
     new = batch.copy()
     if side == "alice":
-        v = np.empty(2 * idx.size)
-        v[0::2] = batch.alice_x[idx]
-        v[1::2] = batch.alice_p[idx]
-        v = transform.apply(v)
+        v = transform.apply(interleave(batch.alice_x[idx], batch.alice_p[idx]))
         new.alice_x[idx] = v[0::2]
         new.alice_p[idx] = v[1::2]
     else:
-        v = np.empty(2 * idx.size)
-        v[0::2] = batch.bob_x[idx]
-        v[1::2] = batch.bob_p[idx]
-        v = transform.apply_conjugate(v)
+        v = transform.apply_conjugate(
+            interleave(batch.bob_x[idx], batch.bob_p[idx])
+        )
         new.bob_x[idx] = v[0::2]
         new.bob_p[idx] = v[1::2]
     return new
@@ -399,13 +406,6 @@ def split_pe_sets(batch: QuadratureBatch, k: int) -> PESplit:
     idx = idx[: 2 * k]
     h1 = idx[0::2]
     h2 = idx[1::2]
-
-    def interleave(xs, ps):
-        v = np.empty(2 * xs.size)
-        v[0::2] = xs
-        v[1::2] = ps
-        return v
-
     return PESplit(
         x1=interleave(batch.alice_x[h1], batch.alice_p[h1]),
         y1=interleave(batch.bob_x[h1], batch.bob_p[h1]),
@@ -428,21 +428,28 @@ def heterodyne_energy(x, p) -> np.ndarray:
 
 
 def export_batch(batch: QuadratureBatch, path) -> None:
-    """Write the batch as CSV with header round,role,ax,ap,bx,bp."""
+    """Write the batch as CSV with header round,role,ax,ap,bx,bp.
+
+    Floats are printed with %.17g, so they read back exactly, and every
+    line ends with CRLF, the line end of the csv module's default dialect.
+    The rows are rendered CHUNK_ROUNDS at a time with one format call per
+    chunk, so memory beyond the batch arrays stays bounded by the chunk.
+    """
+    total = batch.n_rounds
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for i in range(batch.n_rounds):
-            w.writerow(
-                (
-                    i,
-                    ROLE_NAMES[batch.roles[i]],
-                    f"{batch.alice_x[i]:.17g}",
-                    f"{batch.alice_p[i]:.17g}",
-                    f"{batch.bob_x[i]:.17g}",
-                    f"{batch.bob_p[i]:.17g}",
-                )
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for start in range(0, total, CHUNK_ROUNDS):
+            stop = min(start + CHUNK_ROUNDS, total)
+            rows = zip(
+                range(start, stop),
+                [ROLE_NAMES[r] for r in batch.roles[start:stop].tolist()],
+                batch.alice_x[start:stop].tolist(),
+                batch.alice_p[start:stop].tolist(),
+                batch.bob_x[start:stop].tolist(),
+                batch.bob_p[start:stop].tolist(),
             )
+            values = tuple(chain.from_iterable(rows))
+            fh.write(_CSV_ROW * (stop - start) % values)
 
 
 def import_batch(path) -> QuadratureBatch:

@@ -33,6 +33,7 @@ from .channel import (
     empirical_sigma,
     export_batch,
     heterodyne_energy,
+    interleave,
     quadrant_bits,
     simulate_rounds,
     split_pe_sets,
@@ -116,6 +117,14 @@ SWEEP_AXES = (
     "p_ec", "eps_rob", "k_test", "d_a", "d_b", "eta", "k_rep",
 )
 _INT_FIELDS = ("n", "m", "k", "k_test", "k_rep", "seed", "workers", "trials")
+_FLOAT_FIELDS = (
+    "alpha", "T", "xi", "beta", "eps_total", "eps_pe", "eps_sm", "eps_ent",
+    "eps_cor", "p_ec", "eps_rob", "d_a", "d_b", "eta", "xi_actual",
+)
+# fields whose None default means "derive it"; every other field needs a value
+_OPTIONAL_FIELDS = tuple(
+    f.name for f in dataclasses.fields(RunConfig) if f.default is None
+)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -143,16 +152,30 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise ConfigError(f"config field {field!r}: {message}")
 
 
+def _is_finite_number(val) -> bool:
+    """True for an int or float that is finite as a float; False for bools."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def validate_config(cfg: RunConfig) -> None:
     """Domain-check every field, naming the offender in the message."""
-    _require(isinstance(cfg.alpha, (int, float)) and cfg.alpha > 0,
-             "alpha", f"must be a positive number, got {cfg.alpha!r}")
-    _require(isinstance(cfg.T, (int, float)) and 0 < cfg.T <= 1,
-             "T", f"must lie in (0, 1], got {cfg.T!r}")
-    _require(isinstance(cfg.xi, (int, float)) and cfg.xi >= 0,
-             "xi", f"must be >= 0, got {cfg.xi!r}")
-    _require(isinstance(cfg.beta, (int, float)) and 0 < cfg.beta <= 1,
-             "beta", f"must lie in (0, 1], got {cfg.beta!r}")
+    for name in _FLOAT_FIELDS:
+        val = getattr(cfg, name)
+        if val is None and name in _OPTIONAL_FIELDS:
+            continue
+        _require(_is_finite_number(val), name,
+                 f"must be a finite number, got {val!r}")
+    _require(cfg.alpha > 0, "alpha",
+             f"must be a positive number, got {cfg.alpha!r}")
+    _require(0 < cfg.T <= 1, "T", f"must lie in (0, 1], got {cfg.T!r}")
+    _require(cfg.xi >= 0, "xi", f"must be >= 0, got {cfg.xi!r}")
+    _require(0 < cfg.beta <= 1, "beta",
+             f"must lie in (0, 1], got {cfg.beta!r}")
     for name in _INT_FIELDS:
         val = getattr(cfg, name)
         _require(isinstance(val, int) and not isinstance(val, bool),
@@ -164,22 +187,20 @@ def validate_config(cfg: RunConfig) -> None:
     for name in ("eps_total", "eps_pe", "eps_sm", "eps_ent", "eps_cor"):
         val = getattr(cfg, name)
         if val is not None:
-            _require(isinstance(val, float) and 0 < val < 1,
-                     name, f"must lie in (0, 1), got {val!r}")
+            _require(0 < val < 1, name, f"must lie in (0, 1), got {val!r}")
     _require(0 < cfg.p_ec <= 1, "p_ec", f"must lie in (0, 1], got {cfg.p_ec!r}")
     _require(0 < cfg.eps_rob < 1, "eps_rob",
              f"must lie in (0, 1), got {cfg.eps_rob!r}")
     for name in ("d_a", "d_b"):
         val = getattr(cfg, name)
         if val is not None:
-            _require(isinstance(val, (int, float)) and val > 0,
-                     name, f"must be positive, got {val!r}")
+            _require(val > 0, name, f"must be positive, got {val!r}")
     if cfg.eta is not None:
-        _require(isinstance(cfg.eta, (int, float)) and 0 <= cfg.eta < 1,
-                 "eta", f"must lie in [0, 1), got {cfg.eta!r}")
+        _require(0 <= cfg.eta < 1, "eta",
+                 f"must lie in [0, 1), got {cfg.eta!r}")
     if cfg.xi_actual is not None:
-        _require(isinstance(cfg.xi_actual, (int, float)) and cfg.xi_actual >= 0,
-                 "xi_actual", f"must be >= 0, got {cfg.xi_actual!r}")
+        _require(cfg.xi_actual >= 0, "xi_actual",
+                 f"must be >= 0, got {cfg.xi_actual!r}")
     _require(cfg.log_base in LOG_BASES, "log_base",
              f"must be one of {LOG_BASES}, got {cfg.log_base!r}")
     _require(cfg.delta_ent_mode in DELTA_ENT_MODES, "delta_ent_mode",
@@ -312,13 +333,6 @@ def run_sweep(cfg: RunConfig, axis: str, grid: list) -> int:
     return EXIT_OK if any_feasible else EXIT_NO_KEY
 
 
-def _interleave(xs, ps) -> np.ndarray:
-    v = np.empty(2 * xs.size)
-    v[0::2] = xs
-    v[1::2] = ps
-    return v
-
-
 def _signed_ip(a, b) -> float:
     """sum(ax*bx - ap*bp) over an interleaved (x, p) vector pair."""
     return float(np.sum(a[0::2] * b[0::2]) - np.sum(a[1::2] * b[1::2]))
@@ -375,8 +389,8 @@ def run_simulate(cfg: RunConfig) -> int:
     h_mle = mle_entropy(np.bincount(quad, minlength=4)) / 2.0
 
     # reverse reconciliation on the interleaved key-quadrature stream
-    stream_b = _interleave(batch.bob_x[kidx], batch.bob_p[kidx])
-    stream_a = _interleave(batch.alice_x[kidx], batch.alice_p[kidx])
+    stream_b = interleave(batch.bob_x[kidx], batch.bob_p[kidx])
+    stream_a = interleave(batch.alice_x[kidx], batch.alice_p[kidx])
     y_hard, side, disclosed = repetition_reconcile(stream_b, cfg.k_rep)
     decoded = repetition_decode(stream_a, side, cfg.k_rep)
     block_errors = int(np.count_nonzero(decoded != y_hard))
@@ -430,7 +444,7 @@ def run_simulate(cfg: RunConfig) -> int:
                [report.csv_row()])
     _write_csv(out / "reduction.csv", ReductionReport.CSV_HEADER,
                [reduction.csv_row()])
-    _write_csv(out / "key.csv", ("bit",), [(int(b),) for b in key_bits])
+    _write_csv(out / "key.csv", ("bit",), key_bits.reshape(-1, 1).tolist())
     _write_csv(out / "transcript.csv", TRANSCRIPT_HEADER, [(
         cfg.seed, cfg.n, cfg.m, cfg.k,
         f"{cfg.xi:.17g}", f"{xi_true:.17g}",
@@ -559,6 +573,10 @@ def main(argv=None) -> int:
         return run_validate_bounds(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except ArithmeticError as exc:
+        # a finite but extreme config value can overflow a float downstream
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -4,6 +4,7 @@ Everything here is deliberately brute-force: dense linear algebra, Fock-space
 truncation, Monte Carlo integration, and a from-scratch rewrite of the key
 length composition.  None of it imports the package's closed forms.
 """
+import csv
 import math
 
 import numpy as np
@@ -207,3 +208,27 @@ def composition_key_length(alpha, T, xi, beta, n, k, eps_pe, eps_sm,
     d_ent = math.log2(modes) * math.sqrt(2.0 * modes * math.log(2.0 / eps_ent))
 
     return modes * (2.0 * 1.0 - f) - leak - d_aep - d_ent
+
+
+def export_batch_rows(batch, path) -> None:
+    """batch.csv written one csv-module row at a time.
+
+    This is the simulator's original writer, kept as the byte-level
+    reference for `channel.export_batch`: the csv module's default dialect
+    (comma, minimal quoting, CRLF line ends) and numpy-scalar f-strings.
+    """
+    role_names = ("key", "decoy", "gaussian")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("round", "role", "ax", "ap", "bx", "bp"))
+        for i in range(batch.n_rounds):
+            w.writerow(
+                (
+                    i,
+                    role_names[batch.roles[i]],
+                    f"{batch.alice_x[i]:.17g}",
+                    f"{batch.alice_p[i]:.17g}",
+                    f"{batch.bob_x[i]:.17g}",
+                    f"{batch.bob_p[i]:.17g}",
+                )
+            )

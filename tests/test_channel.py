@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from dmcvqkd.channel import (
+    CHUNK_ROUNDS,
     ProtocolParams,
     QuadratureBatch,
     apply_symmetrization,
@@ -25,6 +26,7 @@ from dmcvqkd.errors import (
 )
 from dmcvqkd.modulation import correlation_z
 from dmcvqkd.rotations import OrthogonalTransform
+from oracles import export_batch_rows
 
 PARAMS = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=400, m=300, k=500)
 
@@ -158,6 +160,44 @@ def test_export_import_round_trip(tmp_path):
     back = import_batch(path)
     for name in ("alice_x", "alice_p", "bob_x", "bob_p", "roles"):
         np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
+
+
+def assert_export_matches_reference(batch, tmp_path):
+    export_batch(batch, tmp_path / "chunked.csv")
+    export_batch_rows(batch, tmp_path / "rows.csv")
+    got = (tmp_path / "chunked.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    return got
+
+
+def test_export_bytes_match_reference_across_chunks(tmp_path):
+    batch = simulate_rounds(PARAMS, seed=16, counts=(5000, 1000, 3000))
+    assert batch.n_rounds > CHUNK_ROUNDS
+    assert batch.n_rounds % CHUNK_ROUNDS != 0
+    assert_export_matches_reference(batch, tmp_path)
+
+
+def test_export_bytes_match_reference_on_extreme_values(tmp_path):
+    big = 1.7976931348623157e308
+    values = np.array([-0.0, 5e-324, big, -big, math.nan, math.inf, -math.inf,
+                       0.1, 1.0 / 3.0, -2.0 / 3.0, 123456789.01234567, 1e-300])
+    n = values.size
+    roles = np.array([2, 0, 1, 0, 2, 1, 1, 2, 0, 0, 2, 1], dtype=np.uint8)
+    batch = QuadratureBatch(values, values[::-1].copy(), np.roll(values, 3),
+                            np.roll(values, 7), roles)
+    text = assert_export_matches_reference(batch, tmp_path).decode()
+    assert text.count("\r\n") == n + 1
+    assert "\r\n0,gaussian,-0,1e-300,-0.66666666666666663,inf\r\n" in text
+    assert "4.9406564584124654e-324" in text and ",nan" in text
+    assert "-1.7976931348623157e+308" in text
+
+
+def test_export_of_empty_batch_is_header_only(tmp_path):
+    empty = np.zeros(0)
+    batch = QuadratureBatch(empty, empty, empty, empty,
+                            np.zeros(0, dtype=np.uint8))
+    got = assert_export_matches_reference(batch, tmp_path)
+    assert got == b"round,role,ax,ap,bx,bp\r\n"
 
 
 def test_batch_shape_validation():

@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dmcvqkd import cli
@@ -67,6 +68,45 @@ def test_validate_config_names_offending_field():
         validate_config(RunConfig(log_base="decimal"))
     with pytest.raises(ConfigError, match="'k'"):
         validate_config(RunConfig(k=1.5))
+    with pytest.raises(ConfigError, match="'eps_total'"):
+        validate_config(RunConfig(eps_total=None))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_a", float("inf")),
+    ("xi", 1e300),
+    ("alpha", True),
+])
+def test_extreme_config_values_exit_1(tmp_path, capsys, field, value):
+    # Infinity and bools are rejected by name; 1e300 is a finite, in-range
+    # xi that overflows later in the key-length chain
+    cfg = write_config(tmp_path, "c.json", **{field: value})
+    rc = cli.main(["keyrate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if field != "xi":
+        assert repr(field) in err
+
+
+def test_sweep_rejects_non_finite_grid_point(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json")
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                   "--axis", "d_b", "--grid", "1,inf"])
+    assert rc == EXIT_ERROR
+    assert "'d_b'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [0, 1, 5000])
+def test_key_csv_rows_from_tolist_match_per_bit_tuples(tmp_path, size):
+    bits = np.random.default_rng(size).integers(0, 2, size, dtype=np.uint8)
+    cli._write_csv(tmp_path / "tuples.csv", ("bit",),
+                   [(int(b),) for b in bits])
+    cli._write_csv(tmp_path / "tolist.csv", ("bit",),
+                   bits.reshape(-1, 1).tolist())
+    got = (tmp_path / "tolist.csv").read_bytes()
+    assert got == (tmp_path / "tuples.csv").read_bytes()
+    assert got.count(b"\n") == size + 1
 
 
 def test_resolve_budget_quarter_split():
