@@ -414,6 +414,22 @@ def split_pe_sets(batch: QuadratureBatch, k: int) -> PESplit:
     )
 
 
+def pe_statistics(halves: PESplit) -> tuple:
+    """(||X||^2, ||Y||^2, <X, Y>) over both PE halves, as Python floats.
+
+    The inner product is the signed sum(ax*bx - ap*bp) of the interleaved
+    vectors.  Each half is summed on its own and the halves are then added,
+    an order that `simulate`'s frozen pe.csv values depend on.
+    """
+    def signed_ip(a, b):
+        return float(np.sum(a[0::2] * b[0::2]) - np.sum(a[1::2] * b[1::2]))
+
+    norm_x2 = float(np.sum(halves.x1 ** 2) + np.sum(halves.x2 ** 2))
+    norm_y2 = float(np.sum(halves.y1 ** 2) + np.sum(halves.y2 ** 2))
+    ip_xy = signed_ip(halves.x1, halves.y1) + signed_ip(halves.x2, halves.y2)
+    return norm_x2, norm_y2, ip_xy
+
+
 def heterodyne_energy(x, p) -> np.ndarray:
     """Per-mode state energy estimate from a heterodyne record.
 

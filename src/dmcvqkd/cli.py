@@ -34,6 +34,7 @@ from .channel import (
     export_batch,
     heterodyne_energy,
     interleave,
+    pe_statistics,
     quadrant_bits,
     simulate_rounds,
     split_pe_sets,
@@ -77,7 +78,8 @@ class RunConfig:
     `None` means "derive the documented default": epsilon components split
     the total budget equally, energy thresholds d_a/d_b default to three
     times the expected per-mode energies, eta to its feasibility boundary,
-    and xi_actual (the channel truth used by `simulate`) to xi.
+    and xi_actual (the channel truth used by `simulate`) to xi.  alpha is
+    capped at ALPHA_MAX, xi and xi_actual at XI_MAX.
     """
 
     alpha: float = 0.5
@@ -121,6 +123,13 @@ _FLOAT_FIELDS = (
     "alpha", "T", "xi", "beta", "eps_total", "eps_pe", "eps_sm", "eps_ent",
     "eps_cor", "p_ec", "eps_rob", "d_a", "d_b", "eta", "xi_actual",
 )
+# Upper limits of the amplitude and of the excess noise (xi and xi_actual,
+# shot-noise units).  Far beyond any key-producing point, they keep V_A =
+# 2 alpha^2 and the squared symplectic eigenvalues (fourth powers of the
+# covariance entries) finite and free of cancellation, so larger values are
+# rejected here by name instead of failing downstream.
+ALPHA_MAX = 1e3
+XI_MAX = 1e6
 # fields whose None default means "derive it"; every other field needs a value
 _OPTIONAL_FIELDS = tuple(
     f.name for f in dataclasses.fields(RunConfig) if f.default is None
@@ -170,10 +179,11 @@ def validate_config(cfg: RunConfig) -> None:
             continue
         _require(_is_finite_number(val), name,
                  f"must be a finite number, got {val!r}")
-    _require(cfg.alpha > 0, "alpha",
-             f"must be a positive number, got {cfg.alpha!r}")
+    _require(0 < cfg.alpha <= ALPHA_MAX, "alpha",
+             f"must lie in (0, {ALPHA_MAX:g}], got {cfg.alpha!r}")
     _require(0 < cfg.T <= 1, "T", f"must lie in (0, 1], got {cfg.T!r}")
-    _require(cfg.xi >= 0, "xi", f"must be >= 0, got {cfg.xi!r}")
+    _require(0 <= cfg.xi <= XI_MAX, "xi",
+             f"must lie in [0, {XI_MAX:g}], got {cfg.xi!r}")
     _require(0 < cfg.beta <= 1, "beta",
              f"must lie in (0, 1], got {cfg.beta!r}")
     for name in _INT_FIELDS:
@@ -199,8 +209,8 @@ def validate_config(cfg: RunConfig) -> None:
         _require(0 <= cfg.eta < 1, "eta",
                  f"must lie in [0, 1), got {cfg.eta!r}")
     if cfg.xi_actual is not None:
-        _require(cfg.xi_actual >= 0, "xi_actual",
-                 f"must be >= 0, got {cfg.xi_actual!r}")
+        _require(0 <= cfg.xi_actual <= XI_MAX, "xi_actual",
+                 f"must lie in [0, {XI_MAX:g}], got {cfg.xi_actual!r}")
     _require(cfg.log_base in LOG_BASES, "log_base",
              f"must be one of {LOG_BASES}, got {cfg.log_base!r}")
     _require(cfg.delta_ent_mode in DELTA_ENT_MODES, "delta_ent_mode",
@@ -333,11 +343,6 @@ def run_sweep(cfg: RunConfig, axis: str, grid: list) -> int:
     return EXIT_OK if any_feasible else EXIT_NO_KEY
 
 
-def _signed_ip(a, b) -> float:
-    """sum(ax*bx - ap*bp) over an interleaved (x, p) vector pair."""
-    return float(np.sum(a[0::2] * b[0::2]) - np.sum(a[1::2] * b[1::2]))
-
-
 PE_HEADER = ("gamma_a", "gamma_b", "gamma_c", "sigma_a_max", "sigma_b_max",
              "sigma_c_min", "delta_a", "delta_b", "delta_c", "epsilon_pe",
              "verdict")
@@ -373,10 +378,7 @@ def run_simulate(cfg: RunConfig) -> int:
     batch = apply_symmetrization(batch, transform, "bob")
     sigma_hat = empirical_sigma(batch)
 
-    halves = split_pe_sets(batch, cfg.k)
-    norm_x2 = float(np.sum(halves.x1 ** 2) + np.sum(halves.x2 ** 2))
-    norm_y2 = float(np.sum(halves.y1 ** 2) + np.sum(halves.y2 ** 2))
-    ip_xy = _signed_ip(halves.x1, halves.y1) + _signed_ip(halves.x2, halves.y2)
+    norm_x2, norm_y2, ip_xy = pe_statistics(split_pe_sets(batch, cfg.k))
     gammas = gamma_estimates(norm_x2, norm_y2, ip_xy, cfg.k, budget.eps_pe,
                              cfg.log_base)
     deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k, budget.eps_pe,

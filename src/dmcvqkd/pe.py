@@ -10,7 +10,10 @@ robustness offsets delta (`calibrate_deltas`).
 Vector conventions: norms and inner products are over the full
 interleaved-quadrature vectors of the 2k parameter-estimation modes (4k
 real entries per side); inner products carry the signed structure
-sum(ax*bx - ap*bp).  `k` always denotes the per-half mode count.
+sum(ax*bx - ap*bp).  `k` always denotes the per-half mode count.  The
+norm and inner-product arguments of `projection_bounds`,
+`inner_product_bounds`, `cross_half_bounds` and `gamma_estimates` may be
+numpy arrays, which gives element-wise results (`validate` relies on this).
 
 Logarithm base: deviation terms written here as log(.) use the natural
 logarithm by default; log_base="paper-literal" switches those occurrences
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 from scipy import stats
 
 from .errors import (
@@ -130,7 +134,7 @@ def projection_bounds(norm_x2: float, k: int, epsilon: float) -> tuple:
     with g = sqrt(ln(2/eps)/k), except with probability 2*eps.
     Valid for eps >= 2*exp(-k/2).
     """
-    if norm_x2 < 0:
+    if np.any(norm_x2 < 0):
         raise DomainError(f"norm_x2 must be >= 0, got {norm_x2!r}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k!r}")
@@ -192,7 +196,7 @@ def cross_half_bounds(
     omitted, ||Y1||^2 = ||X1||^2 is assumed.  Valid for
     log(2/eps)/(2k) <= 0.05.
     """
-    if norm_half2 < 0:
+    if np.any(norm_half2 < 0):
         raise DomainError(f"norm_half2 must be >= 0, got {norm_half2!r}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k!r}")

@@ -7,9 +7,15 @@ standard errors.  Sampling models:
 - chi-square rows draw the statistic directly;
 - half-split rows use the exact sphere-uniform representation of a random
   symmetric split (a Beta-distributed norm fraction);
-- paired-vector rows draw i.i.d. bivariate-normal entries, under which a
-  coordinate half-split is distributed like a uniformly random split
-  (exchangeability), matching the rotation-symmetrized setting;
+- paired-vector rows (lemma3, lemma4, pe-theorem) model i.i.d.
+  bivariate-normal entries, under which a coordinate half-split is
+  distributed like a uniformly random split (exchangeability), matching the
+  rotation-symmetrized setting.  They never build the vectors: a half's
+  (||X||^2, ||Y||^2, <X,Y>) is a 2x2 Wishart matrix, drawn exactly from two
+  chi-squares and one normal per trial (`_wishart2`), and the two halves
+  are independent, so whole-vector statistics are sums of the halves'.
+  These rows judge the draws with the shipped `pe.inner_product_bounds`,
+  `pe.cross_half_bounds` and `pe.gamma_estimates`, called on whole arrays;
 - the estimator-chain row simulates the honest channel end to end.
 
 All draws are chunked with counter-based substreams keyed by
@@ -105,12 +111,24 @@ def lemma2_violations(seed, row: int, k: int, epsilon: float,
     return bad
 
 
-def _draw_pair(g: np.random.Generator, entries: int, size: int, r: float):
-    """i.i.d. bivariate-normal entry pairs with correlation r."""
-    x = g.standard_normal((size, entries))
-    w = g.standard_normal((size, entries))
-    y = r * x + math.sqrt(1.0 - r * r) * w
-    return x, y
+def _wishart2(g: np.random.Generator, dof: int, size: int, sx: float,
+              sy: float, r: float) -> tuple:
+    """(sum x^2, sum y^2, sum x*y) over `dof` i.i.d. bivariate-normal pairs.
+
+    Entries have standard deviations sx, sy and correlation r.  Exact
+    Bartlett decomposition of the 2x2 Wishart matrix (Smith & Hocking 1972,
+    Applied Statistics AS 53): with c1^2 ~ chi2(dof), c2^2 ~ chi2(dof - 1),
+    z ~ N(0, 1) and s = sqrt(1 - r^2), the statistics are sx^2 c1^2,
+    sy^2 ((r c1 + s z)^2 + s^2 c2^2) and sx sy c1 (r c1 + s z).
+    """
+    c1sq = g.chisquare(dof, size)
+    c2sq = g.chisquare(dof - 1, size)
+    z = g.standard_normal(size)
+    s = math.sqrt(1.0 - r * r)
+    c1 = np.sqrt(c1sq)
+    t = r * c1 + s * z
+    return (sx * sx * c1sq, sy * sy * (t * t + s * s * c2sq),
+            sx * sy * c1 * t)
 
 
 def lemma3_violations(seed, row: int, k: int, x: float, trials: int,
@@ -120,41 +138,28 @@ def lemma3_violations(seed, row: int, k: int, x: float, trials: int,
     Vectors hold 2k modes (4k entries); halves are k modes each.
     """
     two = one = 0
-    entries = 4 * k
     for ci, size in _chunks(trials):
         g = _rng(seed, row, ci)
-        vx, vy = _draw_pair(g, entries, size, r)
-        nx = np.sum(vx * vx, axis=1)
-        ny = np.sum(vy * vy, axis=1)
-        ip = np.sum(vx * vy, axis=1)
-        ip1 = np.sum(vx[:, : entries // 2] * vy[:, : entries // 2], axis=1)
-        wide = 0.5 * 4.7 * math.sqrt(x / k) * (nx + ny)
-        lo_one = 0.5 * ip - 2.5 * math.sqrt(x / k) * (nx + ny)
-        two += int(np.count_nonzero(np.abs(ip1 - 0.5 * ip) > wide))
-        one += int(np.count_nonzero(ip1 < lo_one))
+        nx1, ny1, ip1 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
+        nx2, ny2, ip2 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
+        b = pe.inner_product_bounds(nx1 + nx2, ny1 + ny2, ip1 + ip2, k, x)
+        two += int(np.count_nonzero((ip1 < b.lower) | (ip1 > b.upper)))
+        one += int(np.count_nonzero(ip1 < b.one_sided_lower))
     return two, one
 
 
 def lemma4_violations(seed, row: int, k: int, epsilon: float, trials: int,
                       r: float = 0.6, log_base: str = "natural") -> tuple:
     """(upper, lower, ip) violation counts for the cross-half bounds."""
-    d = 4.0 * math.sqrt(
-        pe._dev_log(2.0 / epsilon, log_base) / (2.0 * k)
-    )
     up = lo = ipv = 0
-    entries = 4 * k
-    half = entries // 2
     for ci, size in _chunks(trials):
         g = _rng(seed, row, ci)
-        vx, vy = _draw_pair(g, entries, size, r)
-        nx1 = np.sum(vx[:, :half] ** 2, axis=1)
-        nx2 = np.sum(vx[:, half:] ** 2, axis=1)
-        ny1 = np.sum(vy[:, :half] ** 2, axis=1)
-        ip1 = np.sum(vx[:, :half] * vy[:, :half], axis=1)
-        ip2 = np.sum(vx[:, half:] * vy[:, half:], axis=1)
-        up += int(np.count_nonzero(nx2 > (1.0 + d) * nx1))
-        lo += int(np.count_nonzero(nx2 < (1.0 - d) * nx1))
-        ipv += int(np.count_nonzero(ip2 < ip1 - d * (nx1 + ny1)))
+        nx1, ny1, ip1 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
+        nx2, _, ip2 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
+        b = pe.cross_half_bounds(nx1, ip1, k, epsilon, ny1, log_base)
+        up += int(np.count_nonzero(nx2 > b.upper_other))
+        lo += int(np.count_nonzero(nx2 < b.lower_other))
+        ipv += int(np.count_nonzero(ip2 < b.ip_lower))
     return up, lo, ipv
 
 
@@ -177,24 +182,12 @@ def pe_theorem_violations(seed, row: int, k: int, eps_pe: float,
     vb2 = (sigma_b + 1.0) / 2.0
     rho = z_bar / 2.0
     r = rho / math.sqrt(va2 * vb2)
-    entries = 4 * k
     bad = 0
     for ci, size in _chunks(trials):
         g = _rng(seed, row, ci)
-        vx, vy = _draw_pair(g, entries, size, r)
-        vx *= math.sqrt(va2)
-        vy *= math.sqrt(vb2)
-        nx = np.sum(vx * vx, axis=1)
-        ny = np.sum(vy * vy, axis=1)
-        ip = np.sum(vx * vy, axis=1)
-        r36 = math.sqrt(pe._dev_log(36.0 / eps_pe, log_base) / k)
-        infl = 1.0 + 3.0 * r36
-        dc = 6.0 * math.sqrt(
-            pe._dev_log(144.0 / eps_pe, log_base) / float(k) ** 3
-        )
-        g_a = infl * nx / (2.0 * k) - 1.0
-        g_b = infl * ny / (2.0 * k) - 1.0
-        g_c = ip / (2.0 * k) - dc * (nx + ny)
+        nx, ny, ip = _wishart2(g, 4 * k, size, math.sqrt(va2),
+                               math.sqrt(vb2), r)
+        g_a, g_b, g_c = pe.gamma_estimates(nx, ny, ip, k, eps_pe, log_base)
         bad += int(
             np.count_nonzero((g_a < v) | (g_b < sigma_b) | (g_c > z_bar))
         )

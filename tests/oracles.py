@@ -232,3 +232,22 @@ def export_batch_rows(batch, path) -> None:
                     f"{batch.bob_p[i]:.17g}",
                 )
             )
+
+
+def draw_pair(g, entries: int, size: int, r: float):
+    """i.i.d. bivariate-normal entry pairs with correlation r.
+
+    Returns two (size, entries) arrays.  This is the full-vector sampler the
+    Monte Carlo validation rows once used; it is kept as the reference for
+    the exact Wishart sampler `validate._wishart2`.
+    """
+    x = g.standard_normal((size, entries))
+    w = g.standard_normal((size, entries))
+    y = r * x + math.sqrt(1.0 - r * r) * w
+    return x, y
+
+
+def pair_statistics(x, y):
+    """Per-row (||x||^2, ||y||^2, <x, y>) of two (size, entries) arrays."""
+    return (np.sum(x * x, axis=1), np.sum(y * y, axis=1),
+            np.sum(x * y, axis=1))

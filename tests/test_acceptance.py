@@ -16,6 +16,7 @@ from dmcvqkd import cli
 from dmcvqkd.channel import (
     ProtocolParams,
     apply_symmetrization,
+    pe_statistics,
     simulate_rounds,
     split_pe_sets,
 )
@@ -129,13 +130,7 @@ def test_criterion_04_pe_robustness_and_soundness():
         rot = OrthogonalTransform.random(4 * k, (seed, 1))
         batch = apply_symmetrization(batch, rot, "alice")
         batch = apply_symmetrization(batch, rot, "bob")
-        h = split_pe_sets(batch, k)
-        norm_x2 = float(np.sum(h.x1 ** 2) + np.sum(h.x2 ** 2))
-        norm_y2 = float(np.sum(h.y1 ** 2) + np.sum(h.y2 ** 2))
-        ip = float(
-            np.sum(h.x1[0::2] * h.y1[0::2]) - np.sum(h.x1[1::2] * h.y1[1::2])
-            + np.sum(h.x2[0::2] * h.y2[0::2]) - np.sum(h.x2[1::2] * h.y2[1::2])
-        )
+        norm_x2, norm_y2, ip = pe_statistics(split_pe_sets(batch, k))
         gammas = gamma_estimates(norm_x2, norm_y2, ip, k, 1e-2)
         return pe_decision(gammas, 1.5, 0.6, 0.05, deltas, 1e-2).passed
 

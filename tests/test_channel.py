@@ -15,6 +15,7 @@ from dmcvqkd.channel import (
     export_batch,
     heterodyne_energy,
     import_batch,
+    pe_statistics,
     quadrant_bits,
     simulate_rounds,
     split_pe_sets,
@@ -128,6 +129,28 @@ def test_split_pe_sets_shapes_and_content():
     assert split.y1[2] == batch.bob_x[gauss[2]]
     with pytest.raises(InsufficientRounds):
         split_pe_sets(batch, 501)
+
+
+def test_pe_statistics_match_a_per_mode_loop():
+    batch = simulate_rounds(PARAMS, seed=13)
+    halves = split_pe_sets(batch, 500)
+    norm_x2 = norm_y2 = ip_xy = 0.0
+    ip_scale = 0.0  # sum of |terms|, for the tolerance
+    for x, y in ((halves.x1, halves.y1), (halves.x2, halves.y2)):
+        for i in range(0, x.size, 2):
+            ax, ap = float(x[i]), float(x[i + 1])
+            bx, bp = float(y[i]), float(y[i + 1])
+            norm_x2 += ax * ax + ap * ap
+            norm_y2 += bx * bx + bp * bp
+            ip_xy += ax * bx - ap * bp
+            ip_scale += abs(ax * bx) + abs(ap * bp)
+    got = pe_statistics(halves)
+    assert all(type(v) is float for v in got)
+    # float64 sums of 2000 terms in another order: within 2000 ulps of the
+    # sum of absolute terms
+    for value, ref, scale in zip(got, (norm_x2, norm_y2, ip_xy),
+                                 (norm_x2, norm_y2, ip_scale)):
+        assert abs(value - ref) <= 2000 * 2.0 ** -52 * scale
 
 
 def test_empirical_sigma_requires_rounds():

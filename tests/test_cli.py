@@ -76,17 +76,19 @@ def test_validate_config_names_offending_field():
     ("d_a", float("inf")),
     ("xi", 1e300),
     ("alpha", True),
+    ("alpha", 1e300),
+    ("xi", 1e150),
+    ("xi_actual", 1e300),
 ])
 def test_extreme_config_values_exit_1(tmp_path, capsys, field, value):
-    # Infinity and bools are rejected by name; 1e300 is a finite, in-range
-    # xi that overflows later in the key-length chain
+    # Infinity, bools and finite values beyond ALPHA_MAX / XI_MAX are
+    # rejected by name before any computation could overflow
     cfg = write_config(tmp_path, "c.json", **{field: value})
-    rc = cli.main(["keyrate", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    if field != "xi":
-        assert repr(field) in err
+    for command in ("keyrate", "simulate"):
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field " + repr(field)), err
 
 
 def test_sweep_rejects_non_finite_grid_point(tmp_path, capsys):

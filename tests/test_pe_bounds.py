@@ -117,6 +117,44 @@ def test_gamma_estimates_regime_error():
         gamma_estimates(100.0, 100.0, 0.0, 50, 1e-6)
 
 
+# (function, argument maker): the norm/inner-product arguments come from
+# three statistic vectors; the rest are fixed scalars inside each bound's
+# validity range
+ARRAY_CALLS = [
+    (projection_bounds, lambda nx, ny, ip: (nx, 10000, 1e-2)),
+    (inner_product_bounds, lambda nx, ny, ip: (nx, ny, ip, 10000, 4.0)),
+    (cross_half_bounds,
+     lambda nx, ny, ip: (nx, ip, 10000, 1e-2, ny, "paper-literal")),
+    (gamma_estimates, lambda nx, ny, ip: (nx, ny, ip, 10000, 1e-2)),
+]
+
+
+@pytest.mark.parametrize("fn, make_args", ARRAY_CALLS,
+                         ids=[fn.__name__ for fn, _ in ARRAY_CALLS])
+def test_bounds_accept_arrays_element_for_element(fn, make_args):
+    g = np.random.default_rng(5)
+    nx = 20000.0 + 200.0 * g.standard_normal(7)
+    ny = 24000.0 + 200.0 * g.standard_normal(7)
+    ip = 11000.0 + 200.0 * g.standard_normal(7)
+    nx[0] = 0.0  # a zero norm is in the domain
+    whole = fn(*make_args(nx, ny, ip))
+    for i in range(nx.size):
+        one = fn(*make_args(float(nx[i]), float(ny[i]), float(ip[i])))
+        assert tuple(float(part[i]) for part in whole) == tuple(one)
+
+
+NORM_CHECKED = [c for c in ARRAY_CALLS
+                if c[0] in (projection_bounds, cross_half_bounds)]
+
+
+@pytest.mark.parametrize("fn, make_args", NORM_CHECKED,
+                         ids=[fn.__name__ for fn, _ in NORM_CHECKED])
+def test_one_negative_norm_in_an_array_raises(fn, make_args):
+    nx = np.array([100.0, 90.0, -1e-300, 120.0])
+    with pytest.raises(DomainError):
+        fn(*make_args(nx, nx, nx))
+
+
 def test_pe_thresholds_ordering():
     th = pe_thresholds(epsilon=1e-2, **STATS)
     assert th.a == pytest.approx(11786.936855812519, rel=1e-13)

@@ -3,10 +3,106 @@
 import math
 
 import numpy as np
+import pytest
+from scipy import stats
 
-from dmcvqkd.validate import BoundRow, run_all
+from dmcvqkd import pe
+from dmcvqkd.modulation import correlation_z
+from dmcvqkd.validate import BoundRow, _rng, _wishart2, run_all
+
+from oracles import draw_pair, pair_statistics
 
 TRIALS = 4000
+
+
+def _pe_theorem_scaling(alpha=0.5, T=0.6, xi=0.05):
+    """(sx, sy, r) of the honest-channel entries the pe-theorem row draws."""
+    v_a = 2.0 * alpha * alpha
+    va2 = (v_a + 2.0) / 2.0
+    vb2 = (T * v_a + 2.0 + T * xi) / 2.0
+    rho = math.sqrt(T) * correlation_z(alpha) / 2.0
+    return math.sqrt(va2), math.sqrt(vb2), rho / math.sqrt(va2 * vb2)
+
+
+@pytest.mark.parametrize("sx, sy, r", [(1.0, 1.0, 0.6),
+                                       _pe_theorem_scaling()],
+                         ids=["unit", "pe-theorem"])
+def test_wishart2_matches_full_vector_sampler(sx, sy, r):
+    dof, size = 100, 4000
+    nx, ny, ip = _wishart2(_rng(11, 0, 0), dof, size, sx, sy, r)
+    vx, vy = draw_pair(_rng(12, 0, 0), dof, size, r)
+    reference = pair_statistics(sx * vx, sy * vy)
+    for drawn, ref in zip((nx, ny, ip), reference):
+        assert stats.ks_2samp(drawn, ref).pvalue > 1e-3
+    # exact moments: E||X||^2 = dof sx^2 (variance 2 dof sx^4),
+    # E<X,Y> = dof r sx sy (variance dof sx^2 sy^2 (1 + r^2))
+    se_nx = math.sqrt(2.0 * dof / size) * sx * sx
+    se_ny = math.sqrt(2.0 * dof / size) * sy * sy
+    se_ip = math.sqrt(dof * (1.0 + r * r) / size) * sx * sy
+    assert abs(np.mean(nx) - dof * sx * sx) < 5.0 * se_nx
+    assert abs(np.mean(ny) - dof * sy * sy) < 5.0 * se_ny
+    assert abs(np.mean(ip) - dof * r * sx * sy) < 5.0 * se_ip
+
+
+_SHIPPED = {name: getattr(pe, name) for name in (
+    "inner_product_bounds", "cross_half_bounds", "gamma_estimates")}
+
+
+def _tight_inner_product_bounds(norm_x2, norm_y2, ip_xy, k, x):
+    b = _SHIPPED["inner_product_bounds"](norm_x2, norm_y2, ip_xy, k, x)
+    half = 0.5 * ip_xy
+    return pe.InnerProductBounds(*(half + (v - half) / 10.0 for v in b))
+
+
+def _tight_cross_half_bounds(norm_half2, ip_half, k, epsilon,
+                             norm_other_half2=None, log_base="natural"):
+    b = _SHIPPED["cross_half_bounds"](norm_half2, ip_half, k, epsilon,
+                                      norm_other_half2, log_base)
+    return pe.CrossHalfBounds(
+        upper_other=norm_half2 + (b.upper_other - norm_half2) / 10.0,
+        lower_other=norm_half2 + (b.lower_other - norm_half2) / 10.0,
+        ip_lower=ip_half + (b.ip_lower - ip_half) / 10.0,
+    )
+
+
+def _tight_gamma_estimates(norm_x2, norm_y2, ip_xy, k, epsilon_pe,
+                           log_base="natural"):
+    gammas = _SHIPPED["gamma_estimates"](norm_x2, norm_y2, ip_xy, k,
+                                         epsilon_pe, log_base)
+    unbiased = (norm_x2 / (2.0 * k) - 1.0, norm_y2 / (2.0 * k) - 1.0,
+                ip_xy / (2.0 * k))
+    return tuple(c + (g - c) / 10.0 for g, c in zip(gammas, unbiased))
+
+
+@pytest.mark.parametrize("name, tight, rows, violated", [
+    pytest.param("inner_product_bounds", _tight_inner_product_bounds,
+                 ("lemma3-two-sided", "lemma3-one-sided"), (),
+                 id="inner_product_bounds"),
+    pytest.param("cross_half_bounds", _tight_cross_half_bounds,
+                 ("lemma4-norm-upper", "lemma4-norm-lower",
+                  "lemma4-ip-lower"),
+                 ("lemma4-norm-upper", "lemma4-norm-lower"),
+                 id="cross_half_bounds"),
+    pytest.param("gamma_estimates", _tight_gamma_estimates, ("pe-theorem",),
+                 ("pe-theorem",), id="gamma_estimates"),
+])
+def test_rows_check_the_shipped_pe_functions(monkeypatch, name, tight,
+                                             rows, violated):
+    # a bound with a 10x tighter margin must show up in its rows; the
+    # lemma3 claims (8 e^-2, 4 e^-2) and the lemma4 inner-product claim
+    # (4 eps) are too loose to be violated, so there the observed frequency
+    # only has to rise
+    base = run_all(seed=99, trials=TRIALS)
+    monkeypatch.setattr(pe, name, tight)
+    patched = run_all(seed=99, trials=TRIALS)
+    for before, row in zip(base, patched):
+        if row.lemma in rows:
+            assert row.observed > before.observed, row
+        else:
+            assert row.csv_row() == before.csv_row()
+        if row.lemma in violated:
+            assert row.verdict == "violated", row
+    assert [r.observed for r in base if r.lemma == "lemma3-two-sided"] == [0]
 
 
 def test_run_all_row_inventory():
