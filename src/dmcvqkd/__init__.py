@@ -21,7 +21,7 @@ from .modulation import (
 )
 from .pe import ConfidenceRegion, calibrate_deltas, gamma_estimates, pe_decision
 from .reconciliation import beta_modulation, biawgn_capacity, gaussian_capacity
-from .rotations import OrthogonalTransform, kernel_name
+from .rotations import OrthogonalTransform
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "gamma_estimates",
     "gaussian_capacity",
     "holevo_f",
-    "kernel_name",
     "key_length",
     "lambda_weights",
     "pe_decision",

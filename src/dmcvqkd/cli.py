@@ -267,12 +267,16 @@ def _keyrate_chain(cfg: RunConfig, budget: SecurityBudget):
     return params, region, report
 
 
-def _reduction(cfg: RunConfig, budget: SecurityBudget) -> ReductionReport:
+def _energy_config(cfg: RunConfig, budget: SecurityBudget) -> EnergyTestConfig:
     d_a, d_b = resolve_energy_thresholds(cfg)
-    etc = EnergyTestConfig(k_test=cfg.k_test, d_a=d_a, d_b=d_b,
-                           eps_test=budget.eps_total)
+    return EnergyTestConfig(k_test=cfg.k_test, d_a=d_a, d_b=d_b,
+                            eps_test=budget.eps_total)
+
+
+def _reduction(cfg: RunConfig, budget: SecurityBudget) -> ReductionReport:
     n_modes = 2 * (cfg.n + cfg.m + cfg.k)
-    return make_reduction_report(n_modes, etc, budget.eps_total, cfg.eta)
+    return make_reduction_report(n_modes, _energy_config(cfg, budget),
+                                 budget.eps_total, cfg.eta)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -407,15 +411,12 @@ def run_simulate(cfg: RunConfig) -> int:
     didx = batch.role_indices(ROLE_DECOY)[: cfg.k_test]
     energy_a = 0.5 * (batch.alice_x[didx] ** 2 + batch.alice_p[didx] ** 2)
     energy_b = heterodyne_energy(batch.bob_x[didx], batch.bob_p[didx])
-    d_a, d_b = resolve_energy_thresholds(cfg)
-    etc = EnergyTestConfig(k_test=cfg.k_test, d_a=d_a, d_b=d_b,
-                           eps_test=budget.eps_total)
+    etc = _energy_config(cfg, budget)
     energy_ok = energy_test(energy_a, energy_b, etc)
 
     report = key_length(params, budget, h_mle, region.worst_case_covariance(),
                         leak_ec, cfg.delta_ent_mode)
-    reduction = make_reduction_report(2 * (cfg.n + cfg.m + cfg.k), etc,
-                                      budget.eps_total, cfg.eta)
+    reduction = _reduction(cfg, budget)
 
     success = (region.passed and verified and energy_ok and report.feasible)
     if success:
@@ -438,7 +439,7 @@ def run_simulate(cfg: RunConfig) -> int:
         hash_length(budget.eps_cor), block_errors, int(verified),
     )])
     _write_csv(out / "energy.csv", ENERGY_HEADER, [(
-        cfg.k_test, f"{d_a:.17g}", f"{d_b:.17g}",
+        cfg.k_test, f"{etc.d_a:.17g}", f"{etc.d_b:.17g}",
         f"{float(np.mean(energy_a)):.17g}",
         f"{float(np.mean(energy_b)):.17g}", int(energy_ok),
     )])

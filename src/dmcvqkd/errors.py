@@ -47,3 +47,7 @@ class LengthError(ValueError):
 
 class UnknownAxis(ValueError):
     """Sweep axis name does not correspond to a known parameter."""
+
+
+class PrecisionLoss(ArithmeticError):
+    """A float result is too inexact to round to the integer it stands for."""

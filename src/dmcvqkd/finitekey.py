@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LengthError
+from .errors import DomainError, LengthError, PrecisionLoss
 from .gaussian import TwoModeCovariance, holevo_f
 
 DELTA_ENT_MODES = ("paper", "derived")
@@ -244,8 +244,16 @@ def universal_hash(bits, seed, out_len: int) -> np.ndarray:
     else:
         from scipy.signal import fftconvolve
 
-        conv = np.rint(
-            fftconvolve(x.astype(np.float64), tbits.astype(np.float64))
-        ).astype(np.int64)
+        conv = fftconvolve(x.astype(np.float64), tbits.astype(np.float64))
+        # every entry is an integer count; a residual near 0.5 would round
+        # to the wrong neighbour and flip its parity without a trace
+        rounded = np.rint(conv)
+        residual = float(np.max(np.abs(conv - rounded)))
+        if residual >= 0.25:
+            raise PrecisionLoss(
+                f"FFT convolution of {n_in} x {t_len} bits is off an integer "
+                f"by {residual:.3g}; its parities cannot be trusted"
+            )
+        conv = rounded.astype(np.int64)
     seg = conv[n_in - 1 : n_in - 1 + out_len]
     return (seg & 1).astype(np.uint8)

@@ -12,7 +12,6 @@ matched-filter vote.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -122,46 +121,6 @@ def leak_model(n_pairs: int, beta: float, s: float, eps_cor: float) -> float:
         raise DomainError(f"beta must be in (0, 1], got {beta!r}")
     rate = beta * biawgn_capacity(s)
     return 2.0 * n_pairs * (1.0 - rate) + hash_length(eps_cor)
-
-
-@dataclass(frozen=True)
-class ReconciliationPlan:
-    """Declared EC operating point and its leakage."""
-
-    s: float
-    rate: float
-    beta: float
-    k_rep: int
-    n_pairs: int
-    leak_total: float
-    hash_bits: int
-
-    def __post_init__(self):
-        if self.rate > biawgn_capacity(self.s) + 1e-12:
-            raise DomainError(
-                f"rate {self.rate!r} exceeds the binary-input capacity"
-            )
-        if self.leak_total < self.hash_bits:
-            raise DomainError("leak below the verification hash length")
-
-
-def make_plan(
-    n_pairs: int, v_a: float, T: float, xi: float, beta: float,
-    eps_cor: float, k_rep: int = 1,
-) -> ReconciliationPlan:
-    """Operating point for a run: SNR, rate, repetition length, leakage."""
-    if k_rep < 1:
-        raise DomainError(f"k_rep must be >= 1, got {k_rep!r}")
-    s = snr(v_a, T, xi)
-    return ReconciliationPlan(
-        s=s,
-        rate=beta * biawgn_capacity(s),
-        beta=beta,
-        k_rep=int(k_rep),
-        n_pairs=int(n_pairs),
-        leak_total=leak_model(n_pairs, beta, s, eps_cor),
-        hash_bits=hash_length(eps_cor),
-    )
 
 
 class RepetitionSideInfo(NamedTuple):

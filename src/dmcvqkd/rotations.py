@@ -10,8 +10,11 @@ Angles are drawn from a counter-based generator keyed by the seed, one
 64-bit word per kept pair, in layer-major / index-minor order, so a
 transform is reproducible from (dim, seed) alone.
 
-The inner kernel is the compiled extension when present, otherwise the
-numpy fallback; both produce bit-identical output.
+Each layer is applied with one numpy gather/scatter.  This gives exactly
+the result of rotating the pairs one at a time: the pairs within a layer
+are disjoint, so no rotation reads a slot that another rotation of the
+same layer writes, and each element goes through the same floating-point
+operations in the same order as in a per-pair loop.
 """
 from __future__ import annotations
 
@@ -22,19 +25,22 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 
-try:  # pragma: no cover - exercised indirectly
-    from ._butterfly import rotate_pairs
-
-    KERNEL = "compiled"
-except ImportError:  # pragma: no cover
-    from ._butterfly_py import rotate_pairs
-
-    KERNEL = "fallback"
-
 
 def kernel_name() -> str:
-    """Which pair-rotation kernel is active: 'compiled' or 'fallback'."""
-    return KERNEL
+    """The pair-rotation kernel, always "numpy"; kept for benchmark records."""
+    return "numpy"
+
+
+def _rotate_pairs(v, lo, hi, c, s):
+    """Apply disjoint 2x2 rotations in place.
+
+    For each i: (v[lo[i]], v[hi[i]]) <- (c*a + s*b, -s*a + c*b) with
+    a = v[lo[i]], b = v[hi[i]].
+    """
+    a = v[lo]
+    b = v[hi]
+    v[lo] = c * a + s * b
+    v[hi] = (-s) * a + c * b
 
 
 def _philox_uniforms(seed, count: int) -> np.ndarray:
@@ -102,10 +108,10 @@ class OrthogonalTransform:
         out = self._check(v)
         if not inverse:
             for lay in self.layers:
-                rotate_pairs(out, lay.lo, lay.hi, lay.cos, lay.sin)
+                _rotate_pairs(out, lay.lo, lay.hi, lay.cos, lay.sin)
         else:
             for lay in reversed(self.layers):
-                rotate_pairs(out, lay.lo, lay.hi, lay.cos, -lay.sin)
+                _rotate_pairs(out, lay.lo, lay.hi, lay.cos, -lay.sin)
         return out
 
     def apply_conjugate(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -251,3 +251,23 @@ def pair_statistics(x, y):
     """Per-row (||x||^2, ||y||^2, <x, y>) of two (size, entries) arrays."""
     return (np.sum(x * x, axis=1), np.sum(y * y, axis=1),
             np.sum(x * y, axis=1))
+
+
+def rotate_pair_by_pair(layers, v, inverse=False):
+    """R v (R^T v when inverse=True) with one scalar update per pair.
+
+    `layers` are the layers of an `OrthogonalTransform`; each carries the
+    index arrays `lo`, `hi` and the angle arrays `cos`, `sin`.  This is the
+    per-pair reference for the one gather/scatter per layer in
+    `rotations.py`.
+    """
+    v = [float(x) for x in v]
+    sign = -1.0 if inverse else 1.0
+    for lay in (reversed(layers) if inverse else layers):
+        for i, j, c, s in zip(lay.lo.tolist(), lay.hi.tolist(),
+                              lay.cos.tolist(), lay.sin.tolist()):
+            s = sign * s
+            a, b = v[i], v[j]
+            v[i] = c * a + s * b
+            v[j] = (-s) * a + c * b
+    return np.array(v)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmcvqkd.channel import ProtocolParams
-from dmcvqkd.errors import DomainError, LengthError
+from dmcvqkd.errors import DomainError, LengthError, PrecisionLoss
 from dmcvqkd.finitekey import (
     KeyLengthReport,
     SecurityBudget,
@@ -179,6 +179,24 @@ def test_universal_hash_direct_and_fft_paths_agree():
     direct = universal_hash(bits, 5, 1300)          # 3.9e6 products
     fft = universal_hash(bits, 5, 1500)             # 4.5e6 products
     np.testing.assert_array_equal(direct[:1300], fft[:1300])
+
+
+def test_universal_hash_fft_precision_loss_is_loud(monkeypatch):
+    # an FFT error below 0.25 still rounds to the right integers; one at
+    # 0.4 could round to the wrong neighbour, so it must raise instead
+    import scipy.signal
+
+    fftconvolve = scipy.signal.fftconvolve
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2, size=3000).astype(np.uint8)
+    direct = universal_hash(bits, 5, 1300)
+    monkeypatch.setattr(scipy.signal, "fftconvolve",
+                        lambda a, b: fftconvolve(a, b) + 0.2)
+    np.testing.assert_array_equal(universal_hash(bits, 5, 1500)[:1300], direct)
+    monkeypatch.setattr(scipy.signal, "fftconvolve",
+                        lambda a, b: fftconvolve(a, b) + 0.4)
+    with pytest.raises(PrecisionLoss):
+        universal_hash(bits, 5, 1500)
 
 
 def test_universal_hash_length_edges():

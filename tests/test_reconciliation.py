@@ -7,14 +7,12 @@ import pytest
 
 from dmcvqkd.errors import DomainError, LengthError
 from dmcvqkd.reconciliation import (
-    ReconciliationPlan,
     beta_modulation,
     biawgn_capacity,
     capacities,
     gaussian_capacity,
     hash_length,
     leak_model,
-    make_plan,
     repetition_decode,
     repetition_reconcile,
     snr,
@@ -80,23 +78,6 @@ def test_leak_model_frozen_and_structure():
     expected = 2 * 200_000_000 * (1 - 0.95 * biawgn_capacity(s)) + 34
     assert leak == pytest.approx(expected, rel=1e-14)
     assert leak_model(0, 0.95, s, 1e-10) == 34.0
-
-
-def test_make_plan():
-    plan = make_plan(1000, 0.5, 0.5, 0.01, 0.95, 1e-10, k_rep=4)
-    assert plan.s == pytest.approx(snr(0.5, 0.5, 0.01), rel=1e-14)
-    assert plan.rate == pytest.approx(0.95 * biawgn_capacity(plan.s), rel=1e-14)
-    assert plan.hash_bits == 34
-    assert plan.leak_total == pytest.approx(
-        leak_model(1000, 0.95, plan.s, 1e-10), rel=1e-14
-    )
-    with pytest.raises(DomainError):
-        make_plan(1000, 0.5, 0.5, 0.01, 0.95, 1e-10, k_rep=0)
-    with pytest.raises(DomainError):
-        ReconciliationPlan(
-            s=1.0, rate=0.6, beta=1.0, k_rep=1, n_pairs=10,
-            leak_total=100.0, hash_bits=34,
-        )  # rate above the binary-input capacity
 
 
 def test_repetition_reconcile_reference_example():
