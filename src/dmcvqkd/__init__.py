@@ -13,21 +13,15 @@ from .gaussian import (
     holevo_f,
     symplectic_eigenvalues,
 )
-from .modulation import (
-    ConstellationParams,
-    correlation_z,
-    expected_covariance,
-    lambda_weights,
-)
+from .modulation import correlation_z, lambda_weights
 from .pe import ConfidenceRegion, calibrate_deltas, gamma_estimates, pe_decision
-from .reconciliation import beta_modulation, biawgn_capacity, gaussian_capacity
+from .reconciliation import biawgn_capacity
 from .rotations import OrthogonalTransform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfidenceRegion",
-    "ConstellationParams",
     "KeyLengthReport",
     "OrthogonalTransform",
     "ProtocolParams",
@@ -35,14 +29,11 @@ __all__ = [
     "SecurityBudget",
     "TwoModeCovariance",
     "__version__",
-    "beta_modulation",
     "biawgn_capacity",
     "calibrate_deltas",
     "correlation_z",
-    "expected_covariance",
     "g_entropy",
     "gamma_estimates",
-    "gaussian_capacity",
     "holevo_f",
     "key_length",
     "lambda_weights",

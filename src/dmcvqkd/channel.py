@@ -24,9 +24,7 @@ parallel schedule.
 """
 from __future__ import annotations
 
-import csv
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -124,12 +122,6 @@ class QuadratureBatch:
     def role_indices(self, role) -> np.ndarray:
         return np.nonzero(self.roles == _role_code(role))[0]
 
-    def counts(self) -> dict:
-        return {
-            name: int(np.count_nonzero(self.roles == code))
-            for code, name in enumerate(ROLE_NAMES)
-        }
-
     def copy(self) -> "QuadratureBatch":
         return QuadratureBatch(
             self.alice_x.copy(),
@@ -166,17 +158,6 @@ def _role_code(role) -> int:
     if role in (ROLE_KEY, ROLE_DECOY, ROLE_GAUSSIAN):
         return int(role)
     raise DomainError(f"unknown role {role!r}")
-
-
-def resolve_workers(requested: Optional[int]) -> int:
-    """Worker count after applying the DMCVQKD_THREADS environment cap."""
-    w = 1 if requested is None else int(requested)
-    if w < 1:
-        raise ConfigError(f"workers must be >= 1, got {requested!r}")
-    cap = os.environ.get("DMCVQKD_THREADS")
-    if cap is not None:
-        w = min(w, max(1, int(cap)))
-    return w
 
 
 def _round_uniforms(seed, start: int, count: int) -> np.ndarray:
@@ -275,6 +256,9 @@ def simulate_rounds(params: ProtocolParams, seed, counts=None,
     n, m, k = (int(c) for c in counts)
     if min(n, m, k) < 0 or n + m + k == 0:
         raise ConfigError(f"invalid round counts {counts!r}")
+    n_workers = 1 if workers is None else int(workers)
+    if n_workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers!r}")
     n_key, n_decoy, n_gauss = 2 * n, 2 * m, 2 * k
     total = n_key + n_decoy + n_gauss
 
@@ -296,7 +280,6 @@ def simulate_rounds(params: ProtocolParams, seed, counts=None,
     spans = [
         (a, min(a + CHUNK_ROUNDS, total)) for a in range(0, total, CHUNK_ROUNDS)
     ]
-    n_workers = resolve_workers(workers)
     if n_workers == 1 or len(spans) == 1:
         for a, b in spans:
             _fill_chunk(out, params, seed, a, b, amp_x, amp_p)
@@ -466,26 +449,3 @@ def export_batch(batch: QuadratureBatch, path) -> None:
             )
             values = tuple(chain.from_iterable(rows))
             fh.write(_CSV_ROW * (stop - start) % values)
-
-
-def import_batch(path) -> QuadratureBatch:
-    """Read a batch written by export_batch (exact float round-trip)."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = tuple(next(r))
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header {header!r}")
-        rows = list(r)
-    n = len(rows)
-    batch = QuadratureBatch(
-        np.empty(n), np.empty(n), np.empty(n), np.empty(n),
-        np.empty(n, dtype=np.uint8),
-    )
-    for i, row in enumerate(rows):
-        _, role, ax, ap, bx, bp = row
-        batch.roles[i] = _role_code(role)
-        batch.alice_x[i] = float(ax)
-        batch.alice_p[i] = float(ap)
-        batch.bob_x[i] = float(bx)
-        batch.bob_p[i] = float(bp)
-    return batch

@@ -2,8 +2,9 @@
 
 Closed-form ingredients: the symmetric-subspace dimension under a photon
 cutoff K, the cutoff-truncation error, the volume prefactor T(n, eta), the
-energy-test scaling, and the final security-parameter blowup.  The energy
-test itself operates on per-mode energies in shot-noise units.
+cutoff K that the energy test certifies, and the final security-parameter
+blowup.  The energy test itself operates on per-mode energies in
+shot-noise units.
 """
 from __future__ import annotations
 
@@ -93,26 +94,6 @@ def volume_T(n: int, eta: float) -> VolumeBound:
     value = float(numer) / scale
     k4 = (n / (1.0 - eta)) ** 4 / 12.0
     return VolumeBound(value=value, k4_bound=k4)
-
-
-def energy_scaling(n: int, k: int, eps: float) -> float:
-    """Threshold inflation g(n, k, eps) from testing k of n+k modes.
-
-    (1 + 2 sqrt(ln(2/eps)/n) + 2 ln(2/eps)/n) / (1 - 2 sqrt(ln(2/eps)/k));
-    requires k > 4 ln(2/eps) so the denominator is positive.
-    """
-    if n < 1 or k < 1:
-        raise DomainError(f"n, k must be >= 1, got {n!r}, {k!r}")
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must be in (0, 1), got {eps!r}")
-    big_l = math.log(2.0 / eps)
-    if k <= 4.0 * big_l:
-        raise RegimeError(
-            f"k={k} must exceed 4 ln(2/eps) = {4.0 * big_l:.6g}"
-        )
-    num = 1.0 + 2.0 * math.sqrt(big_l / n) + 2.0 * big_l / n
-    den = 1.0 - 2.0 * math.sqrt(big_l / k)
-    return num / den
 
 
 def photon_cutoff(n: int, k: int, d_a: float, d_b: float, eps: float) -> int:
@@ -227,11 +208,6 @@ class ReductionReport:
             f"{self.eps_collective:.17g}", f"{self.eps_general:.17g}",
             self.key_reduction,
         )
-
-    def audit(self) -> bool:
-        """eps_general must equal (2 + K^4/6) eps_collective exactly."""
-        pref = 2.0 + float(Fraction(self.K ** 4, 6))
-        return self.eps_general == pref * self.eps_collective
 
 
 def make_reduction_report(

@@ -9,10 +9,6 @@ class NonPhysicalCovariance(ValueError):
     """Covariance data violates the uncertainty relation beyond tolerance."""
 
 
-class TruncationError(ValueError):
-    """A truncated series carries more tail mass than the allowed budget."""
-
-
 class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
 

@@ -88,16 +88,6 @@ class KeyLengthReport:
             int(self.feasible),
         )
 
-    def audit(self) -> bool:
-        """Recompute l from the stored terms; must match exactly."""
-        return self.l == (
-            self.entropy_term
-            - self.holevo_term
-            - self.leak_ec
-            - self.delta_aep
-            - self.delta_ent
-        )
-
 
 def delta_aep(n: float, eps_sm: float, p_ec: float) -> float:
     """Finite-size penalty from the entropy accumulation step.

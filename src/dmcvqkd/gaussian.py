@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError, NonPhysicalCovariance
 
 # Eigenvalues may dip below 1 by at most this much before we call the state
@@ -33,18 +31,6 @@ class TwoModeCovariance:
     y: float
     z: float
 
-    def as_matrix(self) -> np.ndarray:
-        """Dense 4x4 matrix, mode ordering (x_A, p_A, x_B, p_B)."""
-        x, y, z = self.x, self.y, self.z
-        return np.array(
-            [
-                [x, 0.0, z, 0.0],
-                [0.0, x, 0.0, -z],
-                [z, 0.0, y, 0.0],
-                [0.0, -z, 0.0, y],
-            ]
-        )
-
     def astuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
@@ -61,36 +47,11 @@ class SymplecticSpectrum(NamedTuple):
     nu3: float
 
 
-@dataclass(frozen=True)
-class CovarianceDiagnostics:
-    """Outcome of physicality checks on an (x, y, z) triple."""
-
-    ok: bool
-    failures: tuple[str, ...]
-
-
 def _coerce(cov) -> tuple[float, float, float]:
     if isinstance(cov, TwoModeCovariance):
         return cov.astuple()
     x, y, z = cov
     return (float(x), float(y), float(z))
-
-
-def validate_covariance(cov) -> CovarianceDiagnostics:
-    """Check that (x, y, z) describes a physical two-mode state.
-
-    Requires x >= 1, y >= 1 (each mode at least shot noise) and z**2 <= x*y
-    (positive semidefiniteness of the 4x4 matrix).
-    """
-    x, y, z = _coerce(cov)
-    failures = []
-    if not x >= 1.0:
-        failures.append(f"x={x!r} < 1")
-    if not y >= 1.0:
-        failures.append(f"y={y!r} < 1")
-    if not z * z <= x * y:
-        failures.append(f"z^2={z * z!r} exceeds x*y={x * y!r}")
-    return CovarianceDiagnostics(ok=not failures, failures=tuple(failures))
 
 
 def symplectic_eigenvalues(cov) -> SymplecticSpectrum:

@@ -1,4 +1,4 @@
-"""Four-state constellation: weights, correlation strength, Fock expansions.
+"""Four-state constellation: eigenstate weights and correlation strength.
 
 Alice draws one of four coherent states alpha * exp(i*(2k+1)*pi/4),
 k = 0..3, uniformly.  The modulation variance is V_A = 2*alpha^2 (shot-noise
@@ -9,36 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
-from .gaussian import TwoModeCovariance
+from .errors import DomainError
 
 #: phases of the four coherent states (radians)
 CONSTELLATION_PHASES = tuple((2 * k + 1) * math.pi / 4.0 for k in range(4))
-
-#: default Fock-space truncation for state expansions
-N_MAX_DEFAULT = 60
-
-#: largest tolerated norm deficit of a truncated expansion
-TAIL_MASS_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ConstellationParams:
-    """Constellation amplitude and derived modulation variance."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha!r}")
-
-    @property
-    def v_a(self) -> float:
-        return 2.0 * self.alpha * self.alpha
 
 
 @dataclass(frozen=True)
@@ -106,62 +83,3 @@ def correlation_z(alpha: float) -> float:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     v_a = 2.0 * alpha * alpha
     return v_a * lambda_ratio_sum(lambda_weights(alpha))
-
-
-@lru_cache(maxsize=None)
-def _log_factorials(n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1, dtype=float)
-    return np.cumsum(np.concatenate([[0.0], np.log(np.maximum(n[1:], 1.0))]))
-
-
-def fock_state_vector(
-    alpha: float, k: int, n_max: int = N_MAX_DEFAULT
-) -> np.ndarray:
-    """Fock coefficients of the k-th constellation eigenstate |phi_k>.
-
-    |phi_k> has support on photon numbers n = 4j + k only, with
-
-        <n|phi_k> = e^{-alpha^2/2} / sqrt(lambda_k) * (-1)^j
-                    * alpha^n / sqrt(n!)  at n = 4j + k.
-
-    Returns a real vector of length n_max + 1.  Raises TruncationError when
-    the norm deficit of the truncation exceeds TAIL_MASS_TOL.
-    """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    if k not in (0, 1, 2, 3):
-        raise DomainError(f"k must be in 0..3, got {k!r}")
-    if n_max < 4:
-        raise DomainError(f"n_max must be at least 4, got {n_max!r}")
-    lam = lambda_weights(alpha).as_array()[k]
-    lf = _log_factorials(n_max)
-    ns = np.arange(k, n_max + 1, 4)
-    js = (ns - k) // 4
-    log_amp = -0.5 * alpha * alpha + ns * math.log(alpha) - 0.5 * lf[ns]
-    coeff = (-1.0) ** js * np.exp(log_amp) / math.sqrt(lam)
-    vec = np.zeros(n_max + 1)
-    vec[ns] = coeff
-    deficit = abs(1.0 - float(np.sum(vec * vec)))
-    if deficit > TAIL_MASS_TOL:
-        raise TruncationError(
-            f"norm deficit {deficit:.3e} above {TAIL_MASS_TOL:.0e}"
-            f" at n_max={n_max}; increase n_max"
-        )
-    return vec
-
-
-def expected_covariance(alpha: float, T: float, xi: float) -> TwoModeCovariance:
-    """Honest-channel covariance triple for the purified protocol state.
-
-    x = V_A + 1,  y = T*V_A + 1 + T*xi,  z = sqrt(T) * Z(alpha).
-    """
-    if not 0.0 < T <= 1.0:
-        raise DomainError(f"T must be in (0, 1], got {T!r}")
-    if xi < 0.0:
-        raise DomainError(f"xi must be non-negative, got {xi!r}")
-    v_a = 2.0 * alpha * alpha
-    return TwoModeCovariance(
-        x=v_a + 1.0,
-        y=T * v_a + 1.0 + T * xi,
-        z=math.sqrt(T) * correlation_z(alpha),
-    )

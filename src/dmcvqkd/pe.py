@@ -2,10 +2,10 @@
 
 The chain: tail bounds for chi-square statistics and random half-splits
 (`chi2_tail_thresholds`, `projection_bounds`, `inner_product_bounds`,
-`cross_half_bounds`) feed the bad-event thresholds (`pe_thresholds`), which
-justify the worst-case estimators (`gamma_estimates`); `pe_decision`
-compares those against the expected-channel thresholds widened by
-robustness offsets delta (`calibrate_deltas`).
+`cross_half_bounds`) justify the worst-case estimators
+(`gamma_estimates`); `pe_decision` compares those against the
+expected-channel thresholds widened by robustness offsets delta
+(`calibrate_deltas`).
 
 Vector conventions: norms and inner products are over the full
 interleaved-quadrature vectors of the 2k parameter-estimation modes (4k
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtri, ndtri
 
 from .errors import (
     DomainError,
@@ -64,13 +64,6 @@ class CrossHalfBounds(NamedTuple):
     upper_other: float
     lower_other: float
     ip_lower: float
-
-
-class ThresholdQuad(NamedTuple):
-    a: float
-    b: float
-    c: float
-    d: float
 
 
 class DeltaTriple(NamedTuple):
@@ -237,42 +230,6 @@ def _regime_check(k: int, epsilon: float, log_base: str) -> float:
     return r
 
 
-def pe_thresholds(
-    norm_x2: float,
-    norm_y2: float,
-    ip_xy: float,
-    k: int,
-    epsilon: float,
-    log_base: str = "natural",
-) -> ThresholdQuad:
-    """Bad-event thresholds (a, b, c, d) of the parameter-estimation theorem.
-
-        a = (1/2)[1 + (5/2) sqrt(log(36/eps)/k)] ||X||^2
-        b = a [1 + (432/eps) e^{-k/16}]
-        c = <X,Y>/2 - (5/2) sqrt(log(72/eps)/k) (||X||^2 + ||Y||^2)
-        d = c - 2 (||X||^2 + ||Y||^2) sqrt(log(144/eps)/k)
-
-    b uses the constant 432 while the regime constraint uses 360; both are
-    kept exactly as stated (not harmonized).  Requires the regime
-    constraint (RegimeError otherwise); b/a <= 2 then holds as a
-    documented consequence.
-    """
-    r36 = _regime_check(k, epsilon, log_base)
-    norms = norm_x2 + norm_y2
-    a = 0.5 * (1.0 + 2.5 * r36) * norm_x2
-    blowup = 1.0 + (432.0 / epsilon) * math.exp(-k / 16.0)
-    if blowup > 2.0:
-        raise RegimeError(
-            f"b/a = {blowup:.6g} exceeds 2 at k={k}, eps={epsilon}"
-        )
-    b = a * blowup
-    c = 0.5 * ip_xy - 2.5 * math.sqrt(
-        _dev_log(72.0 / epsilon, log_base) / k
-    ) * norms
-    d = c - 2.0 * norms * math.sqrt(_dev_log(144.0 / epsilon, log_base) / k)
-    return ThresholdQuad(a=a, b=b, c=c, d=d)
-
-
 def gamma_estimates(
     norm_x2: float,
     norm_y2: float,
@@ -380,7 +337,7 @@ def calibrate_deltas(
     z_bar = math.sqrt(T) * v_a * lambda_ratio_sum(lambda_weights(alpha))
 
     dof = 4 * k
-    q_hi = stats.chi2.isf(budget, dof)
+    q_hi = chdtri(dof, budget)  # upper-tail quantile of chi2(dof)
     # abort_a: gamma_a > v + delta_a; gamma_a = infl*(v+1)*U/dof - 1 with
     # U ~ chi2(dof), so invert the quantile of U.
     delta_a = infl * (v + 1.0) * q_hi / dof - (v + 1.0)
@@ -408,6 +365,6 @@ def calibrate_deltas(
         - 2.0 * inv2k * dc * (cov_s_na + cov_s_nb)
     )
     mean_shift = dc * n_ent * (va2 + vb2)  # z_bar - E[gamma_c]
-    z_q = stats.norm.isf(budget)
+    z_q = -ndtri(budget)  # upper-tail quantile of N(0, 1)
     delta_c = mean_shift + z_q * math.sqrt(max(var_gc, 0.0))
     return DeltaTriple(delta_a=delta_a, delta_b=delta_b, delta_c=delta_c)

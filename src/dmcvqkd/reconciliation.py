@@ -1,6 +1,6 @@
 """Error-correction accounting and the repetition-code mechanics.
 
-Capacities are per binary symbol (one quadrature sign); a mode carries two
+The capacity is per binary symbol (one quadrature sign); a mode carries two
 such symbols.  The leakage model prices reverse reconciliation at rate
 R = beta * C_BIAWGN(s) per symbol plus the verification hash.
 
@@ -15,7 +15,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import xlogy
 
 from .errors import DomainError, LengthError
@@ -36,13 +35,6 @@ def snr(v_a: float, T: float, xi: float) -> float:
     return T * v_a / (2.0 + T * xi)
 
 
-def gaussian_capacity(s: float) -> float:
-    """Shannon capacity (bits/symbol) of the Gaussian-input channel."""
-    if s <= 0.0:
-        raise DomainError(f"s must be > 0, got {s!r}")
-    return 0.5 * math.log2(1.0 + s)
-
-
 def _biawgn_density(x: np.ndarray, s: float) -> np.ndarray:
     # equal mixture of N(-1, 1/s) and N(+1, 1/s)
     pref = math.sqrt(s / (8.0 * math.pi))
@@ -60,6 +52,8 @@ def biawgn_capacity(s: float) -> float:
     """
     if s <= 0.0:
         raise DomainError(f"s must be > 0, got {s!r}")
+    # imported here so that commands which never integrate skip its import
+    from scipy.integrate import quad
 
     def integrand(x):
         phi = _biawgn_density(np.asarray(x), s)
@@ -80,24 +74,6 @@ def biawgn_capacity(s: float) -> float:
     # excursions back into the open interval so the strict bound survives
     # saturation (1 - C underflows below one ulp for s around 70)
     return min(max(c, 0.0), math.nextafter(1.0, 0.0))
-
-
-def capacities(s: float) -> tuple:
-    """(C_Gauss, C_BIAWGN) at SNR s."""
-    return (gaussian_capacity(s), biawgn_capacity(s))
-
-
-def beta_modulation(s: float) -> float:
-    """Efficiency factor C_BIAWGN(s)/C_Gauss(s) of binary signalling.
-
-    Defined so that beta_modulation * (R / C_BIAWGN) = R / C_Gauss holds as
-    an identity, i.e. it converts a rate's efficiency relative to the
-    binary-input capacity into its efficiency relative to the Gaussian one.
-    (The source text states the inverse ratio; the identity above forces
-    this orientation.)
-    """
-    c_g, c_b = capacities(s)
-    return c_b / c_g
 
 
 def hash_length(eps_cor: float) -> int:

@@ -129,9 +129,3 @@ class OrthogonalTransform:
         out = self.apply(out, inverse=inverse)
         out[1::2] *= -1.0
         return out
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense matrix (test/diagnostic use; O(dim^2))."""
-        eye = np.eye(self.dim)
-        cols = [self.apply(eye[:, j]) for j in range(self.dim)]
-        return np.stack(cols, axis=1)

@@ -2,13 +2,20 @@
 
 Everything here is deliberately brute-force: dense linear algebra, Fock-space
 truncation, Monte Carlo integration, and a from-scratch rewrite of the key
-length composition.  None of it imports the package's closed forms.
+length composition, plus a batch.csv reader and the exact identities the
+reports must satisfy.  None of it imports the package's closed forms.
 """
 import csv
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import stats
+
+# batch.csv layout, written out here rather than taken from the package
+BATCH_HEADER = ("round", "role", "ax", "ap", "bx", "bp")
+ROLE_NAMES = ("key", "decoy", "gaussian")
 
 
 def dense_symplectic_pair(x: float, y: float, z: float):
@@ -217,15 +224,14 @@ def export_batch_rows(batch, path) -> None:
     reference for `channel.export_batch`: the csv module's default dialect
     (comma, minimal quoting, CRLF line ends) and numpy-scalar f-strings.
     """
-    role_names = ("key", "decoy", "gaussian")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(("round", "role", "ax", "ap", "bx", "bp"))
+        w.writerow(BATCH_HEADER)
         for i in range(batch.n_rounds):
             w.writerow(
                 (
                     i,
-                    role_names[batch.roles[i]],
+                    ROLE_NAMES[batch.roles[i]],
                     f"{batch.alice_x[i]:.17g}",
                     f"{batch.alice_p[i]:.17g}",
                     f"{batch.bob_x[i]:.17g}",
@@ -271,3 +277,54 @@ def rotate_pair_by_pair(layers, v, inverse=False):
             v[i] = c * a + s * b
             v[j] = (-s) * a + c * b
     return np.array(v)
+
+
+def gaussian_capacity(s: float) -> float:
+    """Shannon capacity (1/2) log2(1 + s), bits/symbol, of the Gaussian-input
+    channel: the upper bound for the binary-input capacity at SNR s."""
+    return 0.5 * math.log2(1.0 + s)
+
+
+def import_batch(path):
+    """Read a batch.csv back into float arrays and uint8 role codes.
+
+    Returns a namespace with the `QuadratureBatch` field names; floats
+    printed with %.17g read back exactly.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == BATCH_HEADER
+    body = rows[1:]
+    return SimpleNamespace(
+        roles=np.array([ROLE_NAMES.index(r[1]) for r in body], dtype=np.uint8),
+        alice_x=np.array([float(r[2]) for r in body]),
+        alice_p=np.array([float(r[3]) for r in body]),
+        bob_x=np.array([float(r[4]) for r in body]),
+        bob_p=np.array([float(r[5]) for r in body]),
+    )
+
+
+def dense_matrix(transform) -> np.ndarray:
+    """Dense matrix of an `OrthogonalTransform`, one applied column at a
+    time (O(dim^2))."""
+    eye = np.eye(transform.dim)
+    return np.stack([transform.apply(eye[:, j]) for j in range(transform.dim)],
+                    axis=1)
+
+
+def audit_key_length(report) -> bool:
+    """A `KeyLengthReport`'s l equals its stored terms combined, exactly."""
+    return report.l == (
+        report.entropy_term
+        - report.holevo_term
+        - report.leak_ec
+        - report.delta_aep
+        - report.delta_ent
+    )
+
+
+def audit_reduction(report) -> bool:
+    """A `ReductionReport`'s eps_general equals (2 + K^4/6) eps_collective,
+    exactly, with the prefactor formed as an exact rational."""
+    pref = 2.0 + float(Fraction(report.K ** 4, 6))
+    return report.eps_general == pref * report.eps_collective

@@ -21,8 +21,8 @@ from dmcvqkd.channel import (
     split_pe_sets,
 )
 from dmcvqkd.definetti import (
-    energy_scaling,
     general_attack_epsilon,
+    photon_cutoff,
     symmetric_dim,
     volume_T,
 )
@@ -30,15 +30,17 @@ from dmcvqkd.finitekey import key_length
 from dmcvqkd.gaussian import symplectic_eigenvalues
 from dmcvqkd.modulation import correlation_z, lambda_weights
 from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
-from dmcvqkd.reconciliation import biawgn_capacity, gaussian_capacity
+from dmcvqkd.reconciliation import biawgn_capacity
 from dmcvqkd.rotations import OrthogonalTransform
 from dmcvqkd.validate import run_all
 
 from oracles import (
+    audit_key_length,
     composition_key_length,
     dense_conditional_nu,
     dense_symplectic_pair,
     fock_modulation_oracle,
+    gaussian_capacity,
     mc_biawgn_capacity,
 )
 
@@ -149,7 +151,7 @@ def test_criterion_05_key_length_audit_and_monotonicity():
     # independent recomputation agrees; budget 1 min
     start = time.perf_counter()
     rep = _chain()
-    assert rep.audit()
+    assert audit_key_length(rep)
     assert rep.l == pytest.approx(1325284.0394804422, rel=1e-9)
     oracle_l = composition_key_length(
         0.5, 0.5, 0.01, 0.95, 100_000_000, 2_000_000_000,
@@ -159,7 +161,7 @@ def test_criterion_05_key_length_audit_and_monotonicity():
 
     t_grid = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     t_reports = [_chain(T=t) for t in t_grid]
-    assert all(r.audit() for r in t_reports)
+    assert all(audit_key_length(r) for r in t_reports)
     t_lengths = [r.l for r in t_reports]
     assert all(a < b for a, b in zip(t_lengths, t_lengths[1:]))
 
@@ -206,8 +208,8 @@ def test_criterion_06_binary_input_capacity():
 def test_criterion_07_reduction_formulas():
     # symmetric-subspace dimension recurrence exact through K = 1e4; the
     # general-attack epsilon prefactor is exact; T(n, eta) <= K^4/12 at
-    # K = n/(1-eta); the energy-test inflation is >= 1 with limit 1;
-    # budget 10 s
+    # K = n/(1-eta); the photon cutoff's inflation K/(n (d_A + d_B)) is >= 1
+    # with limit 1; budget 10 s
     start = time.perf_counter()
     prev = symmetric_dim(0)
     for K in range(1, 10_001):
@@ -233,7 +235,7 @@ def test_criterion_07_reduction_formulas():
 
     prev_g = float("inf")
     for j in range(6, 15):
-        g = energy_scaling(10 ** j, 10 ** j, 1e-10)
+        g = photon_cutoff(10 ** j, 10 ** j, 0.5, 0.5, 1e-10) / 10 ** j
         assert g >= 1.0
         assert g <= prev_g
         prev_g = g

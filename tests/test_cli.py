@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,16 +82,30 @@ def test_validate_config_names_offending_field():
     ("alpha", 1e300),
     ("xi", 1e150),
     ("xi_actual", 1e300),
+    ("alpha", 0.001),
+    ("alpha", 0.04),
 ])
 def test_extreme_config_values_exit_1(tmp_path, capsys, field, value):
-    # Infinity, bools and finite values beyond ALPHA_MAX / XI_MAX are
-    # rejected by name before any computation could overflow
+    # Infinity, bools and finite values outside [ALPHA_MIN, ALPHA_MAX] or
+    # beyond XI_MAX are rejected by name before any computation could
+    # overflow or lose its digits to cancellation
     cfg = write_config(tmp_path, "c.json", **{field: value})
     for command in ("keyrate", "simulate"):
         rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: config field " + repr(field)), err
+
+
+def test_cli_import_skips_scipy_stats():
+    # the calibration quantiles come from scipy.special, so starting the
+    # CLI does not pay for importing scipy.stats
+    code = "import sys, dmcvqkd.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_sweep_rejects_non_finite_grid_point(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Reduction from general to collective attacks: cutoff, volume, epsilon."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from dmcvqkd.definetti import (
     EnergyTestConfig,
     ReductionReport,
-    energy_scaling,
     energy_test,
     general_attack_epsilon,
     key_reduction_bits,
@@ -20,6 +18,8 @@ from dmcvqkd.definetti import (
     volume_T,
 )
 from dmcvqkd.errors import DimensionMismatch, DomainError, RegimeError
+
+from oracles import audit_reduction
 
 
 def test_symmetric_dim_reference():
@@ -93,19 +93,6 @@ def test_volume_prefactor():
         assert b.value <= b.k4_bound
 
 
-def test_energy_scaling_frozen():
-    assert energy_scaling(10 ** 8, 10 ** 9, 1e-10) == pytest.approx(
-        1.0012829320970569, rel=1e-13
-    )
-    # more tested modes tighten the inflation toward 1
-    assert energy_scaling(10 ** 8, 10 ** 10, 1e-10) < energy_scaling(
-        10 ** 8, 10 ** 9, 1e-10
-    )
-    assert energy_scaling(10 ** 8, 10 ** 9, 1e-10) > 1.0
-    with pytest.raises(RegimeError):
-        energy_scaling(10 ** 8, 80, 1e-10)  # k <= 4 ln(2/eps)
-
-
 def test_photon_cutoff_frozen():
     assert photon_cutoff(10 ** 8, 10 ** 9, 3.0, 3.0, 1e-10) == 600559879
     with pytest.raises(RegimeError):
@@ -146,7 +133,7 @@ def test_make_reduction_report_frozen():
     assert rep.eta == pytest.approx(0.7205820278182561, rel=1e-14)
     assert rep.eps_general == pytest.approx(4.7178598823434603e+24, rel=1e-12)
     assert rep.key_reduction == 223
-    assert rep.audit()
+    assert audit_reduction(rep)
     # default eta sits at the truncation-validity boundary K/(K + n - 5)
     assert rep.eta == rep.K / (rep.K + 200_000_000 - 5)
     assert len(rep.csv_row()) == len(ReductionReport.CSV_HEADER)

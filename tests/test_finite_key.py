@@ -16,6 +16,8 @@ from dmcvqkd.finitekey import (
 )
 from dmcvqkd.reconciliation import leak_model, snr
 
+from oracles import audit_key_length
+
 BENIGN_BUDGET = SecurityBudget(
     eps_pe=1e-10, eps_sm=1e-10, eps_ent=1e-10, eps_cor=1e-10,
     p_ec=0.99, eps_rob=1e-2,
@@ -89,12 +91,8 @@ def test_key_length_benign_frozen():
 def test_key_length_audit_identity_exact():
     params = ProtocolParams(alpha=0.5, T=0.5, xi=0.01, n=50_000, m=10, k=10)
     rep = key_length(params, BENIGN_BUDGET, 0.99, BENIGN_REGION, 1000.0)
-    assert rep.audit()
     # the identity is on the stored floats, bit-exact, not approximate
-    assert rep.l == (
-        rep.entropy_term - rep.holevo_term - rep.leak_ec
-        - rep.delta_aep - rep.delta_ent
-    )
+    assert audit_key_length(rep)
 
 
 def test_key_length_infeasible_reported_not_clamped():
@@ -102,7 +100,7 @@ def test_key_length_infeasible_reported_not_clamped():
     region = (1.5, 1.0015, 0.03)
     rep = key_length(params, BENIGN_BUDGET, 1.0, region, 5000.0)
     assert rep.l < 0.0 and not rep.feasible
-    assert rep.audit()
+    assert audit_key_length(rep)
 
 
 def test_key_length_csv_row_matches_header():

@@ -13,7 +13,6 @@ from dmcvqkd.gaussian import (
     g_entropy,
     holevo_f,
     symplectic_eigenvalues,
-    validate_covariance,
 )
 
 from oracles import dense_conditional_nu, dense_symplectic_pair
@@ -92,12 +91,6 @@ def test_nonphysical_covariance_rejected():
         symplectic_eigenvalues((1.5, 1.5, 2.0))
     with pytest.raises(NonPhysicalCovariance):
         symplectic_eigenvalues((0.5, 1.5, 0.0))
-
-
-def test_validate_covariance_reports():
-    assert validate_covariance((1.5, 1.255, 0.7754)).ok
-    bad = validate_covariance((0.5, 1.5, 0.0))
-    assert not bad.ok and any("x=" in msg for msg in bad.failures)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,15 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dmcvqkd.errors import DomainError, TruncationError
-from dmcvqkd.modulation import (
-    ConstellationParams,
-    correlation_z,
-    expected_covariance,
-    fock_state_vector,
-    lambda_ratio_sum,
-    lambda_weights,
-)
+from dmcvqkd.errors import DomainError
+from dmcvqkd.gaussian import symplectic_eigenvalues
+from dmcvqkd.modulation import correlation_z, lambda_ratio_sum, lambda_weights
 
 from oracles import fock_modulation_oracle
 
@@ -66,44 +60,15 @@ def test_weights_and_correlation_match_fock_oracle(alpha):
     assert correlation_z(alpha) == pytest.approx(z_oracle, rel=1e-8)
 
 
-def test_constellation_params():
-    p = ConstellationParams(alpha=0.5)
-    assert p.v_a == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        ConstellationParams(alpha=-1.0)
-
-
-def test_fock_state_vector_normalized():
-    for alpha in (0.2, 0.7, 1.4):
-        for branch in range(4):
-            v = fock_state_vector(alpha, branch, n_max=60)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
-            # branch j is supported on photon numbers = j mod 4 only
-            support = np.nonzero(np.abs(v) > 1e-14)[0]
-            assert np.all(support % 4 == branch)
-
-
-def test_fock_state_vector_truncation_guard():
-    with pytest.raises(TruncationError):
-        fock_state_vector(6.0, 0, n_max=8)
-
-
-def test_expected_covariance_values():
-    cov = expected_covariance(0.5, 0.5, 0.01)
-    assert cov.x == pytest.approx(1.5, rel=1e-14)          # V_A + 1
-    assert cov.y == pytest.approx(1.255, rel=1e-14)        # T V_A + 1 + T xi
-    assert cov.z == pytest.approx(
-        math.sqrt(0.5) * correlation_z(0.5), rel=1e-14
-    )
-
-
 def test_expected_covariance_is_physical():
-    from dmcvqkd.gaussian import symplectic_eigenvalues
-
+    # honest-channel triple x = V_A + 1, y = T V_A + 1 + T xi,
+    # z = sqrt(T) Z(alpha) at xi = 0.05
     for alpha in (0.1, 0.5, 1.0):
+        v_a = 2.0 * alpha * alpha
         for T in (0.05, 0.5, 1.0):
-            spec = symplectic_eigenvalues(expected_covariance(alpha, T, 0.05))
-            assert spec.nu2 >= 1.0 - 1e-9
+            cov = (v_a + 1.0, T * v_a + 1.0 + T * 0.05,
+                   math.sqrt(T) * correlation_z(alpha))
+            assert symplectic_eigenvalues(cov).nu2 >= 1.0 - 1e-9
 
 
 def test_lambda_weights_rejects_bad_alpha():

@@ -19,7 +19,6 @@ from dmcvqkd.pe import (
     gamma_estimates,
     inner_product_bounds,
     pe_decision,
-    pe_thresholds,
     projection_bounds,
 )
 
@@ -153,15 +152,6 @@ def test_one_negative_norm_in_an_array_raises(fn, make_args):
     nx = np.array([100.0, 90.0, -1e-300, 120.0])
     with pytest.raises(DomainError):
         fn(*make_args(nx, nx, nx))
-
-
-def test_pe_thresholds_ordering():
-    th = pe_thresholds(epsilon=1e-2, **STATS)
-    assert th.a == pytest.approx(11786.936855812519, rel=1e-13)
-    assert th.a <= th.b <= 2.0 * th.a
-    assert th.d <= th.c
-    assert th.c == pytest.approx(2072.722871816756, rel=1e-13)
-    assert th.d == pytest.approx(-774.0763873832047, rel=1e-13)
 
 
 def test_calibrate_deltas_frozen():

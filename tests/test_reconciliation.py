@@ -7,10 +7,7 @@ import pytest
 
 from dmcvqkd.errors import DomainError, LengthError
 from dmcvqkd.reconciliation import (
-    beta_modulation,
     biawgn_capacity,
-    capacities,
-    gaussian_capacity,
     hash_length,
     leak_model,
     repetition_decode,
@@ -19,7 +16,7 @@ from dmcvqkd.reconciliation import (
     verify_hash,
 )
 
-from oracles import repetition_block_error
+from oracles import gaussian_capacity, repetition_block_error
 
 
 def test_snr_frozen():
@@ -40,7 +37,7 @@ def test_biawgn_capacity_frozen():
 def test_biawgn_capacity_invariants():
     prev = 0.0
     for s in np.logspace(-2, 2, 25):
-        c_g, c_b = capacities(float(s))
+        c_g, c_b = gaussian_capacity(float(s)), biawgn_capacity(float(s))
         assert 0.0 < c_b <= 1.0
         assert c_b < c_g
         assert c_b >= prev  # non-decreasing in SNR
@@ -51,16 +48,7 @@ def test_biawgn_capacity_invariants():
     # binary input saturates at 1 bit
     assert biawgn_capacity(100.0) > 0.9999
     # and is capacity-achieving in the low-SNR limit
-    assert beta_modulation(1e-3) > 0.999
-
-
-def test_beta_modulation_frozen():
-    assert beta_modulation(1.0) == pytest.approx(0.9718883082658705, rel=1e-12)
-    # orientation: beta_mod * (R / C_BI) == R / C_G
-    s = 0.7
-    rate = 0.3
-    lhs = beta_modulation(s) * (rate / biawgn_capacity(s))
-    assert lhs == pytest.approx(rate / gaussian_capacity(s), rel=1e-12)
+    assert biawgn_capacity(1e-3) / gaussian_capacity(1e-3) > 0.999
 
 
 def test_hash_length():

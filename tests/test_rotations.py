@@ -6,20 +6,20 @@ import pytest
 from dmcvqkd.errors import DimensionMismatch, DomainError
 from dmcvqkd.rotations import OrthogonalTransform, kernel_name
 
-from oracles import rotate_pair_by_pair
+from oracles import dense_matrix, rotate_pair_by_pair
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 16, 40, 129])
 def test_matrix_is_orthogonal(dim):
     rot = OrthogonalTransform.random(dim, seed=(11, dim))
-    mat = rot.as_matrix()
+    mat = dense_matrix(rot)
     np.testing.assert_allclose(mat.T @ mat, np.eye(dim), atol=1e-12)
 
 
 def test_apply_matches_dense_matrix():
     rng = np.random.default_rng(5)
     rot = OrthogonalTransform.random(33, seed=77)
-    mat = rot.as_matrix()
+    mat = dense_matrix(rot)
     for _ in range(5):
         v = rng.normal(size=33)
         np.testing.assert_allclose(rot.apply(v), mat @ v, atol=1e-12)
