@@ -40,7 +40,7 @@ from .errors import (
     InsufficientRounds,
 )
 from .modulation import CONSTELLATION_PHASES, correlation_z
-from .rotations import OrthogonalTransform
+from .rotations import OrthogonalTransform, words_to_uniforms
 
 ROLE_KEY = 0
 ROLE_DECOY = 1
@@ -55,8 +55,6 @@ CHUNK_ROUNDS = 8192
 CSV_HEADER = ("round", "role", "ax", "ap", "bx", "bp")
 #: one batch.csv line; export_batch renders a whole chunk of them per call
 _CSV_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g\r\n"
-
-_U53 = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -161,16 +159,17 @@ def _role_code(role) -> int:
 
 
 def _round_uniforms(seed, start: int, count: int) -> np.ndarray:
-    """Uniform words for rounds [start, start+count), shaped (count, 8).
+    """Uniforms for rounds [start, start+count), shaped (count, 4).
 
     Round r always maps to Philox counter words [8r, 8r+8), so any chunking
-    of the round range reproduces identical values.
+    of the round range reproduces identical values.  Every role reads words
+    0-3 of its window; words 4-7 are reserved and not converted.
     """
     bg = np.random.Philox(key=seed)
     # advance() steps the 128-bit counter, 4 output words per step
     bg.advance(start * (WORDS_PER_ROUND // 4))
-    raw = bg.random_raw(count * WORDS_PER_ROUND)
-    return ((raw >> np.uint64(11)) * _U53).reshape(count, WORDS_PER_ROUND)
+    raw = bg.random_raw(count * WORDS_PER_ROUND).reshape(count, WORDS_PER_ROUND)
+    return words_to_uniforms(raw[:, :4])
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray):

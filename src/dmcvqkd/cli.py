@@ -79,6 +79,7 @@ class RunConfig:
     times the expected per-mode energies, eta to its feasibility boundary,
     and xi_actual (the channel truth used by `simulate`) to xi.  alpha lies
     in [ALPHA_MIN, ALPHA_MAX]; xi and xi_actual are capped at XI_MAX.
+    batch_csv asks `simulate` to also write the symmetrized batch.csv.
     """
 
     alpha: float = 0.5
@@ -107,6 +108,7 @@ class RunConfig:
     log_base: str = "natural"
     delta_ent_mode: str = "paper"
     xi_actual: Optional[float] = None
+    batch_csv: bool = False
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunConfig))
@@ -221,6 +223,8 @@ def validate_config(cfg: RunConfig) -> None:
              f"must be one of {DELTA_ENT_MODES}, got {cfg.delta_ent_mode!r}")
     _require(isinstance(cfg.out, str) and cfg.out != "", "out",
              "must be a non-empty path string")
+    _require(isinstance(cfg.batch_csv, bool), "batch_csv",
+             f"must be true or false, got {cfg.batch_csv!r}")
 
 
 def resolve_budget(cfg: RunConfig) -> SecurityBudget:
@@ -381,9 +385,10 @@ def run_simulate(cfg: RunConfig) -> int:
     batch = simulate_rounds(params.with_xi(xi_true), cfg.seed,
                             workers=cfg.workers)
 
-    transform = OrthogonalTransform.random(4 * cfg.k, (cfg.seed, 1))
-    batch = apply_symmetrization(batch, transform, "alice")
-    batch = apply_symmetrization(batch, transform, "bob")
+    # R on Alice's gaussian records and S R S on Bob's leave ||X||^2, ||Y||^2
+    # and the signed <X, Y> unchanged (rotations.apply_conjugate), so the
+    # statistics are taken before the symmetrization; it is only carried
+    # out for batch.csv
     sigma_hat = empirical_sigma(batch)
 
     norm_x2, norm_y2, ip_xy = pe_statistics(split_pe_sets(batch, cfg.k))
@@ -430,7 +435,11 @@ def run_simulate(cfg: RunConfig) -> int:
     code = EXIT_OK if success else EXIT_NO_KEY
 
     out = _outdir(cfg)
-    export_batch(batch, out / "batch.csv")
+    if cfg.batch_csv:
+        transform = OrthogonalTransform.random(4 * cfg.k, (cfg.seed, 1))
+        rotated = apply_symmetrization(batch, transform, "alice")
+        rotated = apply_symmetrization(rotated, transform, "bob")
+        export_batch(rotated, out / "batch.csv")
     _write_csv(out / "pe.csv", PE_HEADER, [(
         f"{gammas[0]:.17g}", f"{gammas[1]:.17g}", f"{gammas[2]:.17g}",
         f"{region.sigma_a_max:.17g}", f"{region.sigma_b_max:.17g}",
@@ -489,7 +498,8 @@ def _csv_docs() -> str:
         ("keyrate.csv", KeyLengthReport.CSV_HEADER),
         ("reduction.csv", ReductionReport.CSV_HEADER),
         ("sweep.csv", ("axis", "value") + KeyLengthReport.CSV_HEADER),
-        ("batch.csv", ("round", "role", "ax", "ap", "bx", "bp")),
+        ("batch.csv (simulate --batch-csv only)",
+         ("round", "role", "ax", "ap", "bx", "bp")),
         ("pe.csv", PE_HEADER),
         ("ec.csv", EC_HEADER),
         ("energy.csv", ENERGY_HEADER),
@@ -544,6 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="seeded end-to-end protocol run with transcript",
         epilog=_csv_docs(), formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_common_flags(p_sim)
+    p_sim.add_argument("--batch-csv", action="store_true", default=None,
+                       dest="batch_csv",
+                       help="also write the symmetrized rounds to batch.csv")
 
     p_val = sub.add_parser(
         "validate-bounds", help="Monte Carlo check of every tail bound",
@@ -555,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     overrides = {}
-    for name in ("seed", "out", "trials", "log_base", "delta_ent_mode"):
+    for name in ("seed", "out", "trials", "log_base", "delta_ent_mode",
+                 "batch_csv"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value

@@ -15,7 +15,6 @@ import pytest
 from dmcvqkd import cli
 from dmcvqkd.channel import (
     ProtocolParams,
-    apply_symmetrization,
     pe_statistics,
     simulate_rounds,
     split_pe_sets,
@@ -31,7 +30,6 @@ from dmcvqkd.gaussian import symplectic_eigenvalues
 from dmcvqkd.modulation import correlation_z, lambda_weights
 from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
 from dmcvqkd.reconciliation import biawgn_capacity
-from dmcvqkd.rotations import OrthogonalTransform
 from dmcvqkd.validate import run_all
 
 from oracles import (
@@ -121,7 +119,8 @@ def test_criterion_03_concentration_bounds_monte_carlo():
 def test_criterion_04_pe_robustness_and_soundness():
     # honest channel (T=0.6, xi=0.05, alpha=0.5, k=1e4, eps_pe=eps_rob=1e-2)
     # aborts at most 1% of 1000 seeded runs; 10x noise aborts >= 99%;
-    # budget 10 min
+    # the statistics are taken before the symmetrization, as `simulate`
+    # takes them (the rotation leaves them unchanged); budget 10 min
     start = time.perf_counter()
     k = 10_000
     params = ProtocolParams(alpha=0.5, T=0.6, xi=0.05, n=1, m=1, k=k)
@@ -129,9 +128,6 @@ def test_criterion_04_pe_robustness_and_soundness():
 
     def one_run(seed, xi_true):
         batch = simulate_rounds(params.with_xi(xi_true), seed)
-        rot = OrthogonalTransform.random(4 * k, (seed, 1))
-        batch = apply_symmetrization(batch, rot, "alice")
-        batch = apply_symmetrization(batch, rot, "bob")
         norm_x2, norm_y2, ip = pe_statistics(split_pe_sets(batch, k))
         gammas = gamma_estimates(norm_x2, norm_y2, ip, k, 1e-2)
         return pe_decision(gammas, 1.5, 0.6, 0.05, deltas, 1e-2).passed
@@ -252,7 +248,7 @@ def test_criterion_08_simulation_determinism(tmp_path):
     base = {
         "alpha": 0.5, "T": 0.6, "xi": 0.05,
         "n": 512, "m": 100, "k": 2000,
-        "k_rep": 64, "k_test": 150, "seed": 20250825,
+        "k_rep": 64, "k_test": 150, "seed": 20250825, "batch_csv": True,
     }
     outs = []
     for name, workers in (("r1", 1), ("r2", 1), ("r4", 4)):

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dmcvqkd import cli
 from dmcvqkd.channel import (
     CHUNK_ROUNDS,
+    WORDS_PER_ROUND,
     ProtocolParams,
     QuadratureBatch,
+    _round_uniforms,
     apply_symmetrization,
     empirical_sigma,
     export_batch,
@@ -25,7 +28,8 @@ from dmcvqkd.errors import (
     InsufficientRounds,
 )
 from dmcvqkd.modulation import correlation_z
-from dmcvqkd.rotations import OrthogonalTransform
+from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
+from dmcvqkd.rotations import OrthogonalTransform, _philox_uniforms
 from oracles import export_batch_rows, import_batch
 
 PARAMS = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=400, m=300, k=500)
@@ -173,6 +177,56 @@ def test_symmetrization_preserves_empirical_sigma():
     # non-gaussian rounds untouched
     key = batch.role_indices("key")
     np.testing.assert_array_equal(rotated.alice_x[key], batch.alice_x[key])
+
+
+@pytest.mark.parametrize("xi_actual", [None, 0.5])
+def test_pe_statistics_do_not_need_the_symmetrization(xi_actual):
+    # at the default config, honest and attacked: the statistics `simulate`
+    # takes from the unrotated batch agree with those of the rotated batch
+    # within a few ulp, and give the same PE verdict
+    cfg = cli.RunConfig(xi_actual=xi_actual)
+    budget = cli.resolve_budget(cfg)
+    params = cli._protocol_params(cfg)
+    xi_true = cfg.xi if xi_actual is None else xi_actual
+    batch = simulate_rounds(params.with_xi(xi_true), cfg.seed)
+    rot = OrthogonalTransform.random(4 * cfg.k, (cfg.seed, 1))
+    rotated = apply_symmetrization(batch, rot, "alice")
+    rotated = apply_symmetrization(rotated, rot, "bob")
+    deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k, budget.eps_pe,
+                              budget.eps_rob)
+
+    def estimate(b):
+        values = pe_statistics(split_pe_sets(b, cfg.k))
+        gammas = gamma_estimates(*values, cfg.k, budget.eps_pe)
+        region = pe_decision(gammas, params.v_a + 1.0, cfg.T, cfg.xi, deltas,
+                             budget.eps_pe)
+        return values + tuple(empirical_sigma(b)), region.verdict
+
+    plain, verdict = estimate(batch)
+    after, verdict_after = estimate(rotated)
+    for got, want in zip(after, plain):
+        assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+    assert verdict == verdict_after == ("pass" if xi_actual is None
+                                        else "abort")
+
+
+@pytest.mark.parametrize("seed, start, count", [
+    (0, 0, 1), (12345, 0, CHUNK_ROUNDS), (12345, CHUNK_ROUNDS, 100),
+    (12345, 3 * CHUNK_ROUNDS + 17, 2 * CHUNK_ROUNDS - 5),
+    ((7, 1), 999, 4097), (2 ** 63, 5, 0),
+])
+def test_uniforms_match_the_uint64_conversion(seed, start, count):
+    # the int64 conversion gives the doubles of the plain uint64 formula,
+    # and a round's uniforms do not depend on where its chunk starts
+    bg = np.random.Philox(key=seed)
+    raw = bg.random_raw((start + count) * WORDS_PER_ROUND)
+    want = (raw >> np.uint64(11)) * 2.0 ** -53
+    want = want.reshape(-1, WORDS_PER_ROUND)[start:, :4]
+    got = _round_uniforms(seed, start, count)
+    assert got.dtype == want.dtype and got.shape == (count, 4)
+    assert got.tobytes() == want.tobytes()
+    assert _philox_uniforms(seed, raw.size).tobytes() == \
+        ((raw >> np.uint64(11)) * 2.0 ** -53).tobytes()
 
 
 def test_export_import_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dmcvqkd import cli
 from dmcvqkd.cli import (
@@ -22,7 +25,10 @@ from dmcvqkd.cli import (
     resolve_budget,
     validate_config,
 )
+from dmcvqkd.channel import apply_symmetrization, simulate_rounds
 from dmcvqkd.errors import ConfigError
+from dmcvqkd.rotations import OrthogonalTransform
+from oracles import import_batch
 
 SIM_BASE = {
     "alpha": 0.5, "T": 0.6, "xi": 0.05,
@@ -84,17 +90,46 @@ def test_validate_config_names_offending_field():
     ("xi_actual", 1e300),
     ("alpha", 0.001),
     ("alpha", 0.04),
+    ("batch_csv", 1),
+    ("batch_csv", "true"),
+    ("batch_csv", None),
 ])
 def test_extreme_config_values_exit_1(tmp_path, capsys, field, value):
     # Infinity, bools and finite values outside [ALPHA_MIN, ALPHA_MAX] or
     # beyond XI_MAX are rejected by name before any computation could
-    # overflow or lose its digits to cancellation
+    # overflow or lose its digits to cancellation; batch_csv takes only
+    # true or false
     cfg = write_config(tmp_path, "c.json", **{field: value})
     for command in ("keyrate", "simulate"):
         rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: config field " + repr(field)), err
+
+
+MALFORMED_VALUES = (math.inf, -math.inf, math.nan, 1e300, -1, 0, "x", [], {},
+                    None, True)
+NON_OBJECT_CONFIGS = ([], [SIM_BASE], "x", 1, 1e300, None, True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.builds(lambda field, value: dict(SIM_BASE, **{field: value}),
+              st.sampled_from(cli._FIELD_NAMES),
+              st.sampled_from(MALFORMED_VALUES)),
+    st.sampled_from(NON_OBJECT_CONFIGS),
+))
+def test_malformed_config_never_raises(tmp_path, doc):
+    # one field of SIM_BASE replaced by an odd value (no large integer, so
+    # no huge batch), or a document that is no JSON object: every
+    # subcommand returns an exit code instead of raising
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("keyrate", "simulate", "validate-bounds"):
+        rc = cli.main([command, "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc in (EXIT_OK, EXIT_ERROR, EXIT_NO_KEY)
 
 
 def test_cli_import_skips_scipy_stats():
@@ -210,17 +245,53 @@ def test_simulate_writes_all_files_and_is_deterministic(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
     out4 = tmp_path / "r4"
-    rc1 = cli.main(["simulate", "--config", cfg, "--out", str(out1)])
-    rc2 = cli.main(["simulate", "--config", cfg, "--out", str(out2)])
+    rc1 = cli.main(["simulate", "--config", cfg, "--out", str(out1),
+                    "--batch-csv"])
+    rc2 = cli.main(["simulate", "--config", cfg, "--out", str(out2),
+                    "--batch-csv"])
     assert rc1 == rc2
     # a rerun and a differently-parallelized run are byte-identical
     cfg4 = write_config(tmp_path, "c4.json", workers=4)
-    rc4 = cli.main(["simulate", "--config", cfg4, "--out", str(out4)])
+    rc4 = cli.main(["simulate", "--config", cfg4, "--out", str(out4),
+                    "--batch-csv"])
     assert rc4 == rc1
     for name in SIM_FILES:
         b1 = (out1 / name).read_bytes()
         assert b1 == (out2 / name).read_bytes(), name
         assert b1 == (out4 / name).read_bytes(), name
+
+
+def test_batch_csv_is_written_only_on_request(tmp_path):
+    cfg = write_config(tmp_path, "c.json")
+    on_cfg = write_config(tmp_path, "on.json", batch_csv=True)
+    runs = {
+        "default": ["--config", cfg],
+        "flag": ["--config", cfg, "--batch-csv"],
+        "config": ["--config", on_cfg],
+    }
+    for name, args in runs.items():
+        assert cli.main(["simulate", "--out", str(tmp_path / name)] + args) \
+            == EXIT_NO_KEY
+    others = sorted(set(SIM_FILES) - {"batch.csv"})
+    assert sorted(p.name for p in (tmp_path / "default").iterdir()) == others
+    for name in ("flag", "config"):
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == \
+            sorted(SIM_FILES)
+    # the rotation that batch.csv shows moves no other output
+    for out in others:
+        want = (tmp_path / "default" / out).read_bytes()
+        assert (tmp_path / "flag" / out).read_bytes() == want, out
+    assert (tmp_path / "flag" / "batch.csv").read_bytes() == \
+        (tmp_path / "config" / "batch.csv").read_bytes()
+    # batch.csv holds the symmetrized gaussian records
+    seed = SIM_BASE["seed"]
+    batch = simulate_rounds(cli._protocol_params(RunConfig(**SIM_BASE)), seed)
+    rot = OrthogonalTransform.random(4 * SIM_BASE["k"], (seed, 1))
+    want = apply_symmetrization(apply_symmetrization(batch, rot, "alice"),
+                                rot, "bob")
+    back = import_batch(tmp_path / "flag" / "batch.csv")
+    for name in ("alice_x", "alice_p", "bob_x", "bob_p", "roles"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(want, name))
 
 
 def test_simulate_transcript_contents(tmp_path):
@@ -293,4 +364,5 @@ def test_help_documents_output_columns():
     text = cli.build_parser().format_help()
     for name in ("keyrate.csv", "sweep.csv", "transcript.csv", "bounds.csv"):
         assert name in text
+    assert "batch.csv (simulate --batch-csv only)" in text
     assert "exit" in text.lower() or "Exit" in text
