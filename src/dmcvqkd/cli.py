@@ -79,7 +79,6 @@ class RunConfig:
     times the expected per-mode energies, eta to its feasibility boundary,
     and xi_actual (the channel truth used by `simulate`) to xi.  alpha lies
     in [ALPHA_MIN, ALPHA_MAX]; xi and xi_actual are capped at XI_MAX.
-    batch_csv asks `simulate` to also write the symmetrized batch.csv.
     """
 
     alpha: float = 0.5
@@ -108,7 +107,6 @@ class RunConfig:
     log_base: str = "natural"
     delta_ent_mode: str = "paper"
     xi_actual: Optional[float] = None
-    batch_csv: bool = False
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunConfig))
@@ -223,8 +221,6 @@ def validate_config(cfg: RunConfig) -> None:
              f"must be one of {DELTA_ENT_MODES}, got {cfg.delta_ent_mode!r}")
     _require(isinstance(cfg.out, str) and cfg.out != "", "out",
              "must be a non-empty path string")
-    _require(isinstance(cfg.batch_csv, bool), "batch_csv",
-             f"must be true or false, got {cfg.batch_csv!r}")
 
 
 def resolve_budget(cfg: RunConfig) -> SecurityBudget:
@@ -368,7 +364,7 @@ TRANSCRIPT_HEADER = ("seed", "n", "m", "k", "xi_nominal", "xi_actual",
                      "feasible", "exit_code")
 
 
-def run_simulate(cfg: RunConfig) -> int:
+def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     budget = resolve_budget(cfg)
     if (4 * cfg.n) % cfg.k_rep != 0:
         raise ConfigError(
@@ -435,11 +431,11 @@ def run_simulate(cfg: RunConfig) -> int:
     code = EXIT_OK if success else EXIT_NO_KEY
 
     out = _outdir(cfg)
-    if cfg.batch_csv:
+    if batch_csv:
         transform = OrthogonalTransform.random(4 * cfg.k, (cfg.seed, 1))
-        rotated = apply_symmetrization(batch, transform, "alice")
-        rotated = apply_symmetrization(rotated, transform, "bob")
-        export_batch(rotated, out / "batch.csv")
+        batch = apply_symmetrization(batch, transform, "alice")
+        batch = apply_symmetrization(batch, transform, "bob")
+        export_batch(batch, out / "batch.csv")
     _write_csv(out / "pe.csv", PE_HEADER, [(
         f"{gammas[0]:.17g}", f"{gammas[1]:.17g}", f"{gammas[2]:.17g}",
         f"{region.sigma_a_max:.17g}", f"{region.sigma_b_max:.17g}",
@@ -554,8 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="seeded end-to-end protocol run with transcript",
         epilog=_csv_docs(), formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_common_flags(p_sim)
-    p_sim.add_argument("--batch-csv", action="store_true", default=None,
-                       dest="batch_csv",
+    p_sim.add_argument("--batch-csv", action="store_true",
                        help="also write the symmetrized rounds to batch.csv")
 
     p_val = sub.add_parser(
@@ -568,8 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     overrides = {}
-    for name in ("seed", "out", "trials", "log_base", "delta_ent_mode",
-                 "batch_csv"):
+    for name in ("seed", "out", "trials", "log_base", "delta_ent_mode"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -590,7 +584,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(cfg, args.axis, parse_grid(args.grid))
         if args.command == "simulate":
-            return run_simulate(cfg)
+            return run_simulate(cfg, args.batch_csv)
         return run_validate_bounds(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

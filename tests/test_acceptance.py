@@ -248,14 +248,15 @@ def test_criterion_08_simulation_determinism(tmp_path):
     base = {
         "alpha": 0.5, "T": 0.6, "xi": 0.05,
         "n": 512, "m": 100, "k": 2000,
-        "k_rep": 64, "k_test": 150, "seed": 20250825, "batch_csv": True,
+        "k_rep": 64, "k_test": 150, "seed": 20250825,
     }
     outs = []
     for name, workers in (("r1", 1), ("r2", 1), ("r4", 4)):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(dict(base, workers=workers)))
         out = tmp_path / name
-        cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+        cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                  "--batch-csv"])
         outs.append(out)
     names = ("transcript.csv", "batch.csv", "pe.csv", "ec.csv",
              "energy.csv", "keylength.csv", "reduction.csv", "key.csv")
