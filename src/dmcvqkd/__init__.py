@@ -7,12 +7,7 @@ layer; the submodules stay importable for the full APIs.
 
 from .channel import ProtocolParams, QuadratureBatch, simulate_rounds
 from .finitekey import KeyLengthReport, SecurityBudget, key_length
-from .gaussian import (
-    TwoModeCovariance,
-    g_entropy,
-    holevo_f,
-    symplectic_eigenvalues,
-)
+from .gaussian import g_entropy, holevo_f, symplectic_eigenvalues
 from .modulation import correlation_z, lambda_weights
 from .pe import ConfidenceRegion, calibrate_deltas, gamma_estimates, pe_decision
 from .reconciliation import biawgn_capacity
@@ -27,7 +22,6 @@ __all__ = [
     "ProtocolParams",
     "QuadratureBatch",
     "SecurityBudget",
-    "TwoModeCovariance",
     "__version__",
     "biawgn_capacity",
     "calibrate_deltas",

@@ -67,7 +67,6 @@ class ProtocolParams:
     n: int  # the run holds 2n key modes (4n raw bits)
     m: int  # 2m decoy modes
     k: int  # 2k gaussian modes; each parameter-estimation half gets k
-    beta: float = 0.95
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -76,8 +75,6 @@ class ProtocolParams:
             raise ConfigError(f"T must be in (0, 1], got {self.T!r}")
         if self.xi < 0.0:
             raise ConfigError(f"xi must be non-negative, got {self.xi!r}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigError(f"beta must be in (0, 1], got {self.beta!r}")
         for name in ("n", "m", "k"):
             val = getattr(self, name)
             if not isinstance(val, (int, np.integer)) or val < 0:
@@ -117,8 +114,10 @@ class QuadratureBatch:
     def n_rounds(self) -> int:
         return self.roles.shape[0]
 
-    def role_indices(self, role) -> np.ndarray:
-        return np.nonzero(self.roles == _role_code(role))[0]
+    def role_indices(self, role: int) -> np.ndarray:
+        if role not in (ROLE_KEY, ROLE_DECOY, ROLE_GAUSSIAN):
+            raise DomainError(f"unknown role {role!r}")
+        return np.nonzero(self.roles == role)[0]
 
     def copy(self) -> "QuadratureBatch":
         return QuadratureBatch(
@@ -145,17 +144,6 @@ class PESplit(NamedTuple):
     y1: np.ndarray
     x2: np.ndarray
     y2: np.ndarray
-
-
-def _role_code(role) -> int:
-    if isinstance(role, str):
-        try:
-            return ROLE_NAMES.index(role)
-        except ValueError:
-            raise DomainError(f"unknown role {role!r}") from None
-    if role in (ROLE_KEY, ROLE_DECOY, ROLE_GAUSSIAN):
-        return int(role)
-    raise DomainError(f"unknown role {role!r}")
 
 
 def _round_uniforms(seed, start: int, count: int) -> np.ndarray:
@@ -238,23 +226,18 @@ def _fill_chunk(out, params: ProtocolParams, seed, start: int, stop: int,
         bob_p[start + sel] = -l21 * w2 + l22 * w4
 
 
-def simulate_rounds(params: ProtocolParams, seed, counts=None,
+def simulate_rounds(params: ProtocolParams, seed,
                     workers: Optional[int] = None) -> QuadratureBatch:
     """Simulate one protocol run and return the full quadrature record.
 
-    `counts` is the (n, m, k) triple (default: taken from params); the
-    batch then holds 2n key modes, 2m decoy modes and 2k gaussian modes,
-    laid out in that block order.  One "round" of the batch is one mode:
-    two quadratures per side.
+    The batch holds 2n key modes, 2m decoy modes and 2k gaussian modes of
+    `params`, laid out in that block order.  One "round" of the batch is
+    one mode: two quadratures per side.
 
-    The output is a deterministic function of (params, seed, counts); the
-    worker count only affects wall-clock time.
+    The output is a deterministic function of (params, seed); the worker
+    count only affects wall-clock time.
     """
-    if counts is None:
-        counts = (params.n, params.m, params.k)
-    n, m, k = (int(c) for c in counts)
-    if min(n, m, k) < 0 or n + m + k == 0:
-        raise ConfigError(f"invalid round counts {counts!r}")
+    n, m, k = int(params.n), int(params.m), int(params.k)
     n_workers = 1 if workers is None else int(workers)
     if n_workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers!r}")
@@ -348,17 +331,17 @@ def apply_symmetrization(batch: QuadratureBatch,
     return new
 
 
-def empirical_sigma(batch: QuadratureBatch, role="gaussian") -> SigmaTriple:
-    """Raw second-moment triple over the rounds of one role.
+def empirical_sigma(batch: QuadratureBatch) -> SigmaTriple:
+    """Raw second-moment triple over the gaussian-role rounds.
 
     a = mean(ax^2 + ap^2), b likewise for Bob, c = mean(ax*bx - ap*bp).
-    No vacuum correction is applied: where the record is a heterodyne
-    outcome (gaussian role, and Bob's side always), the state quadrature
-    variance is (raw - 1); the cross term c needs no correction.
+    No vacuum correction is applied: both records are heterodyne outcomes,
+    so the state quadrature variance is (raw - 1); the cross term c needs
+    no correction.
     """
-    idx = batch.role_indices(role)
+    idx = batch.role_indices(ROLE_GAUSSIAN)
     if idx.size == 0:
-        raise EmptySelection(f"no rounds with role {role!r}")
+        raise EmptySelection("no gaussian-role rounds")
     ax = batch.alice_x[idx]
     ap = batch.alice_p[idx]
     bx = batch.bob_x[idx]

@@ -18,7 +18,7 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -246,7 +246,7 @@ def resolve_energy_thresholds(cfg: RunConfig) -> tuple:
 
 def _protocol_params(cfg: RunConfig) -> ProtocolParams:
     return ProtocolParams(alpha=cfg.alpha, T=cfg.T, xi=cfg.xi,
-                          n=cfg.n, m=cfg.m, k=cfg.k, beta=cfg.beta)
+                          n=cfg.n, m=cfg.m, k=cfg.k)
 
 
 def _keyrate_chain(cfg: RunConfig, budget: SecurityBudget):
@@ -283,11 +283,20 @@ def _reduction(cfg: RunConfig, budget: SecurityBudget) -> ReductionReport:
                                  budget.eps_total, cfg.eta)
 
 
+def _cell(value):
+    """A CSV cell: floats as %.17g (they read back exactly), bools as 0/1."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return value
+
+
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -302,9 +311,9 @@ def run_keyrate(cfg: RunConfig) -> int:
     reduction = _reduction(cfg, budget)
     out = _outdir(cfg)
     _write_csv(out / "keyrate.csv", KeyLengthReport.CSV_HEADER,
-               [report.csv_row()])
+               [astuple(report)])
     _write_csv(out / "reduction.csv", ReductionReport.CSV_HEADER,
-               [reduction.csv_row()])
+               [astuple(reduction)])
     status = "feasible" if report.feasible else "no key"
     print(f"l = {report.l:.6g} bits over {report.modes} key modes "
           f"({status}); wrote keyrate.csv, reduction.csv to {out}")
@@ -331,17 +340,20 @@ def run_sweep(cfg: RunConfig, axis: str, grid: list) -> int:
     any_feasible = False
     for value in grid:
         if axis in _INT_FIELDS:
-            if value != int(value):
+            if not value.is_integer():
                 raise ConfigError(
                     f"axis {axis!r} needs integer grid points, got {value!r}"
                 )
             value = int(value)
         point = dataclasses.replace(cfg, **{axis: value})
         validate_config(point)
-        budget = resolve_budget(point)
-        _, _, report = _keyrate_chain(point, budget)
+        try:
+            _, _, report = _keyrate_chain(point, resolve_budget(point))
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"axis {axis!r} at {float(value)!r}: "
+                              f"{type(exc).__name__}: {exc}") from None
         any_feasible = any_feasible or report.feasible
-        rows.append((axis, f"{float(value):.17g}") + report.csv_row())
+        rows.append((axis, float(value)) + astuple(report))
     out = _outdir(cfg)
     _write_csv(out / "sweep.csv", ("axis", "value") + KeyLengthReport.CSV_HEADER,
                rows)
@@ -436,33 +448,28 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
         batch = apply_symmetrization(batch, transform, "alice")
         batch = apply_symmetrization(batch, transform, "bob")
         export_batch(batch, out / "batch.csv")
-    _write_csv(out / "pe.csv", PE_HEADER, [(
-        f"{gammas[0]:.17g}", f"{gammas[1]:.17g}", f"{gammas[2]:.17g}",
-        f"{region.sigma_a_max:.17g}", f"{region.sigma_b_max:.17g}",
-        f"{region.sigma_c_min:.17g}",
-        f"{deltas.delta_a:.17g}", f"{deltas.delta_b:.17g}",
-        f"{deltas.delta_c:.17g}", f"{budget.eps_pe:.17g}", region.verdict,
-    )])
+    _write_csv(out / "pe.csv", PE_HEADER, [
+        gammas + (region.sigma_a_max, region.sigma_b_max, region.sigma_c_min)
+        + deltas + (budget.eps_pe, region.verdict)
+    ])
     _write_csv(out / "ec.csv", EC_HEADER, [(
         stream_b.size, cfg.k_rep, y_hard.size, disclosed,
-        hash_length(budget.eps_cor), block_errors, int(verified),
+        hash_length(budget.eps_cor), block_errors, verified,
     )])
+    # the thresholds may be ints from the config; %.17g prints them as floats
     _write_csv(out / "energy.csv", ENERGY_HEADER, [(
-        cfg.k_test, f"{etc.d_a:.17g}", f"{etc.d_b:.17g}",
-        f"{float(np.mean(energy_a)):.17g}",
-        f"{float(np.mean(energy_b)):.17g}", int(energy_ok),
+        cfg.k_test, float(etc.d_a), float(etc.d_b),
+        float(np.mean(energy_a)), float(np.mean(energy_b)), energy_ok,
     )])
     _write_csv(out / "keylength.csv", KeyLengthReport.CSV_HEADER,
-               [report.csv_row()])
+               [astuple(report)])
     _write_csv(out / "reduction.csv", ReductionReport.CSV_HEADER,
-               [reduction.csv_row()])
+               [astuple(reduction)])
     _write_csv(out / "key.csv", ("bit",), key_bits.reshape(-1, 1).tolist())
     _write_csv(out / "transcript.csv", TRANSCRIPT_HEADER, [(
-        cfg.seed, cfg.n, cfg.m, cfg.k,
-        f"{cfg.xi:.17g}", f"{xi_true:.17g}",
-        f"{sigma_hat.a:.17g}", f"{sigma_hat.b:.17g}", f"{sigma_hat.c:.17g}",
-        region.verdict, int(verified), int(energy_ok),
-        f"{report.l:.17g}", int(report.feasible), code,
+        cfg.seed, cfg.n, cfg.m, cfg.k, cfg.xi, xi_true,
+        *sigma_hat, region.verdict, verified, energy_ok,
+        report.l, report.feasible, code,
     )])
     print(f"simulate: pe={region.verdict} ec_verified={verified} "
           f"energy={'pass' if energy_ok else 'fail'} l={report.l:.6g} "
@@ -479,7 +486,7 @@ def run_validate_bounds(cfg: RunConfig) -> int:
     rows = validate_mod.run_all(cfg.seed, cfg.trials, cfg.log_base)
     out = _outdir(cfg)
     _write_csv(out / "bounds.csv", validate_mod.BoundRow.CSV_HEADER,
-               [r.csv_row() for r in rows])
+               [astuple(r) for r in rows])
     checked = [r for r in rows if r.verdict != "regime-error"]
     ok = sum(1 for r in checked if r.verdict == "ok")
     print(f"validated {ok}/{len(checked)} bounds ok "

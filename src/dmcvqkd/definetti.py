@@ -9,10 +9,8 @@ shot-noise units.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,29 +69,18 @@ def truncation_epsilon(n: int, K: int, eta: float) -> float:
     return math.exp(log_val)
 
 
-class VolumeBound(NamedTuple):
-    """Exact prefactor T(n, eta) and its K^4/12 upper bound at K=n/(1-eta)."""
-
-    value: float
-    k4_bound: float
-
-
-def volume_T(n: int, eta: float) -> VolumeBound:
+def volume_T(n: int, eta: float) -> float:
     """Volume prefactor T(n, eta) = (n-1)(n-2)^2(n-3) / (12 (1-eta)^4).
 
-    The integer part is evaluated as an exact rational; the companion
-    bound K^4/12 at K = n/(1-eta) is returned alongside (never substituted
-    for the exact value).
+    The integer part is evaluated as an exact rational.  It stays below
+    K^4/12 at K = n/(1-eta).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     if not 0.0 <= eta < 1.0:
         raise DomainError(f"eta must be in [0, 1), got {eta!r}")
     numer = Fraction((n - 1) * (n - 2) ** 2 * (n - 3), 12)
-    scale = (1.0 - eta) ** 4
-    value = float(numer) / scale
-    k4 = (n / (1.0 - eta)) ** 4 / 12.0
-    return VolumeBound(value=value, k4_bound=k4)
+    return float(numer) / (1.0 - eta) ** 4
 
 
 def photon_cutoff(n: int, k: int, d_a: float, d_b: float, eps: float) -> int:
@@ -123,7 +110,7 @@ def photon_cutoff(n: int, k: int, d_a: float, d_b: float, eps: float) -> int:
 def general_attack_epsilon(eps_collective: float, K: int) -> float:
     """Security parameter against general attacks: (2 + K^4/6) eps.
 
-    Warns when the bound is vacuous (>= 1).
+    The bound is vacuous when the result is >= 1.
     """
     if not 0.0 < eps_collective < 1.0:
         raise DomainError(
@@ -132,13 +119,7 @@ def general_attack_epsilon(eps_collective: float, K: int) -> float:
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K!r}")
     prefactor = 2.0 + float(Fraction(int(K) ** 4, 6))
-    eps_general = prefactor * eps_collective
-    if eps_general >= 1.0:
-        warnings.warn(
-            f"general-attack epsilon {eps_general:.3g} >= 1 (vacuous bound)",
-            stacklevel=2,
-        )
-    return eps_general
+    return prefactor * eps_collective
 
 
 @dataclass(frozen=True)
@@ -200,15 +181,6 @@ class ReductionReport:
         "eps_collective", "eps_general", "key_reduction",
     )
 
-    def csv_row(self) -> tuple:
-        return (
-            self.n_modes, self.k_test,
-            f"{self.d_a:.17g}", f"{self.d_b:.17g}", f"{self.eta:.17g}",
-            self.K, f"{self.t_n_eta:.17g}",
-            f"{self.eps_collective:.17g}", f"{self.eps_general:.17g}",
-            self.key_reduction,
-        )
-
 
 def make_reduction_report(
     n_modes: int,
@@ -226,10 +198,6 @@ def make_reduction_report(
     )
     if eta is None:
         eta = K / (K + max(n_modes - 5, 1))
-    t_val = volume_T(n_modes, eta).value
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eps_gen = general_attack_epsilon(eps_collective, K)
     return ReductionReport(
         n_modes=int(n_modes),
         k_test=int(config.k_test),
@@ -237,8 +205,8 @@ def make_reduction_report(
         d_b=float(config.d_b),
         eta=float(eta),
         K=int(K),
-        t_n_eta=t_val,
+        t_n_eta=volume_T(n_modes, eta),
         eps_collective=float(eps_collective),
-        eps_general=eps_gen,
+        eps_general=general_attack_epsilon(eps_collective, K),
         key_reduction=key_reduction_bits(K),
     )

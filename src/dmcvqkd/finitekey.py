@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LengthError, PrecisionLoss
-from .gaussian import TwoModeCovariance, holevo_f
+from .gaussian import holevo_f
 
 DELTA_ENT_MODES = ("paper", "derived")
 
@@ -76,17 +76,6 @@ class KeyLengthReport:
         "holevo_term", "leak_ec", "delta_aep", "delta_ent",
         "delta_ent_mode", "eps_total", "l", "feasible",
     )
-
-    def csv_row(self) -> tuple:
-        return (
-            self.n_pairs, self.modes, self.raw_bits,
-            f"{self.h_mle:.17g}", f"{self.f_bits:.17g}",
-            f"{self.entropy_term:.17g}", f"{self.holevo_term:.17g}",
-            f"{self.leak_ec:.17g}", f"{self.delta_aep:.17g}",
-            f"{self.delta_ent:.17g}", self.delta_ent_mode,
-            f"{self.eps_total:.17g}", f"{self.l:.17g}",
-            int(self.feasible),
-        )
 
 
 def delta_aep(n: float, eps_sm: float, p_ec: float) -> float:
@@ -178,8 +167,6 @@ def key_length(
         )
     if leak_ec < 0:
         raise DomainError(f"leak_ec must be >= 0, got {leak_ec!r}")
-    if not isinstance(region, TwoModeCovariance):
-        region = TwoModeCovariance(*region)
     f = holevo_f(region)
     modes = 2 * n
     entropy_term = 2.0 * n * (2.0 * h_mle)

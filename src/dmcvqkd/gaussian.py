@@ -11,7 +11,6 @@ Entropies are in bits (base-2 logarithms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, NonPhysicalCovariance
@@ -21,18 +20,6 @@ from .errors import DomainError, NonPhysicalCovariance
 NU_CLAMP_TOL = 1e-9
 
 _DISC_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TwoModeCovariance:
-    """Symmetric two-mode covariance in (x, y, z) form."""
-
-    x: float
-    y: float
-    z: float
-
-    def astuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
 
 
 class SymplecticSpectrum(NamedTuple):
@@ -47,13 +34,6 @@ class SymplecticSpectrum(NamedTuple):
     nu3: float
 
 
-def _coerce(cov) -> tuple[float, float, float]:
-    if isinstance(cov, TwoModeCovariance):
-        return cov.astuple()
-    x, y, z = cov
-    return (float(x), float(y), float(z))
-
-
 def symplectic_eigenvalues(cov) -> SymplecticSpectrum:
     """Symplectic eigenvalues (nu1, nu2, nu3) of an (x, y, z) covariance.
 
@@ -65,7 +45,7 @@ def symplectic_eigenvalues(cov) -> SymplecticSpectrum:
     Eigenvalues below 1 by more than NU_CLAMP_TOL raise
     NonPhysicalCovariance; smaller dips are clamped to exactly 1.
     """
-    x, y, z = _coerce(cov)
+    x, y, z = cov
     delta = x * x + y * y - 2.0 * z * z
     det = (x * y - z * z) ** 2
     disc = delta * delta - 4.0 * det
@@ -119,9 +99,9 @@ def g_entropy(nu: float) -> float:
 def holevo_f(cov) -> float:
     """Eavesdropper information bound f = g(nu1) + g(nu2) - g(nu3) in bits.
 
-    `cov` is a TwoModeCovariance or an (x, y, z) triple.  Monotone in the
-    usual directions: increasing y (channel noise) increases f, increasing z
-    (correlation) decreases it.
+    `cov` is an (x, y, z) triple.  Monotone in the usual directions:
+    increasing y (channel noise) increases f, increasing z (correlation)
+    decreases it.
     """
     nu1, nu2, nu3 = symplectic_eigenvalues(cov)
     return g_entropy(nu1) + g_entropy(nu2) - g_entropy(nu3)

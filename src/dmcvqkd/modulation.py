@@ -8,7 +8,6 @@ whose weights lambda_k drive every correlation quantity below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,23 +17,8 @@ from .errors import DomainError
 CONSTELLATION_PHASES = tuple((2 * k + 1) * math.pi / 4.0 for k in range(4))
 
 
-@dataclass(frozen=True)
-class LambdaWeights:
-    """Mixture weights of the four orthogonal constellation eigenstates."""
-
-    lambda0: float
-    lambda1: float
-    lambda2: float
-    lambda3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.lambda0, self.lambda1, self.lambda2, self.lambda3]
-        )
-
-
-def lambda_weights(alpha: float) -> LambdaWeights:
-    """Eigenstate weights lambda_k of the four-state mixture.
+def lambda_weights(alpha: float) -> np.ndarray:
+    """Eigenstate weights (lambda_0, ..., lambda_3) of the four-state mixture.
 
     lambda_{0,2} = (1/2) e^{-alpha^2} [cosh(alpha^2) +/- cos(alpha^2)]
     lambda_{1,3} = (1/2) e^{-alpha^2} [sinh(alpha^2) +/- sin(alpha^2)]
@@ -50,23 +34,21 @@ def lambda_weights(alpha: float) -> LambdaWeights:
     ec = 0.5 * (1.0 + em)
     es = 0.5 * (1.0 - em)
     et = math.exp(-a2)
-    w = (
+    return np.array([
         0.5 * (ec + et * math.cos(a2)),
         0.5 * (es + et * math.sin(a2)),
         0.5 * (ec - et * math.cos(a2)),
         0.5 * (es - et * math.sin(a2)),
-    )
-    return LambdaWeights(*w)
+    ])
 
 
-def lambda_ratio_sum(weights: LambdaWeights) -> float:
+def lambda_ratio_sum(lam: np.ndarray) -> float:
     """sum_k lambda_k^{3/2} / lambda_{k+1 mod 4}^{1/2}.
 
     This is the factor multiplying V_A in the trusted correlation strength;
     it tends to 1 as alpha -> 0 and is strictly below the Gaussian-modulation
     value sqrt(1 + 2/V_A) for alpha > 0.
     """
-    lam = weights.as_array()
     if np.any(lam <= 0.0):
         raise DomainError("lambda weights must be positive")
     nxt = np.roll(lam, -1)

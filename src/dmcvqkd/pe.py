@@ -74,11 +74,8 @@ class DeltaTriple(NamedTuple):
 
 @dataclass(frozen=True)
 class ConfidenceRegion:
-    """Outcome of parameter estimation: estimates, thresholds, verdict."""
+    """Outcome of parameter estimation: thresholds and verdict."""
 
-    gamma_a: float
-    gamma_b: float
-    gamma_c: float
     sigma_a_max: float
     sigma_b_max: float
     sigma_c_min: float
@@ -173,7 +170,7 @@ def cross_half_bounds(
     ip_half: float,
     k: int,
     epsilon: float,
-    norm_other_half2: float = None,
+    norm_other_half2: float,
     log_base: str = "natural",
 ) -> CrossHalfBounds:
     """Bounds on the unobserved half of rotation-symmetrized data.
@@ -185,8 +182,7 @@ def cross_half_bounds(
         ||X2||^2 >= (1 - d) ||X1||^2          except with probability eps
         <X2,Y2>  >= <X1,Y1> - d (||X1||^2 + ||Y1||^2)   except prob 4*eps
 
-    `norm_other_half2` is ||Y1||^2 for the inner-product floor; when
-    omitted, ||Y1||^2 = ||X1||^2 is assumed.  Valid for
+    `norm_other_half2` is ||Y1||^2 for the inner-product floor.  Valid for
     log(2/eps)/(2k) <= 0.05.
     """
     if np.any(norm_half2 < 0):
@@ -201,19 +197,19 @@ def cross_half_bounds(
             f"log(2/eps)/(2k)={ratio:.4f} exceeds validity limit 0.05"
         )
     d = 4.0 * math.sqrt(ratio)
-    other = norm_half2 if norm_other_half2 is None else norm_other_half2
     return CrossHalfBounds(
         upper_other=(1.0 + d) * norm_half2,
         lower_other=(1.0 - d) * norm_half2,
-        ip_lower=ip_half - d * (norm_half2 + other),
+        ip_lower=ip_half - d * (norm_half2 + norm_other_half2),
     )
 
 
-def _regime_check(k: int, epsilon: float, log_base: str) -> float:
-    """Estimator-chain regime constraint; returns sqrt(log(36/eps)/k).
+def _estimator_terms(k: int, epsilon: float, log_base: str) -> tuple:
+    """(inflation, gamma_c penalty) of the worst-case estimators.
 
-    Requires [1 + (5/2) r][1 + (360/eps) e^{-k/16}] <= 1 + 3 r with
-    r = sqrt(log(36/eps)/k).
+    The inflation is 1 + 3 r with r = sqrt(log(36/eps)/k), the penalty
+    6 sqrt(log(144/eps)/k^3).  Raises RegimeError unless
+    [1 + (5/2) r][1 + (360/eps) e^{-k/16}] <= 1 + 3 r.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k!r}")
@@ -227,7 +223,10 @@ def _regime_check(k: int, epsilon: float, log_base: str) -> float:
             f"regime constraint fails at k={k}, eps={epsilon}: "
             f"{lhs:.6g} > {rhs:.6g}"
         )
-    return r
+    penalty = 6.0 * math.sqrt(
+        _dev_log(144.0 / epsilon, log_base) / float(k) ** 3
+    )
+    return 1.0 + 3.0 * r, penalty
 
 
 def gamma_estimates(
@@ -246,13 +245,10 @@ def gamma_estimates(
 
     Raises RegimeError outside the estimator-chain regime.
     """
-    r36 = _regime_check(k, epsilon_pe, log_base)
-    infl = 1.0 + 3.0 * r36
+    infl, penalty = _estimator_terms(k, epsilon_pe, log_base)
     gamma_a = infl * norm_x2 / (2.0 * k) - 1.0
     gamma_b = infl * norm_y2 / (2.0 * k) - 1.0
-    gamma_c = ip_xy / (2.0 * k) - 6.0 * math.sqrt(
-        _dev_log(144.0 / epsilon_pe, log_base) / float(k) ** 3
-    ) * (norm_x2 + norm_y2)
+    gamma_c = ip_xy / (2.0 * k) - penalty * (norm_x2 + norm_y2)
     return (gamma_a, gamma_b, gamma_c)
 
 
@@ -295,9 +291,6 @@ def pe_decision(
         and gamma_c >= sigma_c_min
     )
     return ConfidenceRegion(
-        gamma_a=gamma_a,
-        gamma_b=gamma_b,
-        gamma_c=gamma_c,
         sigma_a_max=sigma_a_max,
         sigma_b_max=sigma_b_max,
         sigma_c_min=sigma_c_min,
@@ -328,8 +321,7 @@ def calibrate_deltas(
     if not 0.0 < epsilon_rob < 1.0:
         raise DomainError(f"epsilon_rob must be in (0,1), got {epsilon_rob!r}")
     budget = epsilon_rob / 6.0
-    r36 = _regime_check(k, epsilon_pe, log_base)
-    infl = 1.0 + 3.0 * r36
+    infl, dc = _estimator_terms(k, epsilon_pe, log_base)
 
     v_a = 2.0 * alpha * alpha
     v = v_a + 1.0
@@ -345,9 +337,6 @@ def calibrate_deltas(
 
     # c branch: gamma_c = S/(2k) - dc * (Na + Nb); per-entry moments
     # var_a = (v+1)/2, var_b = (sigma_b+1)/2, cross rho = z_bar/2.
-    dc = 6.0 * math.sqrt(
-        _dev_log(144.0 / epsilon_pe, log_base) / float(k) ** 3
-    )
     va2 = (v + 1.0) / 2.0
     vb2 = (sigma_b + 1.0) / 2.0
     rho = z_bar / 2.0

@@ -71,7 +71,6 @@ class OrthogonalTransform:
     """Seeded random orthogonal matrix in factored (layered) form."""
 
     dim: int
-    seed: object
     layers: tuple
 
     @classmethod
@@ -79,7 +78,7 @@ class OrthogonalTransform:
         if dim < 1:
             raise DomainError(f"dim must be >= 1, got {dim!r}")
         if dim == 1:
-            return cls(dim=1, seed=seed, layers=())
+            return cls(dim=1, layers=())
         n_layers = (dim - 1).bit_length()  # ceil(log2(dim))
         pair_lists = []
         total_pairs = 0
@@ -101,7 +100,7 @@ class OrthogonalTransform:
             layers.append(
                 _Layer(lo=lo, hi=hi, cos=np.cos(theta), sin=np.sin(theta))
             )
-        return cls(dim=dim, seed=seed, layers=tuple(layers))
+        return cls(dim=dim, layers=tuple(layers))
 
     def _check(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -111,18 +110,14 @@ class OrthogonalTransform:
             )
         return v.copy()
 
-    def apply(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Return R v (or R^T v when inverse=True).  Does not modify v."""
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Return R v.  Does not modify v."""
         out = self._check(v)
-        if not inverse:
-            for lay in self.layers:
-                _rotate_pairs(out, lay.lo, lay.hi, lay.cos, lay.sin)
-        else:
-            for lay in reversed(self.layers):
-                _rotate_pairs(out, lay.lo, lay.hi, lay.cos, -lay.sin)
+        for lay in self.layers:
+            _rotate_pairs(out, lay.lo, lay.hi, lay.cos, lay.sin)
         return out
 
-    def apply_conjugate(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:
+    def apply_conjugate(self, v: np.ndarray) -> np.ndarray:
         """Return (S R S) v where S flips the sign of odd (p) entries.
 
         For interleaved (x, p) data this is the transform the measuring side
@@ -134,6 +129,6 @@ class OrthogonalTransform:
         """
         out = self._check(v)
         out[1::2] *= -1.0
-        out = self.apply(out, inverse=inverse)
+        out = self.apply(out)
         out[1::2] *= -1.0
         return out

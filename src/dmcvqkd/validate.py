@@ -51,13 +51,6 @@ class BoundRow:
     CSV_HEADER = ("lemma", "k", "epsilon_or_x", "claimed", "observed",
                   "trials", "verdict")
 
-    def csv_row(self) -> tuple:
-        return (
-            self.lemma, self.k, f"{self.param:.17g}",
-            f"{self.claimed:.17g}", f"{self.observed:.17g}",
-            self.trials, self.verdict,
-        )
-
 
 def _verdict(claimed: float, observed: float, trials: int) -> str:
     se = math.sqrt(max(claimed * (1.0 - claimed), 0.0) / trials)
@@ -235,7 +228,7 @@ def run_all(seed, trials: int, log_base: str = "natural") -> list:
 
     # validity-edge probe: documented as a reported row, not a crash
     try:
-        pe.cross_half_bounds(1.0, 0.0, 5, 1e-9)
+        pe.cross_half_bounds(1.0, 0.0, 5, 1e-9, 1.0)
         edge_verdict = "ok"
     except ValidityRange:
         edge_verdict = "regime-error"

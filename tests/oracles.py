@@ -259,8 +259,8 @@ def pair_statistics(x, y):
             np.sum(x * y, axis=1))
 
 
-def rotate_pair_by_pair(layers, v, inverse=False):
-    """R v (R^T v when inverse=True) with one scalar update per pair.
+def rotate_pair_by_pair(layers, v):
+    """R v with one scalar update per pair.
 
     `layers` are the layers of an `OrthogonalTransform`; each carries the
     index arrays `lo`, `hi` and the angle arrays `cos`, `sin`.  This is the
@@ -268,11 +268,9 @@ def rotate_pair_by_pair(layers, v, inverse=False):
     `rotations.py`.
     """
     v = [float(x) for x in v]
-    sign = -1.0 if inverse else 1.0
-    for lay in (reversed(layers) if inverse else layers):
+    for lay in layers:
         for i, j, c, s in zip(lay.lo.tolist(), lay.hi.tolist(),
                               lay.cos.tolist(), lay.sin.tolist()):
-            s = sign * s
             a, b = v[i], v[j]
             v[i] = c * a + s * b
             v[j] = (-s) * a + c * b

@@ -1,6 +1,7 @@
 """Protocol-round simulator: layout, statistics, determinism, round-trips."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from scipy import stats
 from dmcvqkd import cli
 from dmcvqkd.channel import (
     CHUNK_ROUNDS,
+    ROLE_GAUSSIAN,
+    ROLE_KEY,
     WORDS_PER_ROUND,
     ProtocolParams,
     QuadratureBatch,
@@ -24,6 +27,7 @@ from dmcvqkd.channel import (
 )
 from dmcvqkd.errors import (
     ConfigError,
+    DomainError,
     EmptySelection,
     InsufficientRounds,
 )
@@ -48,7 +52,7 @@ def test_layout_and_counts():
 
 def test_key_modes_use_exact_symbol_amplitudes():
     batch = simulate_rounds(PARAMS, seed=42)
-    idx = batch.role_indices("key")
+    idx = batch.role_indices(ROLE_KEY)
     # per-quadrature key amplitudes are exactly +-alpha
     np.testing.assert_allclose(np.abs(batch.alice_x[idx]), 0.5, atol=0)
     np.testing.assert_allclose(np.abs(batch.alice_p[idx]), 0.5, atol=0)
@@ -69,10 +73,19 @@ def test_deterministic_across_workers_and_reruns():
 
 
 def test_counts_override():
-    batch = simulate_rounds(PARAMS, seed=1, counts=(5, 0, 3))
+    batch = simulate_rounds(replace(PARAMS, n=5, m=0, k=3), seed=1)
     assert np.bincount(batch.roles).tolist() == [10, 0, 6]
     with pytest.raises(ConfigError):
-        simulate_rounds(PARAMS, seed=1, counts=(0, 0, 0))
+        replace(PARAMS, n=0, m=0, k=0)
+
+
+def test_role_indices_take_role_codes():
+    batch = simulate_rounds(replace(PARAMS, n=5, m=0, k=3), seed=1)
+    assert batch.role_indices(ROLE_GAUSSIAN).tolist() == list(range(10, 16))
+    # a role name would compare unequal to every uint8 code and select
+    # nothing; it is rejected instead
+    with pytest.raises(DomainError):
+        batch.role_indices("key")
 
 
 def test_key_mode_output_moments():
@@ -80,7 +93,7 @@ def test_key_mode_output_moments():
     # positively correlated with Alice's symbol in both quadratures
     params = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=60000, m=0, k=0)
     batch = simulate_rounds(params, seed=11)
-    idx = batch.role_indices("key")
+    idx = batch.role_indices(ROLE_KEY)
     rt = math.sqrt(params.T)
     noise = batch.bob_x[idx] - rt * batch.alice_x[idx]
     var_expected = (2.0 + params.T * params.xi) / 2.0
@@ -95,7 +108,7 @@ def test_key_mode_output_moments():
 def test_gaussian_mode_second_moments():
     params = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=0, m=0, k=120000)
     batch = simulate_rounds(params, seed=12)
-    sig = empirical_sigma(batch, "gaussian")
+    sig = empirical_sigma(batch)
     v_a = params.v_a
     # heterodyne records carry one extra vacuum unit per quadrature
     assert sig.a == pytest.approx(v_a + 2.0, rel=0.02)
@@ -124,7 +137,7 @@ def test_split_pe_sets_shapes_and_content():
     split = split_pe_sets(batch, 500)
     for v in split:
         assert v.shape == (1000,)
-    gauss = batch.role_indices("gaussian")
+    gauss = batch.role_indices(ROLE_GAUSSIAN)
     # half 1 holds the even-ordinal gaussian modes, interleaved (x, p)
     assert split.x1[0] == batch.alice_x[gauss[0]]
     assert split.x1[1] == batch.alice_p[gauss[0]]
@@ -157,25 +170,25 @@ def test_pe_statistics_match_a_per_mode_loop():
 
 
 def test_empirical_sigma_requires_rounds():
-    batch = simulate_rounds(PARAMS, seed=1, counts=(5, 0, 3))
+    batch = simulate_rounds(replace(PARAMS, n=5, m=3, k=0), seed=1)
     with pytest.raises(EmptySelection):
-        empirical_sigma(batch, "decoy")
+        empirical_sigma(batch)
 
 
 def test_symmetrization_preserves_empirical_sigma():
     # rotating Alice by R and Bob by the conjugated transform leaves the
     # summary statistics of the gaussian block (nearly) unchanged
     batch = simulate_rounds(PARAMS, seed=14)
-    before = empirical_sigma(batch, "gaussian")
+    before = empirical_sigma(batch)
     rot = OrthogonalTransform.random(2 * 1000, seed=(14, 1))
     rotated = apply_symmetrization(batch, rot, "alice")
     rotated = apply_symmetrization(rotated, rot, "bob")
-    after = empirical_sigma(rotated, "gaussian")
+    after = empirical_sigma(rotated)
     assert after.a == pytest.approx(before.a, rel=1e-12)
     assert after.b == pytest.approx(before.b, rel=1e-12)
     assert after.c == pytest.approx(before.c, rel=1e-9, abs=1e-9)
     # non-gaussian rounds untouched
-    key = batch.role_indices("key")
+    key = batch.role_indices(ROLE_KEY)
     np.testing.assert_array_equal(rotated.alice_x[key], batch.alice_x[key])
 
 
@@ -230,7 +243,7 @@ def test_uniforms_match_the_uint64_conversion(seed, start, count):
 
 
 def test_export_import_round_trip(tmp_path):
-    batch = simulate_rounds(PARAMS, seed=15, counts=(20, 10, 30))
+    batch = simulate_rounds(replace(PARAMS, n=20, m=10, k=30), seed=15)
     path = tmp_path / "batch.csv"
     export_batch(batch, path)
     back = import_batch(path)
@@ -247,7 +260,7 @@ def assert_export_matches_reference(batch, tmp_path):
 
 
 def test_export_bytes_match_reference_across_chunks(tmp_path):
-    batch = simulate_rounds(PARAMS, seed=16, counts=(5000, 1000, 3000))
+    batch = simulate_rounds(replace(PARAMS, n=5000, m=1000, k=3000), seed=16)
     assert batch.n_rounds > CHUNK_ROUNDS
     assert batch.n_rounds % CHUNK_ROUNDS != 0
     assert_export_matches_reference(batch, tmp_path)

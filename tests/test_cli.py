@@ -125,6 +125,24 @@ def test_malformed_config_never_raises(tmp_path, doc):
         assert rc in (EXIT_OK, EXIT_ERROR, EXIT_NO_KEY)
 
 
+SWEEP_GRID_VALUES = (math.nan, math.inf, -1.0, 0.0, 1e-300, 1e300, 0.5)
+
+
+@pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+@pytest.mark.parametrize("value", SWEEP_GRID_VALUES, ids=repr)
+def test_sweep_point_never_raises_and_names_its_axis(tmp_path, capsys, axis,
+                                                     value):
+    # one odd grid value on each axis of SIM_BASE: an exit code instead of
+    # an exception, and an error that names the axis
+    cfg = write_config(tmp_path, "c.json")
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                   "--axis", axis, "--grid", repr(value)])
+    assert rc in (EXIT_OK, EXIT_ERROR, EXIT_NO_KEY)
+    err = capsys.readouterr().err
+    if rc == EXIT_ERROR:
+        assert repr(axis) in err, err
+
+
 def test_cli_import_skips_scipy_stats():
     # the calibration quantiles come from scipy.special, so starting the
     # CLI does not pay for importing scipy.stats

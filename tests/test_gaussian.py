@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmcvqkd.errors import DomainError, NonPhysicalCovariance
-from dmcvqkd.gaussian import (
-    TwoModeCovariance,
-    g_entropy,
-    holevo_f,
-    symplectic_eigenvalues,
-)
+from dmcvqkd.gaussian import g_entropy, holevo_f, symplectic_eigenvalues
+from dmcvqkd.pe import ConfidenceRegion
 
 from oracles import dense_conditional_nu, dense_symplectic_pair
 
@@ -41,20 +37,22 @@ def test_g_entropy_rejects_below_vacuum():
 
 
 def test_symplectic_eigenvalues_frozen():
-    spec = symplectic_eigenvalues(TwoModeCovariance(1.5, 1.255, 0.7754))
+    spec = symplectic_eigenvalues((1.5, 1.255, 0.7754))
     assert spec.nu1 == pytest.approx(1.2610346239794379, rel=1e-14)
     assert spec.nu2 == pytest.approx(1.0160346239794378, rel=1e-14)
     assert spec.nu3 == pytest.approx(1.2333724345898005, rel=1e-14)
 
 
 def test_holevo_f_frozen():
-    f = holevo_f(TwoModeCovariance(1.5, 1.255, 0.7754))
+    f = holevo_f((1.5, 1.255, 0.7754))
     assert f == pytest.approx(0.11148811510568002, rel=1e-13)
 
 
 def test_holevo_f_accepts_triple():
-    assert holevo_f((1.5, 1.255, 0.7754)) == holevo_f(
-        TwoModeCovariance(1.5, 1.255, 0.7754)
+    # the worst-case corner of a PE region is the (x, y, z) triple itself
+    region = ConfidenceRegion(1.5, 1.255, 0.7754, 1e-10, "pass")
+    assert holevo_f(region.worst_case_covariance()) == holevo_f(
+        (1.5, 1.255, 0.7754)
     )
 
 

@@ -21,14 +21,14 @@ FROZEN_LAMBDA_HALF = (
 
 def test_lambda_weights_frozen():
     w = lambda_weights(0.5)
-    np.testing.assert_allclose(w.as_array(), FROZEN_LAMBDA_HALF, rtol=1e-14)
+    np.testing.assert_allclose(w, FROZEN_LAMBDA_HALF, rtol=1e-14)
 
 
 def test_lambda_weights_sum_to_one():
     rng = np.random.default_rng(3)
     for alpha in rng.uniform(0.02, 2.5, size=200):
         w = lambda_weights(float(alpha))
-        assert abs(w.as_array().sum() - 1.0) < 1e-12
+        assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_lambda_ratio_sum_frozen():
@@ -56,7 +56,7 @@ def test_correlation_z_below_epr_limit():
 def test_weights_and_correlation_match_fock_oracle(alpha):
     lam_oracle, z_oracle = fock_modulation_oracle(alpha)
     w = lambda_weights(alpha)
-    np.testing.assert_allclose(w.as_array(), lam_oracle, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(w, lam_oracle, rtol=1e-8, atol=1e-12)
     assert correlation_z(alpha) == pytest.approx(z_oracle, rel=1e-8)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtri
 
 from dmcvqkd.errors import (
     DomainError,
@@ -73,7 +74,7 @@ def test_inner_product_bounds_regime():
 
 
 def test_cross_half_bounds_frozen():
-    b = cross_half_bounds(100.0, 30.0, 10000, 1e-2)
+    b = cross_half_bounds(100.0, 30.0, 10000, 1e-2, 100.0)
     assert b.upper_other == pytest.approx(106.51049452287491, rel=1e-13)
     assert b.lower_other == pytest.approx(93.48950547712508, rel=1e-13)
     assert b.ip_lower == pytest.approx(16.979010954250164, rel=1e-13)
@@ -81,7 +82,7 @@ def test_cross_half_bounds_frozen():
 
 def test_cross_half_bounds_validity_range():
     with pytest.raises(ValidityRange):
-        cross_half_bounds(1.0, 0.0, 10, 1e-3)  # log(2/eps)/(2k) > 0.05
+        cross_half_bounds(1.0, 0.0, 10, 1e-3, 1.0)  # log(2/eps)/(2k) > 0.05
 
 
 def test_gamma_estimates_frozen():
@@ -177,6 +178,25 @@ def test_calibrate_deltas_tighten_with_eps_rob():
     assert tight.delta_c > loose.delta_c
 
 
+@pytest.mark.parametrize("alpha, T, xi, k, eps_pe", [
+    (0.5, 0.6, 0.05, 10_000, 1e-2),
+    (0.5, 0.5, 0.01, 2_000_000_000, 1e-10),
+])
+def test_calibration_matches_the_estimator(alpha, T, xi, k, eps_pe):
+    # the a/b offsets put the abort edge where the shipped estimator sends
+    # the honest statistic's eps_rob/6 quantile: norm = (var + 1)/2 * U
+    # with U at the upper quantile of chi2(4k)
+    eps_rob = 1e-2
+    d = calibrate_deltas(alpha, T, xi, k, eps_pe, eps_rob)
+    v = 2.0 * alpha * alpha + 1.0
+    sigma_b = T * (v - 1.0) + 1.0 + T * xi
+    q = chdtri(4 * k, eps_rob / 6.0)
+    g = gamma_estimates((v + 1.0) / 2.0 * q, (sigma_b + 1.0) / 2.0 * q, 0.0,
+                        k, eps_pe)
+    assert g[0] == pytest.approx(v + d.delta_a, rel=1e-12)
+    assert g[1] == pytest.approx(sigma_b + d.delta_b, rel=1e-12)
+
+
 def test_pe_decision_thresholds_and_verdicts():
     deltas = calibrate_deltas(0.5, 0.5, 0.01, 2_000_000_000, 1e-10, 1e-2)
     dec = pe_decision((0.6, 0.4, 0.9), 1.5, 0.5, 0.01, deltas)
@@ -200,7 +220,6 @@ def test_pe_decision_boundary_is_accepting():
 
 def test_worst_case_covariance_clamps_negative_correlation():
     region = ConfidenceRegion(
-        gamma_a=0.0, gamma_b=0.0, gamma_c=0.0,
         sigma_a_max=1.9, sigma_b_max=1.7, sigma_c_min=-2.2,
         epsilon_pe=1e-2, verdict="pass",
     )
