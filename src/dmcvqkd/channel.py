@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     InsufficientRounds,
 )
 from .modulation import CONSTELLATION_PHASES, correlation_z
-from .rotations import OrthogonalTransform, words_to_uniforms
+from .rotations import OrthogonalTransform
 
 ROLE_KEY = 0
 ROLE_DECOY = 1
@@ -151,13 +151,14 @@ def _round_uniforms(seed, start: int, count: int) -> np.ndarray:
 
     Round r always maps to Philox counter words [8r, 8r+8), so any chunking
     of the round range reproduces identical values.  Every role reads words
-    0-3 of its window; words 4-7 are reserved and not converted.
+    0-3 of its window; words 4-7 are reserved.  Generator.random turns each
+    word into (word >> 11) * 2^-53.
     """
     bg = np.random.Philox(key=seed)
     # advance() steps the 128-bit counter, 4 output words per step
     bg.advance(start * (WORDS_PER_ROUND // 4))
-    raw = bg.random_raw(count * WORDS_PER_ROUND).reshape(count, WORDS_PER_ROUND)
-    return words_to_uniforms(raw[:, :4])
+    u = np.random.Generator(bg).random(count * WORDS_PER_ROUND)
+    return u.reshape(count, WORDS_PER_ROUND)[:, :4]
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray):
@@ -182,48 +183,56 @@ def _gaussian_cholesky(params: ProtocolParams):
     return l11, l21, l22
 
 
+def _role_slices(params: ProtocolParams, start: int, stop: int):
+    """(role, rows of the chunk, rows of the batch) for each role present.
+
+    `simulate_rounds` lays the roles out in key, decoy and gaussian blocks
+    of 2n, 2m and 2k rounds; each block meets [start, stop) in one slice.
+    """
+    edges = list(accumulate((0, 2 * params.n, 2 * params.m, 2 * params.k)))
+    roles = (ROLE_KEY, ROLE_DECOY, ROLE_GAUSSIAN)
+    for role, first, end in zip(roles, edges, edges[1:]):
+        first, end = max(first, start), min(end, stop)
+        if first < end:
+            yield role, slice(first - start, end - start), slice(first, end)
+
+
 def _fill_chunk(out, params: ProtocolParams, seed, start: int, stop: int,
                 amp_x, amp_p) -> None:
     """Generate rounds [start, stop) into the output arrays."""
-    alice_x, alice_p, bob_x, bob_p, roles = out
+    alice_x, alice_p, bob_x, bob_p = out
     u = _round_uniforms(seed, start, stop - start)
-    r = roles[start:stop]
     sqrt_t = math.sqrt(params.T)
     sigma = math.sqrt((2.0 + params.T * params.xi) / 2.0)
 
-    sel = np.nonzero(r == ROLE_KEY)[0]
-    if sel.size:
-        q = np.minimum((4.0 * u[sel, 0]).astype(np.int64), 3)
-        ax = amp_x[q]
-        ap = amp_p[q]
-        g1, g2 = _box_muller(u[sel, 1], u[sel, 2])
-        alice_x[start + sel] = ax
-        alice_p[start + sel] = ap
-        bob_x[start + sel] = sqrt_t * ax + sigma * g1
-        bob_p[start + sel] = sqrt_t * ap + sigma * g2
-
-    sel = np.nonzero(r == ROLE_DECOY)[0]
-    if sel.size:
-        s_mod = math.sqrt(params.v_a / 2.0)
-        a1, a2 = _box_muller(u[sel, 0], u[sel, 1])
-        g1, g2 = _box_muller(u[sel, 2], u[sel, 3])
-        ax = s_mod * a1
-        ap = s_mod * a2
-        alice_x[start + sel] = ax
-        alice_p[start + sel] = ap
-        bob_x[start + sel] = sqrt_t * ax + sigma * g1
-        bob_p[start + sel] = sqrt_t * ap + sigma * g2
-
-    sel = np.nonzero(r == ROLE_GAUSSIAN)[0]
-    if sel.size:
-        l11, l21, l22 = _gaussian_cholesky(params)
-        w1, w2 = _box_muller(u[sel, 0], u[sel, 1])
-        w3, w4 = _box_muller(u[sel, 2], u[sel, 3])
-        alice_x[start + sel] = l11 * w1
-        alice_p[start + sel] = l11 * w2
-        # x-plane correlation +c, p-plane -c
-        bob_x[start + sel] = l21 * w1 + l22 * w3
-        bob_p[start + sel] = -l21 * w2 + l22 * w4
+    for role, rows, dst in _role_slices(params, start, stop):
+        if role == ROLE_GAUSSIAN:
+            l11, l21, l22 = _gaussian_cholesky(params)
+            w1, w2 = _box_muller(u[rows, 0], u[rows, 1])
+            w3, w4 = _box_muller(u[rows, 2], u[rows, 3])
+            ax = l11 * w1
+            ap = l11 * w2
+            # x-plane correlation +c, p-plane -c
+            bx = l21 * w1 + l22 * w3
+            bp = -l21 * w2 + l22 * w4
+        else:
+            if role == ROLE_KEY:
+                q = np.minimum((4.0 * u[rows, 0]).astype(np.int64), 3)
+                ax = amp_x[q]
+                ap = amp_p[q]
+                g1, g2 = _box_muller(u[rows, 1], u[rows, 2])
+            else:
+                s_mod = math.sqrt(params.v_a / 2.0)
+                a1, a2 = _box_muller(u[rows, 0], u[rows, 1])
+                g1, g2 = _box_muller(u[rows, 2], u[rows, 3])
+                ax = s_mod * a1
+                ap = s_mod * a2
+            bx = sqrt_t * ax + sigma * g1
+            bp = sqrt_t * ap + sigma * g2
+        alice_x[dst] = ax
+        alice_p[dst] = ap
+        bob_x[dst] = bx
+        bob_p[dst] = bp
 
 
 def simulate_rounds(params: ProtocolParams, seed,
@@ -253,7 +262,7 @@ def simulate_rounds(params: ProtocolParams, seed,
     alice_p = np.empty(total)
     bob_x = np.empty(total)
     bob_p = np.empty(total)
-    out = (alice_x, alice_p, bob_x, bob_p, roles)
+    out = (alice_x, alice_p, bob_x, bob_p)
 
     s2a = math.sqrt(2.0) * params.alpha
     amp_x = np.array([s2a * math.cos(ph) for ph in CONSTELLATION_PHASES])

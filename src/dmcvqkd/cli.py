@@ -45,7 +45,7 @@ from .definetti import (
     energy_test,
     make_reduction_report,
 )
-from .errors import ConfigError, UnknownAxis
+from .errors import ConfigError, RegimeError, UnknownAxis
 from .finitekey import (
     DELTA_ENT_MODES,
     KeyLengthReport,
@@ -244,6 +244,22 @@ def resolve_energy_thresholds(cfg: RunConfig) -> tuple:
     return d_a, d_b
 
 
+def _regime_error(cfg: RunConfig, budget: SecurityBudget,
+                  exc: RegimeError) -> ConfigError:
+    """Name the config fields behind a failed estimator-regime check.
+
+    The check depends on k and eps_pe together; eps_pe may have been
+    derived from eps_total.
+    """
+    if cfg.eps_pe is None:
+        source = (f"config field 'eps_total': eps_pe = eps_total/4 = "
+                  f"{budget.eps_pe!r}")
+    else:
+        source = f"config field 'eps_pe': eps_pe = {budget.eps_pe!r}"
+    return ConfigError(f"{source} with config field 'k' = {cfg.k} is outside "
+                       f"the estimator regime ({exc})")
+
+
 def _protocol_params(cfg: RunConfig) -> ProtocolParams:
     return ProtocolParams(alpha=cfg.alpha, T=cfg.T, xi=cfg.xi,
                           n=cfg.n, m=cfg.m, k=cfg.k)
@@ -307,7 +323,10 @@ def _outdir(cfg: RunConfig) -> Path:
 
 def run_keyrate(cfg: RunConfig) -> int:
     budget = resolve_budget(cfg)
-    _, _, report = _keyrate_chain(cfg, budget)
+    try:
+        _, _, report = _keyrate_chain(cfg, budget)
+    except RegimeError as exc:
+        raise _regime_error(cfg, budget, exc) from None
     reduction = _reduction(cfg, budget)
     out = _outdir(cfg)
     _write_csv(out / "keyrate.csv", KeyLengthReport.CSV_HEADER,
@@ -400,10 +419,13 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     sigma_hat = empirical_sigma(batch)
 
     norm_x2, norm_y2, ip_xy = pe_statistics(split_pe_sets(batch, cfg.k))
-    gammas = gamma_estimates(norm_x2, norm_y2, ip_xy, cfg.k, budget.eps_pe,
-                             cfg.log_base)
-    deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k, budget.eps_pe,
-                              budget.eps_rob, cfg.log_base)
+    try:
+        gammas = gamma_estimates(norm_x2, norm_y2, ip_xy, cfg.k,
+                                 budget.eps_pe, cfg.log_base)
+        deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k,
+                                  budget.eps_pe, budget.eps_rob, cfg.log_base)
+    except RegimeError as exc:
+        raise _regime_error(cfg, budget, exc) from None
     region = pe_decision(gammas, params.v_a + 1.0, cfg.T, cfg.xi, deltas,
                          budget.eps_pe)
 

@@ -10,11 +10,15 @@ Angles are drawn from a counter-based generator keyed by the seed, one
 64-bit word per kept pair, in layer-major / index-minor order, so a
 transform is reproducible from (dim, seed) alone.
 
-Each layer is applied with one numpy gather/scatter.  This gives exactly
-the result of rotating the pairs one at a time: the pairs within a layer
-are disjoint, so no rotation reads a slot that another rotation of the
-same layer writes, and each element goes through the same floating-point
-operations in the same order as in a per-pair loop.
+A layer with stride s = 2^l is applied on reshaped views of the vector:
+the first 2s * (d // 2s) entries, viewed as (blocks, 2, s), pair row 0 of
+each block with row 1, and one slice pair covers the partial last block.
+The views list the pairs in the same index-minor order as the angles.
+This gives exactly the result of rotating the pairs one at a time: the
+pairs within a layer are disjoint, so no rotation reads a slot that
+another rotation of the same layer writes, and each element goes through
+the same floating-point operations (c*a + s*b and (-s)*a + c*b) as in a
+per-pair loop.
 """
 from __future__ import annotations
 
@@ -31,39 +35,67 @@ def kernel_name() -> str:
     return "numpy"
 
 
-def _rotate_pairs(v, lo, hi, c, s):
-    """Apply disjoint 2x2 rotations in place.
-
-    For each i: (v[lo[i]], v[hi[i]]) <- (c*a + s*b, -s*a + c*b) with
-    a = v[lo[i]], b = v[hi[i]].
-    """
-    a = v[lo]
-    b = v[hi]
-    v[lo] = c * a + s * b
-    v[hi] = (-s) * a + c * b
-
-
-def words_to_uniforms(raw: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) from uint64 words: (word >> 11) * 2^-53.
-
-    The shifted word fits in 53 bits, so converting it from int64 is exact
-    and gives the same doubles as numpy's slower uint64 conversion.
-    """
-    return (raw >> np.uint64(11)).view(np.int64) * (2.0 ** -53)
-
-
 def _philox_uniforms(seed, count: int) -> np.ndarray:
-    """`count` uniforms in [0, 1) from a Philox stream keyed by `seed`."""
-    bg = np.random.Philox(key=seed)
-    return words_to_uniforms(bg.random_raw(count))
+    """`count` uniforms in [0, 1) from a Philox stream keyed by `seed`.
+
+    Generator.random turns each 64-bit word into (word >> 11) * 2^-53.
+    """
+    return np.random.Generator(np.random.Philox(key=seed)).random(count)
+
+
+def _layer_shape(dim: int, stride: int) -> tuple:
+    """(full blocks of 2*stride entries, pairs in the partial last block)."""
+    blocks, rest = divmod(dim, 2 * stride)
+    return blocks, max(rest - stride, 0)
 
 
 @dataclass(frozen=True)
 class _Layer:
-    lo: np.ndarray  # int64 indices, lower member of each pair
-    hi: np.ndarray  # int64 indices, upper member
-    cos: np.ndarray
+    dim: int
+    stride: int
+    cos: np.ndarray  # one angle per pair, in increasing order of `lo`
     sin: np.ndarray
+
+    @property
+    def lo(self) -> np.ndarray:
+        """int64 lower members of the pairs (i with i < i ^ stride < dim)."""
+        i = np.arange(self.dim, dtype=np.int64)
+        return i[((i & self.stride) == 0) & (i + self.stride < self.dim)]
+
+    @property
+    def hi(self) -> np.ndarray:
+        """int64 upper members of the pairs, lo + stride."""
+        return self.lo + self.stride
+
+    def rotate(self, v: np.ndarray) -> None:
+        """Rotate the layer's pairs of v in place."""
+        s = self.stride
+        blocks, tail = _layer_shape(self.dim, s)
+        full = blocks * s
+        if blocks:
+            view = v[: 2 * full].reshape(blocks, 2, s)
+            _rotate(view[:, 0, :], view[:, 1, :],
+                    self.cos[:full].reshape(blocks, s),
+                    self.sin[:full].reshape(blocks, s))
+        if tail:
+            start = 2 * full
+            _rotate(v[start : start + tail], v[start + s : start + s + tail],
+                    self.cos[full:], self.sin[full:])
+
+
+def _rotate(a, b, c, s) -> None:
+    """(a, b) <- (c*a + s*b, (-s)*a + c*b) on disjoint views, in place.
+
+    b gets c*b - s*a, which is (-s)*a + c*b bit for bit: negation is exact
+    and IEEE addition is commutative.
+    """
+    new_a = c * a
+    tmp = s * b
+    new_a += tmp
+    np.multiply(s, a, out=tmp)
+    b *= c
+    b -= tmp
+    a[...] = new_a
 
 
 @dataclass(frozen=True)
@@ -77,29 +109,19 @@ class OrthogonalTransform:
     def random(cls, dim: int, seed) -> "OrthogonalTransform":
         if dim < 1:
             raise DomainError(f"dim must be >= 1, got {dim!r}")
-        if dim == 1:
-            return cls(dim=1, layers=())
-        n_layers = (dim - 1).bit_length()  # ceil(log2(dim))
-        pair_lists = []
-        total_pairs = 0
-        for layer in range(n_layers):
-            stride = 1 << layer
-            i = np.arange(dim, dtype=np.int64)
-            partner = i ^ stride
-            keep = (partner > i) & (partner < dim)
-            lo = i[keep]
-            hi = partner[keep]
-            pair_lists.append((lo, hi))
-            total_pairs += lo.size
-        u = _philox_uniforms(seed, total_pairs)
+        strides = [1 << layer for layer in range((dim - 1).bit_length())]
+        counts = []
+        for stride in strides:
+            blocks, tail = _layer_shape(dim, stride)
+            counts.append(blocks * stride + tail)
+        u = _philox_uniforms(seed, sum(counts))
         layers = []
         pos = 0
-        for lo, hi in pair_lists:
-            theta = (2.0 * math.pi) * u[pos : pos + lo.size]
-            pos += lo.size
-            layers.append(
-                _Layer(lo=lo, hi=hi, cos=np.cos(theta), sin=np.sin(theta))
-            )
+        for stride, count in zip(strides, counts):
+            theta = (2.0 * math.pi) * u[pos : pos + count]
+            pos += count
+            layers.append(_Layer(dim=dim, stride=stride,
+                                 cos=np.cos(theta), sin=np.sin(theta)))
         return cls(dim=dim, layers=tuple(layers))
 
     def _check(self, v: np.ndarray) -> np.ndarray:
@@ -114,7 +136,7 @@ class OrthogonalTransform:
         """Return R v.  Does not modify v."""
         out = self._check(v)
         for lay in self.layers:
-            _rotate_pairs(out, lay.lo, lay.hi, lay.cos, lay.sin)
+            lay.rotate(out)
         return out
 
     def apply_conjugate(self, v: np.ndarray) -> np.ndarray:

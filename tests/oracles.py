@@ -259,18 +259,26 @@ def pair_statistics(x, y):
             np.sum(x * y, axis=1))
 
 
+def layer_pairs(dim: int, layer: int) -> list:
+    """The pairs (i, i ^ 2^layer) with i < partner < dim, in increasing i."""
+    stride = 1 << layer
+    return [(i, i ^ stride) for i in range(dim) if i < i ^ stride < dim]
+
+
 def rotate_pair_by_pair(layers, v):
     """R v with one scalar update per pair.
 
-    `layers` are the layers of an `OrthogonalTransform`; each carries the
-    index arrays `lo`, `hi` and the angle arrays `cos`, `sin`.  This is the
-    per-pair reference for the one gather/scatter per layer in
-    `rotations.py`.
+    `layers` are the layers of an `OrthogonalTransform`; only their angle
+    arrays `cos` and `sin` are read.  The pairs come from `layer_pairs`, so
+    this is a reference for the strided views in `rotations.py` that shares
+    none of their index arithmetic.
     """
     v = [float(x) for x in v]
-    for lay in layers:
-        for i, j, c, s in zip(lay.lo.tolist(), lay.hi.tolist(),
-                              lay.cos.tolist(), lay.sin.tolist()):
+    assert len(layers) == (len(v) - 1).bit_length()  # ceil(log2(dim))
+    for layer, lay in enumerate(layers):
+        pairs = layer_pairs(len(v), layer)
+        assert len(pairs) == lay.cos.size == lay.sin.size
+        for (i, j), c, s in zip(pairs, lay.cos.tolist(), lay.sin.tolist()):
             a, b = v[i], v[j]
             v[i] = c * a + s * b
             v[j] = (-s) * a + c * b

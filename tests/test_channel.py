@@ -229,8 +229,8 @@ def test_pe_statistics_do_not_need_the_symmetrization(xi_actual):
     ((7, 1), 999, 4097), (2 ** 63, 5, 0),
 ])
 def test_uniforms_match_the_uint64_conversion(seed, start, count):
-    # the int64 conversion gives the doubles of the plain uint64 formula,
-    # and a round's uniforms do not depend on where its chunk starts
+    # Generator.random gives the doubles of the plain uint64 formula, and
+    # a round's uniforms do not depend on where its chunk starts
     bg = np.random.Philox(key=seed)
     raw = bg.random_raw((start + count) * WORDS_PER_ROUND)
     want = (raw >> np.uint64(11)) * 2.0 ** -53

@@ -88,17 +88,32 @@ def test_validate_config_names_offending_field():
     ("xi_actual", 1e300),
     ("alpha", 0.001),
     ("alpha", 0.04),
+    ("eps_pe", 1e-300),
+    ("eps_total", 1e-300),
 ])
 def test_extreme_config_values_exit_1(tmp_path, capsys, field, value):
     # Infinity, bools and finite values outside [ALPHA_MIN, ALPHA_MAX] or
     # beyond XI_MAX are rejected by name before any computation could
-    # overflow or lose its digits to cancellation
+    # overflow or lose its digits to cancellation; an eps_pe outside the
+    # estimator regime is named when the regime check fails
     cfg = write_config(tmp_path, "c.json", **{field: value})
     for command in ("keyrate", "simulate"):
         rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: config field " + repr(field)), err
+
+
+@pytest.mark.parametrize("field, derived", [("eps_pe", ""),
+                                            ("eps_total", "eps_total/4 = ")])
+def test_regime_error_names_k_and_eps_pe(tmp_path, capsys, field, derived):
+    cfg = write_config(tmp_path, "c.json", **{field: 1e-300})
+    for command in ("keyrate", "simulate"):
+        assert cli.main([command, "--config", cfg,
+                         "--out", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"eps_pe = {derived}" in err, err
+        assert f"config field 'k' = {SIM_BASE['k']}" in err, err
 
 
 MALFORMED_VALUES = (math.inf, -math.inf, math.nan, 1e300, -1, 0, "x", [], {},

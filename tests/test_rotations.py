@@ -1,12 +1,15 @@
 """Seeded layered pair rotations: orthogonality, determinism, bit identity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from dmcvqkd.channel import _round_uniforms
 from dmcvqkd.errors import DimensionMismatch, DomainError
 from dmcvqkd.rotations import OrthogonalTransform, kernel_name
 
-from oracles import dense_matrix, rotate_pair_by_pair
+from oracles import dense_matrix, layer_pairs, rotate_pair_by_pair
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 16, 40, 129])
@@ -95,10 +98,10 @@ def test_dimension_checks():
         OrthogonalTransform.random(0, seed=1)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 257, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 256, 257, 1000, 40001])
 def test_kernel_agrees_with_pure_python(dim):
-    # the one gather/scatter per layer must match a per-pair scalar loop
-    # bit for bit, plain and conjugated
+    # the strided views of each layer must match a per-pair scalar loop
+    # over independently derived pairs bit for bit, plain and conjugated
     rng = np.random.default_rng(10)
     rot = OrthogonalTransform.random(dim, seed=(4, 2))
     v = rng.normal(size=dim)
@@ -108,6 +111,35 @@ def test_kernel_agrees_with_pure_python(dim):
     np.testing.assert_array_equal(
         rot.apply_conjugate(v),
         flip * rotate_pair_by_pair(rot.layers, flip * v))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 256, 257, 1000])
+def test_layer_index_properties_list_the_pairs(dim):
+    rot = OrthogonalTransform.random(dim, seed=3)
+    for layer, lay in enumerate(rot.layers):
+        pairs = np.array(layer_pairs(dim, layer), dtype=np.int64)
+        assert lay.lo.dtype == lay.hi.dtype == np.int64
+        np.testing.assert_array_equal(lay.lo, pairs[:, 0])
+        np.testing.assert_array_equal(lay.hi, pairs[:, 1])
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def test_transform_and_round_uniform_bytes_are_frozen():
+    # any change to the angle stream, the layer order or the operation
+    # order changes these bytes
+    rot = OrthogonalTransform.random(40000, (1, 1))
+    v = np.random.default_rng(2024).normal(size=40000)
+    assert _sha256(rot.apply(v)) == \
+        "e01339bfe56e6d54c6d3835303cb78c50c20f9ff71f1a92865aa73b345c93499"
+    assert _sha256(rot.apply_conjugate(v)) == \
+        "a175af5336e57493d1afadd0ce103eb64eabd44315aa50f04fb3bf68ca2ea6eb"
+    u = _round_uniforms(12345, 3, 9000)
+    assert u.dtype == np.float64 and u.shape == (9000, 4)
+    assert _sha256(u) == \
+        "ebaf9ea42b6352358877a306f7c12f69826fc4e569d5a1ed21732c9b62f49575"
 
 
 def test_kernel_name_reported():
