@@ -1,5 +1,6 @@
 """Finite-size key length: penalties, audit identity, hashing."""
 
+import hashlib
 from dataclasses import astuple
 
 import numpy as np
@@ -171,6 +172,25 @@ def test_universal_hash_matches_dense_toeplitz():
     np.testing.assert_array_equal(
         universal_hash(x, seed, out_len), expected.astype(np.uint8)
     )
+
+
+@pytest.mark.parametrize("n_in, out_len, seed, digest", [
+    (256, 30, (12345, 2),  # the size of simulate's verification hash
+     "a3108fa7ad3c038bee7841e99d28fd4e74236b04fd3c831dd0f3540d325fc8bc"),
+    (3000, 1300, 5,
+     "bf4603d14f97231dae53a9f0af32921fabc6cfbf7f5b1b2b1470795ebf000b2c"),
+    (3000, 1500, 5,
+     "26c5860f03e3c339e5020a7e99eee44b38aea7ea8fcd8d78d710a7352c4f0a6a"),
+    (100000, 60, (7, 4),
+     "ba4ed0a29ff1eebc1871ef7e682f649fa624088211adc404aaac714c347b4f78"),
+    (400000, 20000, 9,
+     "14989ffc591397747f2c9f0d4710ef64f3c198079887f5589a90160cb6d7a1ba"),
+])
+def test_universal_hash_bytes_are_frozen(n_in, out_len, seed, digest):
+    # sizes on both sides of 2^22 input*output products
+    bits = np.random.default_rng(n_in).integers(0, 2, size=n_in)
+    out = universal_hash(bits.astype(np.uint8), seed, out_len)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 def test_universal_hash_direct_and_fft_paths_agree():
