@@ -216,21 +216,16 @@ def universal_hash(bits, seed, out_len: int) -> np.ndarray:
     words = bg.random_raw((t_len + 63) // 64)
     tbits = np.unpackbits(words.astype(">u8").view(np.uint8))[:t_len]
     # out[i] = parity of sum_j x[j] * t[n_in - 1 + i - j]: a Toeplitz form
-    if n_in * out_len <= (1 << 22):
-        conv = np.convolve(x.astype(np.int64), tbits.astype(np.int64))
-    else:
-        from scipy.signal import fftconvolve
-
-        conv = fftconvolve(x.astype(np.float64), tbits.astype(np.float64))
-        # every entry is an integer count; a residual near 0.5 would round
-        # to the wrong neighbour and flip its parity without a trace
-        rounded = np.rint(conv)
-        residual = float(np.max(np.abs(conv - rounded)))
-        if residual >= 0.25:
-            raise PrecisionLoss(
-                f"FFT convolution of {n_in} x {t_len} bits is off an integer "
-                f"by {residual:.3g}; its parities cannot be trusted"
-            )
-        conv = rounded.astype(np.int64)
+    size = n_in + t_len - 1
+    conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(tbits, size), size)
     seg = conv[n_in - 1 : n_in - 1 + out_len]
-    return (seg & 1).astype(np.uint8)
+    # every entry is an integer count; a residual near 0.5 would round to
+    # the wrong neighbour and flip its parity without a trace
+    rounded = np.rint(seg)
+    residual = float(np.max(np.abs(seg - rounded)))
+    if residual >= 0.25:
+        raise PrecisionLoss(
+            f"FFT convolution of {n_in} x {t_len} bits is off an integer "
+            f"by {residual:.3g}; its parities cannot be trusted"
+        )
+    return (rounded.astype(np.int64) & 1).astype(np.uint8)

@@ -240,6 +240,25 @@ def export_batch_rows(batch, path) -> None:
             )
 
 
+def toeplitz_bits(seed, length: int) -> np.ndarray:
+    """The Toeplitz diagonal of `finitekey.universal_hash`: the big-endian
+    bits of Philox words keyed by `seed`."""
+    words = np.random.Philox(key=seed).random_raw((length + 63) // 64)
+    return np.unpackbits(words.astype(">u8").view(np.uint8))[:length]
+
+
+def toeplitz_hash_direct(bits, seed, out_len: int) -> np.ndarray:
+    """`finitekey.universal_hash` by an exact int64 convolution.
+
+    This was the package's path up to 2^22 input*output bit products; it is
+    kept as the reference for its FFT convolution.
+    """
+    n_in = bits.size
+    t = toeplitz_bits(seed, n_in + out_len - 1)
+    conv = np.convolve(bits.astype(np.int64), t.astype(np.int64))
+    return (conv[n_in - 1 : n_in - 1 + out_len] & 1).astype(np.uint8)
+
+
 def draw_pair(g, entries: int, size: int, r: float):
     """i.i.d. bivariate-normal entry pairs with correlation r.
 

@@ -20,7 +20,7 @@ from dmcvqkd.finitekey import (
 )
 from dmcvqkd.reconciliation import leak_model, snr
 
-from oracles import audit_key_length
+from oracles import audit_key_length, toeplitz_bits, toeplitz_hash_direct
 
 BENIGN_BUDGET = SecurityBudget(
     eps_pe=1e-10, eps_sm=1e-10, eps_ent=1e-10, eps_cor=1e-10,
@@ -160,10 +160,7 @@ def test_universal_hash_matches_dense_toeplitz():
     n_in, out_len, seed = 300, 37, (8, 1)
     rng = np.random.default_rng(22)
     x = rng.integers(0, 2, size=n_in).astype(np.uint8)
-    t_len = n_in + out_len - 1
-    bg = np.random.Philox(key=seed)
-    words = bg.random_raw((t_len + 63) // 64)
-    tbits = np.unpackbits(words.astype(">u8").view(np.uint8))[:t_len]
+    tbits = toeplitz_bits(seed, n_in + out_len - 1)
     dense = np.zeros((out_len, n_in), dtype=np.int64)
     for i in range(out_len):
         for j in range(n_in):
@@ -194,29 +191,25 @@ def test_universal_hash_bytes_are_frozen(n_in, out_len, seed, digest):
 
 
 def test_universal_hash_direct_and_fft_paths_agree():
-    # above ~4M input*output bit products the implementation switches to
-    # an FFT convolution; both paths must agree exactly
+    # the FFT convolution gives the exact integer convolution's parities,
+    # below and above 2^22 input*output products
     rng = np.random.default_rng(23)
     bits = rng.integers(0, 2, size=3000).astype(np.uint8)
-    direct = universal_hash(bits, 5, 1300)          # 3.9e6 products
-    fft = universal_hash(bits, 5, 1500)             # 4.5e6 products
-    np.testing.assert_array_equal(direct[:1300], fft[:1300])
+    for out_len in (1300, 1500):                    # 3.9e6 and 4.5e6
+        np.testing.assert_array_equal(universal_hash(bits, 5, out_len),
+                                      toeplitz_hash_direct(bits, 5, out_len))
 
 
 def test_universal_hash_fft_precision_loss_is_loud(monkeypatch):
     # an FFT error below 0.25 still rounds to the right integers; one at
     # 0.4 could round to the wrong neighbour, so it must raise instead
-    import scipy.signal
-
-    fftconvolve = scipy.signal.fftconvolve
+    irfft = np.fft.irfft
     rng = np.random.default_rng(23)
     bits = rng.integers(0, 2, size=3000).astype(np.uint8)
-    direct = universal_hash(bits, 5, 1300)
-    monkeypatch.setattr(scipy.signal, "fftconvolve",
-                        lambda a, b: fftconvolve(a, b) + 0.2)
-    np.testing.assert_array_equal(universal_hash(bits, 5, 1500)[:1300], direct)
-    monkeypatch.setattr(scipy.signal, "fftconvolve",
-                        lambda a, b: fftconvolve(a, b) + 0.4)
+    direct = toeplitz_hash_direct(bits, 5, 1500)
+    monkeypatch.setattr(np.fft, "irfft", lambda *a: irfft(*a) + 0.2)
+    np.testing.assert_array_equal(universal_hash(bits, 5, 1500), direct)
+    monkeypatch.setattr(np.fft, "irfft", lambda *a: irfft(*a) + 0.4)
     with pytest.raises(PrecisionLoss):
         universal_hash(bits, 5, 1500)
 
