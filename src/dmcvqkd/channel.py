@@ -2,6 +2,10 @@
 
 Round roles
 -----------
+A run of n key, m decoy and k gaussian pairs holds 2n + 2m + 2k rounds, laid
+out as three contiguous blocks in that order; the three block lengths are
+the only record of which round has which role.
+
 key      : Alice records the complex modulation amplitude (as its two
            quadrature components), Bob records a heterodyne outcome of the
            channel output.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
+from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -93,16 +97,24 @@ class ProtocolParams:
 
 @dataclass
 class QuadratureBatch:
-    """Per-round quadrature records for both parties."""
+    """Per-round quadrature records for both parties.
+
+    The rounds form a key, a decoy and a gaussian block, in that order, of
+    `counts` = (2n, 2m, 2k) rounds; `role_indices` gives each block as a
+    slice of the four record arrays.
+    """
 
     alice_x: np.ndarray
     alice_p: np.ndarray
     bob_x: np.ndarray
     bob_p: np.ndarray
-    roles: np.ndarray  # uint8 codes, see ROLE_NAMES
+    counts: tuple  # rounds per role, in ROLE_NAMES order
 
     def __post_init__(self):
-        n = self.roles.shape[0]
+        if len(self.counts) != 3 or min(self.counts) < 0:
+            raise DomainError(f"counts must be 3 round counts >= 0, "
+                              f"got {self.counts!r}")
+        n = self.n_rounds
         for name in ("alice_x", "alice_p", "bob_x", "bob_p"):
             arr = getattr(self, name)
             if arr.shape != (n,):
@@ -112,21 +124,17 @@ class QuadratureBatch:
 
     @property
     def n_rounds(self) -> int:
-        return self.roles.shape[0]
+        return sum(self.counts)
 
-    def role_indices(self, role: int) -> np.ndarray:
+    def role_indices(self, role: int) -> slice:
+        """The block of one role (ROLE_KEY, ROLE_DECOY or ROLE_GAUSSIAN).
+
+        This is the one place that turns `counts` into block edges.
+        """
         if role not in (ROLE_KEY, ROLE_DECOY, ROLE_GAUSSIAN):
             raise DomainError(f"unknown role {role!r}")
-        return np.nonzero(self.roles == role)[0]
-
-    def copy(self) -> "QuadratureBatch":
-        return QuadratureBatch(
-            self.alice_x.copy(),
-            self.alice_p.copy(),
-            self.bob_x.copy(),
-            self.bob_p.copy(),
-            self.roles.copy(),
-        )
+        first = sum(self.counts[:role])
+        return slice(first, first + self.counts[role])
 
 
 class SigmaTriple(NamedTuple):
@@ -183,29 +191,26 @@ def _gaussian_cholesky(params: ProtocolParams):
     return l11, l21, l22
 
 
-def _role_slices(params: ProtocolParams, start: int, stop: int):
+def _role_slices(batch: QuadratureBatch, start: int, stop: int):
     """(role, rows of the chunk, rows of the batch) for each role present.
 
-    `simulate_rounds` lays the roles out in key, decoy and gaussian blocks
-    of 2n, 2m and 2k rounds; each block meets [start, stop) in one slice.
+    Each role's block meets the chunk [start, stop) in one slice.
     """
-    edges = list(accumulate((0, 2 * params.n, 2 * params.m, 2 * params.k)))
-    roles = (ROLE_KEY, ROLE_DECOY, ROLE_GAUSSIAN)
-    for role, first, end in zip(roles, edges, edges[1:]):
-        first, end = max(first, start), min(end, stop)
+    for role in (ROLE_KEY, ROLE_DECOY, ROLE_GAUSSIAN):
+        block = batch.role_indices(role)
+        first, end = max(block.start, start), min(block.stop, stop)
         if first < end:
             yield role, slice(first - start, end - start), slice(first, end)
 
 
-def _fill_chunk(out, params: ProtocolParams, seed, start: int, stop: int,
-                amp_x, amp_p) -> None:
-    """Generate rounds [start, stop) into the output arrays."""
-    alice_x, alice_p, bob_x, bob_p = out
+def _fill_chunk(batch: QuadratureBatch, params: ProtocolParams, seed,
+                start: int, stop: int, amp_x, amp_p) -> None:
+    """Generate rounds [start, stop) into the batch's record arrays."""
     u = _round_uniforms(seed, start, stop - start)
     sqrt_t = math.sqrt(params.T)
     sigma = math.sqrt((2.0 + params.T * params.xi) / 2.0)
 
-    for role, rows, dst in _role_slices(params, start, stop):
+    for role, rows, dst in _role_slices(batch, start, stop):
         if role == ROLE_GAUSSIAN:
             l11, l21, l22 = _gaussian_cholesky(params)
             w1, w2 = _box_muller(u[rows, 0], u[rows, 1])
@@ -229,10 +234,10 @@ def _fill_chunk(out, params: ProtocolParams, seed, start: int, stop: int,
                 ap = s_mod * a2
             bx = sqrt_t * ax + sigma * g1
             bp = sqrt_t * ap + sigma * g2
-        alice_x[dst] = ax
-        alice_p[dst] = ap
-        bob_x[dst] = bx
-        bob_p[dst] = bp
+        batch.alice_x[dst] = ax
+        batch.alice_p[dst] = ap
+        batch.bob_x[dst] = bx
+        batch.bob_p[dst] = bp
 
 
 def simulate_rounds(params: ProtocolParams, seed,
@@ -246,23 +251,12 @@ def simulate_rounds(params: ProtocolParams, seed,
     The output is a deterministic function of (params, seed); the worker
     count only affects wall-clock time.
     """
-    n, m, k = int(params.n), int(params.m), int(params.k)
     n_workers = 1 if workers is None else int(workers)
     if n_workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers!r}")
-    n_key, n_decoy, n_gauss = 2 * n, 2 * m, 2 * k
-    total = n_key + n_decoy + n_gauss
-
-    roles = np.empty(total, dtype=np.uint8)
-    roles[:n_key] = ROLE_KEY
-    roles[n_key : n_key + n_decoy] = ROLE_DECOY
-    roles[n_key + n_decoy :] = ROLE_GAUSSIAN
-
-    alice_x = np.empty(total)
-    alice_p = np.empty(total)
-    bob_x = np.empty(total)
-    bob_p = np.empty(total)
-    out = (alice_x, alice_p, bob_x, bob_p)
+    counts = (2 * int(params.n), 2 * int(params.m), 2 * int(params.k))
+    total = sum(counts)
+    batch = QuadratureBatch(*(np.empty(total) for _ in range(4)), counts)
 
     s2a = math.sqrt(2.0) * params.alpha
     amp_x = np.array([s2a * math.cos(ph) for ph in CONSTELLATION_PHASES])
@@ -273,17 +267,18 @@ def simulate_rounds(params: ProtocolParams, seed,
     ]
     if n_workers == 1 or len(spans) == 1:
         for a, b in spans:
-            _fill_chunk(out, params, seed, a, b, amp_x, amp_p)
+            _fill_chunk(batch, params, seed, a, b, amp_x, amp_p)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = [
-                pool.submit(_fill_chunk, out, params, seed, a, b, amp_x, amp_p)
+                pool.submit(_fill_chunk, batch, params, seed, a, b, amp_x,
+                            amp_p)
                 for a, b in spans
             ]
             for fut in futures:
                 fut.result()
 
-    return QuadratureBatch(alice_x, alice_p, bob_x, bob_p, roles)
+    return batch
 
 
 def quadrant_bits(x, p) -> np.ndarray:
@@ -315,29 +310,29 @@ def apply_symmetrization(batch: QuadratureBatch,
     The transform acts on the interleaved (x, p) vector of all gaussian
     rounds.  Alice's data gets R itself; Bob's gets the conjugated map
     S R S (sign flip of p entries before and after), which preserves the
-    signed inner product sum(ax*bx - ap*bp) exactly.
+    signed inner product sum(ax*bx - ap*bp) exactly.  The new batch holds
+    rotated copies of that side's two arrays and shares the other side's;
+    the input batch is never written.
     """
     if side not in ("alice", "bob"):
         raise DomainError(f"side must be 'alice' or 'bob', got {side!r}")
-    idx = batch.role_indices(ROLE_GAUSSIAN)
-    if idx.size == 0:
+    g = batch.role_indices(ROLE_GAUSSIAN)
+    size = batch.counts[ROLE_GAUSSIAN]
+    if size == 0:
         raise EmptySelection("no gaussian-role rounds to symmetrize")
-    if transform.dim != 2 * idx.size:
+    if transform.dim != 2 * size:
         raise DimensionMismatch(
-            f"transform dim {transform.dim} != 2 * {idx.size} gaussian modes"
+            f"transform dim {transform.dim} != 2 * {size} gaussian modes"
         )
-    new = batch.copy()
     if side == "alice":
-        v = transform.apply(interleave(batch.alice_x[idx], batch.alice_p[idx]))
-        new.alice_x[idx] = v[0::2]
-        new.alice_p[idx] = v[1::2]
+        names, rotate = ("alice_x", "alice_p"), transform.apply
     else:
-        v = transform.apply_conjugate(
-            interleave(batch.bob_x[idx], batch.bob_p[idx])
-        )
-        new.bob_x[idx] = v[0::2]
-        new.bob_p[idx] = v[1::2]
-    return new
+        names, rotate = ("bob_x", "bob_p"), transform.apply_conjugate
+    x, p = (getattr(batch, name).copy() for name in names)
+    v = rotate(interleave(x[g], p[g]))
+    x[g] = v[0::2]
+    p[g] = v[1::2]
+    return replace(batch, **dict(zip(names, (x, p))))
 
 
 def empirical_sigma(batch: QuadratureBatch) -> SigmaTriple:
@@ -348,13 +343,13 @@ def empirical_sigma(batch: QuadratureBatch) -> SigmaTriple:
     so the state quadrature variance is (raw - 1); the cross term c needs
     no correction.
     """
-    idx = batch.role_indices(ROLE_GAUSSIAN)
-    if idx.size == 0:
+    g = batch.role_indices(ROLE_GAUSSIAN)
+    ax = batch.alice_x[g]
+    ap = batch.alice_p[g]
+    bx = batch.bob_x[g]
+    bp = batch.bob_p[g]
+    if ax.size == 0:
         raise EmptySelection("no gaussian-role rounds")
-    ax = batch.alice_x[idx]
-    ap = batch.alice_p[idx]
-    bx = batch.bob_x[idx]
-    bp = batch.bob_p[idx]
     return SigmaTriple(
         a=float(np.mean(ax * ax + ap * ap)),
         b=float(np.mean(bx * bx + bp * bp)),
@@ -372,14 +367,13 @@ def split_pe_sets(batch: QuadratureBatch, k: int) -> PESplit:
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k!r}")
-    idx = batch.role_indices(ROLE_GAUSSIAN)
-    if idx.size < 2 * k:
+    g = batch.role_indices(ROLE_GAUSSIAN)
+    if batch.counts[ROLE_GAUSSIAN] < 2 * k:
         raise InsufficientRounds(
-            f"need 2k={2 * k} gaussian modes, have {idx.size}"
+            f"need 2k={2 * k} gaussian modes, have {batch.counts[ROLE_GAUSSIAN]}"
         )
-    idx = idx[: 2 * k]
-    h1 = idx[0::2]
-    h2 = idx[1::2]
+    h1 = slice(g.start, g.start + 2 * k, 2)
+    h2 = slice(g.start + 1, g.start + 2 * k, 2)
     return PESplit(
         x1=interleave(batch.alice_x[h1], batch.alice_p[h1]),
         y1=interleave(batch.bob_x[h1], batch.bob_p[h1]),
@@ -430,9 +424,13 @@ def export_batch(batch: QuadratureBatch, path) -> None:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for start in range(0, total, CHUNK_ROUNDS):
             stop = min(start + CHUNK_ROUNDS, total)
+            names = chain.from_iterable(
+                repeat(ROLE_NAMES[role], part.stop - part.start)
+                for role, part, _ in _role_slices(batch, start, stop)
+            )
             rows = zip(
                 range(start, stop),
-                [ROLE_NAMES[r] for r in batch.roles[start:stop].tolist()],
+                names,
                 batch.alice_x[start:stop].tolist(),
                 batch.alice_p[start:stop].tolist(),
                 batch.bob_x[start:stop].tolist(),

@@ -429,13 +429,13 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     region = pe_decision(gammas, params.v_a + 1.0, cfg.T, cfg.xi, deltas,
                          budget.eps_pe)
 
-    kidx = batch.role_indices(ROLE_KEY)
-    quad = quadrant_bits(batch.alice_x[kidx], batch.alice_p[kidx])
+    key = batch.role_indices(ROLE_KEY)
+    quad = quadrant_bits(batch.alice_x[key], batch.alice_p[key])
     h_mle = mle_entropy(np.bincount(quad, minlength=4)) / 2.0
 
     # reverse reconciliation on the interleaved key-quadrature stream
-    stream_b = interleave(batch.bob_x[kidx], batch.bob_p[kidx])
-    stream_a = interleave(batch.alice_x[kidx], batch.alice_p[kidx])
+    stream_b = interleave(batch.bob_x[key], batch.bob_p[key])
+    stream_a = interleave(batch.alice_x[key], batch.alice_p[key])
     y_hard, side, disclosed = repetition_reconcile(stream_b, cfg.k_rep)
     decoded = repetition_decode(stream_a, side, cfg.k_rep)
     block_errors = int(np.count_nonzero(decoded != y_hard))
@@ -445,11 +445,12 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
                            seed=(cfg.seed, 2))
     leak_ec = float(disclosed + hash_length(budget.eps_cor))
 
-    # energy test on the first k_test decoy modes; Alice's record is the
-    # sent amplitude, so its power is already a state-energy estimate
-    didx = batch.role_indices(ROLE_DECOY)[: cfg.k_test]
-    energy_a = 0.5 * (batch.alice_x[didx] ** 2 + batch.alice_p[didx] ** 2)
-    energy_b = heterodyne_energy(batch.bob_x[didx], batch.bob_p[didx])
+    # energy test on the first k_test <= 2m decoy modes; Alice's record is
+    # the sent amplitude, so its power is already a state-energy estimate
+    first = batch.role_indices(ROLE_DECOY).start
+    test = slice(first, first + cfg.k_test)
+    energy_a = 0.5 * (batch.alice_x[test] ** 2 + batch.alice_p[test] ** 2)
+    energy_b = heterodyne_energy(batch.bob_x[test], batch.bob_p[test])
     etc = _energy_config(cfg, budget)
     energy_ok = energy_test(energy_a, energy_b, etc)
 

@@ -217,13 +217,21 @@ def composition_key_length(alpha, T, xi, beta, n, k, eps_pe, eps_sm,
     return modes * (2.0 * 1.0 - f) - leak - d_aep - d_ent
 
 
+def role_codes(counts) -> np.ndarray:
+    """The role code (an index into ROLE_NAMES) of every round of a batch
+    laid out in key, decoy and gaussian blocks of `counts` rounds."""
+    return np.repeat(np.arange(len(counts), dtype=np.uint8), counts)
+
+
 def export_batch_rows(batch, path) -> None:
     """batch.csv written one csv-module row at a time.
 
     This is the simulator's original writer, kept as the byte-level
     reference for `channel.export_batch`: the csv module's default dialect
     (comma, minimal quoting, CRLF line ends) and numpy-scalar f-strings.
+    Each row's role comes from the batch's block lengths.
     """
+    roles = role_codes(batch.counts)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(BATCH_HEADER)
@@ -231,7 +239,7 @@ def export_batch_rows(batch, path) -> None:
             w.writerow(
                 (
                     i,
-                    ROLE_NAMES[batch.roles[i]],
+                    ROLE_NAMES[roles[i]],
                     f"{batch.alice_x[i]:.17g}",
                     f"{batch.alice_p[i]:.17g}",
                     f"{batch.bob_x[i]:.17g}",

@@ -10,6 +10,7 @@ from scipy import stats
 from dmcvqkd import cli
 from dmcvqkd.channel import (
     CHUNK_ROUNDS,
+    ROLE_DECOY,
     ROLE_GAUSSIAN,
     ROLE_KEY,
     WORDS_PER_ROUND,
@@ -27,6 +28,7 @@ from dmcvqkd.channel import (
 )
 from dmcvqkd.errors import (
     ConfigError,
+    DimensionMismatch,
     DomainError,
     EmptySelection,
     InsufficientRounds,
@@ -34,20 +36,23 @@ from dmcvqkd.errors import (
 from dmcvqkd.modulation import correlation_z
 from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
 from dmcvqkd.rotations import OrthogonalTransform, _philox_uniforms
-from oracles import export_batch_rows, import_batch
+from oracles import export_batch_rows, import_batch, role_codes
 
 PARAMS = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=400, m=300, k=500)
+RECORDS = ("alice_x", "alice_p", "bob_x", "bob_p")
 
 
 def test_layout_and_counts():
     batch = simulate_rounds(PARAMS, seed=42)
-    # role codes: 0 key, 1 decoy, 2 gaussian
-    assert np.bincount(batch.roles).tolist() == [800, 600, 1000]
+    assert batch.counts == (800, 600, 1000)
     assert batch.n_rounds == 2 * (400 + 300 + 500)
-    # block order: key, decoy, gaussian
-    assert np.all(batch.roles[:800] == batch.roles[0])
-    assert np.all(batch.roles[800:1400] == batch.roles[800])
-    assert np.all(batch.roles[1400:] == batch.roles[1400])
+    # role codes: 0 key, 1 decoy, 2 gaussian, in that block order; exactly
+    # the key rounds carry Alice's +-alpha symbol amplitudes
+    roles = role_codes(batch.counts)
+    assert np.bincount(roles).tolist() == [800, 600, 1000]
+    assert np.all(np.diff(roles) >= 0)
+    symbol = np.isclose(np.abs(batch.alice_x), 0.5, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(symbol, roles == 0)
 
 
 def test_key_modes_use_exact_symbol_amplitudes():
@@ -65,25 +70,32 @@ def test_deterministic_across_workers_and_reruns():
     a = simulate_rounds(PARAMS, seed=7, workers=1)
     b = simulate_rounds(PARAMS, seed=7, workers=4)
     c = simulate_rounds(PARAMS, seed=7, workers=1)
-    for name in ("alice_x", "alice_p", "bob_x", "bob_p", "roles"):
+    for name in RECORDS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         np.testing.assert_array_equal(getattr(a, name), getattr(c, name))
+    assert a.counts == b.counts == c.counts == (800, 600, 1000)
     d = simulate_rounds(PARAMS, seed=8)
     assert not np.array_equal(a.bob_x, d.bob_x)
 
 
 def test_counts_override():
     batch = simulate_rounds(replace(PARAMS, n=5, m=0, k=3), seed=1)
-    assert np.bincount(batch.roles).tolist() == [10, 0, 6]
+    assert np.bincount(role_codes(batch.counts)).tolist() == [10, 0, 6]
     with pytest.raises(ConfigError):
         replace(PARAMS, n=0, m=0, k=0)
 
 
 def test_role_indices_take_role_codes():
-    batch = simulate_rounds(replace(PARAMS, n=5, m=0, k=3), seed=1)
-    assert batch.role_indices(ROLE_GAUSSIAN).tolist() == list(range(10, 16))
-    # a role name would compare unequal to every uint8 code and select
-    # nothing; it is rejected instead
+    # each role's block is a slice, empty blocks included, and the slices
+    # tile the batch in key, decoy, gaussian order
+    for counts in ((10, 0, 6), (0, 4, 0), (0, 0, 2), (6, 4, 2), (0, 0, 0)):
+        empty = np.zeros(sum(counts))
+        batch = QuadratureBatch(empty, empty, empty, empty, counts)
+        blocks = [batch.role_indices(r)
+                  for r in (ROLE_KEY, ROLE_DECOY, ROLE_GAUSSIAN)]
+        starts = np.cumsum((0,) + counts)
+        assert blocks == [slice(a, b) for a, b in zip(starts, starts[1:])]
+    # a role name is rejected, not taken for a code
     with pytest.raises(DomainError):
         batch.role_indices("key")
 
@@ -137,12 +149,13 @@ def test_split_pe_sets_shapes_and_content():
     split = split_pe_sets(batch, 500)
     for v in split:
         assert v.shape == (1000,)
-    gauss = batch.role_indices(ROLE_GAUSSIAN)
+    first = batch.role_indices(ROLE_GAUSSIAN).start
     # half 1 holds the even-ordinal gaussian modes, interleaved (x, p)
-    assert split.x1[0] == batch.alice_x[gauss[0]]
-    assert split.x1[1] == batch.alice_p[gauss[0]]
-    assert split.x2[0] == batch.alice_x[gauss[1]]
-    assert split.y1[2] == batch.bob_x[gauss[2]]
+    assert split.x1[0] == batch.alice_x[first]
+    assert split.x1[1] == batch.alice_p[first]
+    assert split.x2[0] == batch.alice_x[first + 1]
+    assert split.y1[2] == batch.bob_x[first + 2]
+    assert split.y2[-1] == batch.bob_p[first + 999]
     with pytest.raises(InsufficientRounds):
         split_pe_sets(batch, 501)
 
@@ -190,6 +203,26 @@ def test_symmetrization_preserves_empirical_sigma():
     # non-gaussian rounds untouched
     key = batch.role_indices(ROLE_KEY)
     np.testing.assert_array_equal(rotated.alice_x[key], batch.alice_x[key])
+
+
+@pytest.mark.parametrize("side", ["alice", "bob"])
+def test_symmetrization_rotates_a_copy_of_one_side(side):
+    batch = simulate_rounds(PARAMS, seed=14)
+    before = [getattr(batch, name).tobytes() for name in RECORDS]
+    rot = OrthogonalTransform.random(2 * 1000, seed=(14, 1))
+    out = apply_symmetrization(batch, rot, side)
+    # the input batch is bit-identical afterwards
+    assert [getattr(batch, name).tobytes() for name in RECORDS] == before
+    g = batch.role_indices(ROLE_GAUSSIAN)
+    for name in RECORDS:
+        new, old = getattr(out, name), getattr(batch, name)
+        if name.startswith(side):
+            assert not np.shares_memory(new, old)
+            assert new[: g.start].tobytes() == old[: g.start].tobytes()
+            assert not np.array_equal(new[g], old[g])
+        else:
+            assert new is old
+    assert out.counts == batch.counts
 
 
 @pytest.mark.parametrize("xi_actual", [None, 0.5])
@@ -247,8 +280,9 @@ def test_export_import_round_trip(tmp_path):
     path = tmp_path / "batch.csv"
     export_batch(batch, path)
     back = import_batch(path)
-    for name in ("alice_x", "alice_p", "bob_x", "bob_p", "roles"):
+    for name in RECORDS:
         np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
+    np.testing.assert_array_equal(back.roles, role_codes(batch.counts))
 
 
 def assert_export_matches_reference(batch, tmp_path):
@@ -271,30 +305,34 @@ def test_export_bytes_match_reference_on_extreme_values(tmp_path):
     values = np.array([-0.0, 5e-324, big, -big, math.nan, math.inf, -math.inf,
                        0.1, 1.0 / 3.0, -2.0 / 3.0, 123456789.01234567, 1e-300])
     n = values.size
-    roles = np.array([2, 0, 1, 0, 2, 1, 1, 2, 0, 0, 2, 1], dtype=np.uint8)
     batch = QuadratureBatch(values, values[::-1].copy(), np.roll(values, 3),
-                            np.roll(values, 7), roles)
+                            np.roll(values, 7), (4, 3, 5))
     text = assert_export_matches_reference(batch, tmp_path).decode()
     assert text.count("\r\n") == n + 1
-    assert "\r\n0,gaussian,-0,1e-300,-0.66666666666666663,inf\r\n" in text
+    assert "\r\n0,key,-0,1e-300,-0.66666666666666663,inf\r\n" in text
+    assert "\r\n4,decoy,nan," in text and "\r\n11,gaussian,1e-300," in text
     assert "4.9406564584124654e-324" in text and ",nan" in text
     assert "-1.7976931348623157e+308" in text
 
 
 def test_export_of_empty_batch_is_header_only(tmp_path):
     empty = np.zeros(0)
-    batch = QuadratureBatch(empty, empty, empty, empty,
-                            np.zeros(0, dtype=np.uint8))
+    batch = QuadratureBatch(empty, empty, empty, empty, (0, 0, 0))
     got = assert_export_matches_reference(batch, tmp_path)
     assert got == b"round,role,ax,ap,bx,bp\r\n"
 
 
 def test_batch_shape_validation():
-    with pytest.raises(Exception):
-        QuadratureBatch(
-            np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2),
-            np.zeros(3, dtype=np.uint8),
-        )
+    three = np.zeros(3)
+    with pytest.raises(DimensionMismatch):
+        QuadratureBatch(three, three, three, np.zeros(2), (1, 1, 1))
+    # every array must be as long as the blocks together
+    for counts in ((1, 1, 2), (1, 1, 0), (0, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            QuadratureBatch(three, three, three, three, counts)
+    for counts in ((3,), (1, 1, 1, 0), (4, -2, 1)):
+        with pytest.raises(DomainError):
+            QuadratureBatch(three, three, three, three, counts)
 
 
 def test_protocol_params_validation():
