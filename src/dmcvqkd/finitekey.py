@@ -215,8 +215,10 @@ def universal_hash(bits, seed, out_len: int) -> np.ndarray:
     bg = np.random.Philox(key=seed)
     words = bg.random_raw((t_len + 63) // 64)
     tbits = np.unpackbits(words.astype(">u8").view(np.uint8))[:t_len]
-    # out[i] = parity of sum_j x[j] * t[n_in - 1 + i - j]: a Toeplitz form
-    size = n_in + t_len - 1
+    # out[i] = parity of sum_j x[j] * t[n_in - 1 + i - j]: a Toeplitz form.
+    # These entries of x * t take no wrap-around in a cyclic convolution of
+    # any length >= t_len; a power of two keeps the FFT fast at every size
+    size = 1 << (t_len - 1).bit_length()
     conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(tbits, size), size)
     seg = conv[n_in - 1 : n_in - 1 + out_len]
     # every entry is an integer count; a residual near 0.5 would round to
