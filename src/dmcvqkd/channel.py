@@ -317,7 +317,7 @@ def apply_symmetrization(batch: QuadratureBatch,
     if side not in ("alice", "bob"):
         raise DomainError(f"side must be 'alice' or 'bob', got {side!r}")
     g = batch.role_indices(ROLE_GAUSSIAN)
-    size = batch.counts[ROLE_GAUSSIAN]
+    size = g.stop - g.start
     if size == 0:
         raise EmptySelection("no gaussian-role rounds to symmetrize")
     if transform.dim != 2 * size:
@@ -368,10 +368,9 @@ def split_pe_sets(batch: QuadratureBatch, k: int) -> PESplit:
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k!r}")
     g = batch.role_indices(ROLE_GAUSSIAN)
-    if batch.counts[ROLE_GAUSSIAN] < 2 * k:
-        raise InsufficientRounds(
-            f"need 2k={2 * k} gaussian modes, have {batch.counts[ROLE_GAUSSIAN]}"
-        )
+    have = g.stop - g.start
+    if have < 2 * k:
+        raise InsufficientRounds(f"need 2k={2 * k} gaussian modes, have {have}")
     h1 = slice(g.start, g.start + 2 * k, 2)
     h2 = slice(g.start + 1, g.start + 2 * k, 2)
     return PESplit(
