@@ -51,8 +51,7 @@ def lambda_ratio_sum(lam: np.ndarray) -> float:
     """
     if np.any(lam <= 0.0):
         raise DomainError("lambda weights must be positive")
-    nxt = np.roll(lam, -1)
-    return float(np.sum(lam ** 1.5 / np.sqrt(nxt)))
+    return float(np.sum(lam ** 1.5 / np.sqrt(lam[[1, 2, 3, 0]])))
 
 
 def correlation_z(alpha: float) -> float:

@@ -37,6 +37,13 @@ def test_lambda_ratio_sum_frozen():
     )
 
 
+def test_lambda_ratio_sum_matches_the_roll_form_bit_for_bit():
+    for alpha in np.geomspace(0.05, 50.0, 400):
+        lam = lambda_weights(float(alpha))
+        rolled = float(np.sum(lam ** 1.5 / np.sqrt(np.roll(lam, -1))))
+        assert lambda_ratio_sum(lam) == rolled
+
+
 def test_correlation_frozen():
     assert correlation_z(0.5) == pytest.approx(1.0965440197951635, rel=1e-14)
 

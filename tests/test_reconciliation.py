@@ -16,7 +16,15 @@ from dmcvqkd.reconciliation import (
     verify_hash,
 )
 
-from oracles import gaussian_capacity, repetition_block_error
+from oracles import (
+    biawgn_capacity_array,
+    gaussian_capacity,
+    repetition_block_error,
+)
+
+# the golden sweep's T grid on the benign config (alpha 0.5, xi 0.01)
+GOLDEN_SWEEP_SNRS = [snr(0.5, T, 0.01)
+                     for T in (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)]
 
 
 def test_snr_frozen():
@@ -32,6 +40,19 @@ def test_gaussian_capacity_reference():
 
 def test_biawgn_capacity_frozen():
     assert biawgn_capacity(1.0) == pytest.approx(0.48594415413293524, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "s", [float(s) for s in np.logspace(-6, math.log10(200.0), 52)]
+    + GOLDEN_SWEEP_SNRS + [1.0])
+def test_biawgn_capacity_matches_the_array_form_bit_for_bit(s):
+    assert biawgn_capacity(s) == biawgn_capacity_array(s)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_biawgn_capacity_rejects_non_positive_and_non_finite_snr(s):
+    with pytest.raises(DomainError, match="s must be finite and > 0"):
+        biawgn_capacity(s)
 
 
 def test_biawgn_capacity_invariants():
