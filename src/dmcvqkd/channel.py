@@ -29,7 +29,6 @@ parallel schedule.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import NamedTuple, Optional
@@ -44,7 +43,8 @@ from .errors import (
     InsufficientRounds,
 )
 from .modulation import CONSTELLATION_PHASES, correlation_z
-from .rotations import OrthogonalTransform
+from .parallel import run_parts
+from .rotations import OrthogonalTransform, _philox_uniforms
 
 ROLE_KEY = 0
 ROLE_DECOY = 1
@@ -159,13 +159,10 @@ def _round_uniforms(seed, start: int, count: int) -> np.ndarray:
 
     Round r always maps to Philox counter words [8r, 8r+8), so any chunking
     of the round range reproduces identical values.  Every role reads words
-    0-3 of its window; words 4-7 are reserved.  Generator.random turns each
-    word into (word >> 11) * 2^-53.
+    0-3 of its window; words 4-7 are reserved.
     """
-    bg = np.random.Philox(key=seed)
-    # advance() steps the 128-bit counter, 4 output words per step
-    bg.advance(start * (WORDS_PER_ROUND // 4))
-    u = np.random.Generator(bg).random(count * WORDS_PER_ROUND)
+    u = _philox_uniforms(seed, count * WORDS_PER_ROUND,
+                         start * WORDS_PER_ROUND)
     return u.reshape(count, WORDS_PER_ROUND)[:, :4]
 
 
@@ -248,12 +245,10 @@ def simulate_rounds(params: ProtocolParams, seed,
     `params`, laid out in that block order.  One "round" of the batch is
     one mode: two quadratures per side.
 
-    The output is a deterministic function of (params, seed); the worker
-    count only affects wall-clock time.
+    The output is a deterministic function of (params, seed): each chunk
+    of CHUNK_ROUNDS rounds reads its own counter window, so `workers`
+    (threads; None means every usable core) only affects wall-clock time.
     """
-    n_workers = 1 if workers is None else int(workers)
-    if n_workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers!r}")
     counts = (2 * int(params.n), 2 * int(params.m), 2 * int(params.k))
     total = sum(counts)
     batch = QuadratureBatch(*(np.empty(total) for _ in range(4)), counts)
@@ -263,21 +258,10 @@ def simulate_rounds(params: ProtocolParams, seed,
     amp_p = np.array([s2a * math.sin(ph) for ph in CONSTELLATION_PHASES])
 
     spans = [
-        (a, min(a + CHUNK_ROUNDS, total)) for a in range(0, total, CHUNK_ROUNDS)
+        (batch, params, seed, a, min(a + CHUNK_ROUNDS, total), amp_x, amp_p)
+        for a in range(0, total, CHUNK_ROUNDS)
     ]
-    if n_workers == 1 or len(spans) == 1:
-        for a, b in spans:
-            _fill_chunk(batch, params, seed, a, b, amp_x, amp_p)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_fill_chunk, batch, params, seed, a, b, amp_x,
-                            amp_p)
-                for a, b in spans
-            ]
-            for fut in futures:
-                fut.result()
-
+    run_parts(_fill_chunk, spans, workers)
     return batch
 
 

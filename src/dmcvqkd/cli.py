@@ -77,8 +77,10 @@ class RunConfig:
     `None` means "derive the documented default": epsilon components split
     the total budget equally, energy thresholds d_a/d_b default to three
     times the expected per-mode energies, eta to its feasibility boundary,
-    and xi_actual (the channel truth used by `simulate`) to xi.  alpha lies
-    in [ALPHA_MIN, ALPHA_MAX]; xi and xi_actual are capped at XI_MAX.
+    xi_actual (the channel truth used by `simulate`) to xi, and workers
+    (threads; never affects outputs) to every usable core.  alpha lies in
+    [ALPHA_MIN, ALPHA_MAX]; xi and xi_actual are capped at XI_MAX, workers
+    at WORKERS_MAX.
     """
 
     alpha: float = 0.5
@@ -102,7 +104,7 @@ class RunConfig:
     k_rep: int = 256
     seed: int = 12345
     out: str = "."
-    workers: int = 1
+    workers: Optional[int] = None
     trials: int = 100000
     log_base: str = "natural"
     delta_ent_mode: str = "paper"
@@ -134,6 +136,9 @@ ALPHA_MIN = 0.05
 # rejected here by name instead of failing downstream.
 ALPHA_MAX = 1e3
 XI_MAX = 1e6
+# Upper limit of the thread count: far above any core count this package
+# can use, it keeps a typo from asking for millions of threads.
+WORKERS_MAX = 256
 # fields whose None default means "derive it"; every other field needs a value
 _OPTIONAL_FIELDS = tuple(
     f.name for f in dataclasses.fields(RunConfig) if f.default is None
@@ -192,10 +197,15 @@ def validate_config(cfg: RunConfig) -> None:
              f"must lie in (0, 1], got {cfg.beta!r}")
     for name in _INT_FIELDS:
         val = getattr(cfg, name)
+        if val is None and name in _OPTIONAL_FIELDS:
+            continue
         _require(isinstance(val, int) and not isinstance(val, bool),
                  name, f"must be an integer, got {val!r}")
-    for name in ("n", "m", "k", "k_test", "k_rep", "workers"):
+    for name in ("n", "m", "k", "k_test", "k_rep"):
         _require(getattr(cfg, name) >= 1, name, "must be >= 1")
+    if cfg.workers is not None:
+        _require(1 <= cfg.workers <= WORKERS_MAX, "workers",
+                 f"must lie in [1, {WORKERS_MAX}], got {cfg.workers!r}")
     _require(cfg.trials >= 1, "trials", "must be >= 1")
     _require(cfg.seed >= 0, "seed", "must be a non-negative integer")
     for name in ("eps_total", "eps_pe", "eps_sm", "eps_ent", "eps_cor"):
@@ -467,7 +477,8 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
 
     out = _outdir(cfg)
     if batch_csv:
-        transform = OrthogonalTransform.random(4 * cfg.k, (cfg.seed, 1))
+        transform = OrthogonalTransform.random(4 * cfg.k, (cfg.seed, 1),
+                                               cfg.workers)
         batch = apply_symmetrization(batch, transform, "alice")
         batch = apply_symmetrization(batch, transform, "bob")
         export_batch(batch, out / "batch.csv")
@@ -506,7 +517,8 @@ def run_validate_bounds(cfg: RunConfig) -> int:
             f"config field 'trials': need >= 1000 for stable frequencies, "
             f"got {cfg.trials!r}"
         )
-    rows = validate_mod.run_all(cfg.seed, cfg.trials, cfg.log_base)
+    rows = validate_mod.run_all(cfg.seed, cfg.trials, cfg.log_base,
+                                cfg.workers)
     out = _outdir(cfg)
     _write_csv(out / "bounds.csv", validate_mod.BoundRow.CSV_HEADER,
                [astuple(r) for r in rows])

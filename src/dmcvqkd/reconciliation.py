@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, LengthError
 from .finitekey import universal_hash
 
-#: absolute quadrature tolerance for the capacity integral
+#: absolute and relative quadrature tolerance for the capacity integral
 _QUAD_TOL = 1e-10
 
 
@@ -39,10 +39,12 @@ def biawgn_capacity(s: float) -> float:
 
     C = -int phi_s log2 phi_s dx - (1/2) log2(2 pi e) + (1/2) log2 s,
     with phi_s the equal mixture of unit-separated Gaussians of variance
-    1/s.  Deterministic adaptive quadrature, absolute error <= 1e-8.  The
-    integrand runs on Python floats with ``np.exp`` and ``** 2``: libm's
-    ``math.exp`` and ``a * a`` differ in the last bit at some x, and only
-    this form gives the bits of the array form that golden.json froze.
+    1/s.  Deterministic adaptive quadrature: QUADPACK's error estimate
+    ends at most max(epsabs, epsrel * |integral|), with epsabs = epsrel =
+    _QUAD_TOL = 1e-10.  The integrand runs on Python floats with ``np.exp``
+    and ``** 2``: libm's ``math.exp`` and ``a * a`` differ in the last bit
+    at some x, and only this form gives the bits of the array form that
+    golden.json froze.
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"s must be finite and > 0, got {s!r}")

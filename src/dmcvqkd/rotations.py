@@ -8,7 +8,9 @@ on the real d coordinates.
 
 Angles are drawn from a counter-based generator keyed by the seed, one
 64-bit word per kept pair, in layer-major / index-minor order, so a
-transform is reproducible from (dim, seed) alone.
+transform is reproducible from (dim, seed) alone.  Word w of that stream
+does not depend on where a reader starts, so the angles are built in
+parts on several threads with the same bits.
 
 A layer with stride s = 2^l is applied on reshaped views of the vector:
 the first 2s * (d // 2s) entries, viewed as (blocks, 2, s), pair row 0 of
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
+from .parallel import run_parts, thread_count
 
 
 def kernel_name() -> str:
@@ -35,12 +38,29 @@ def kernel_name() -> str:
     return "numpy"
 
 
-def _philox_uniforms(seed, count: int) -> np.ndarray:
-    """`count` uniforms in [0, 1) from a Philox stream keyed by `seed`.
+def _philox_uniforms(seed, count: int, start: int = 0) -> np.ndarray:
+    """Uniforms in [0, 1) from words [start, start+count) of a Philox stream.
 
-    Generator.random turns each 64-bit word into (word >> 11) * 2^-53.
+    The stream is keyed by `seed`; `start` must be a multiple of 4, the
+    words of one Philox block.  Generator.random turns each 64-bit word
+    into (word >> 11) * 2^-53.
     """
-    return np.random.Generator(np.random.Philox(key=seed)).random(count)
+    bg = np.random.Philox(key=seed)
+    # advance() steps the 128-bit counter, 4 output words per step
+    bg.advance(start // 4)
+    return np.random.Generator(bg).random(count)
+
+
+def _angles(seed, start: int, stop: int, cos: np.ndarray,
+            sin: np.ndarray) -> None:
+    """cos and sin of the angles of words [start, stop), written in place."""
+    theta = (2.0 * math.pi) * _philox_uniforms(seed, stop - start, start)
+    np.cos(theta, out=cos[start:stop])
+    np.sin(theta, out=sin[start:stop])
+
+
+#: strides up to this one are rotated in column-major order (`_Layer.rotate`)
+_COLUMN_MAJOR_MAX = 4
 
 
 def _layer_shape(dim: int, stride: int) -> tuple:
@@ -74,27 +94,31 @@ class _Layer:
         full = blocks * s
         if blocks:
             view = v[: 2 * full].reshape(blocks, 2, s)
+            # numpy loops over the last axis innermost; for a few columns
+            # the column-major order gives it the long loops instead
             _rotate(view[:, 0, :], view[:, 1, :],
                     self.cos[:full].reshape(blocks, s),
-                    self.sin[:full].reshape(blocks, s))
+                    self.sin[:full].reshape(blocks, s),
+                    "F" if s <= _COLUMN_MAJOR_MAX else "K")
         if tail:
             start = 2 * full
             _rotate(v[start : start + tail], v[start + s : start + s + tail],
                     self.cos[full:], self.sin[full:])
 
 
-def _rotate(a, b, c, s) -> None:
+def _rotate(a, b, c, s, order: str = "K") -> None:
     """(a, b) <- (c*a + s*b, (-s)*a + c*b) on disjoint views, in place.
 
     b gets c*b - s*a, which is (-s)*a + c*b bit for bit: negation is exact
-    and IEEE addition is commutative.
+    and IEEE addition is commutative.  `order` is the ufuncs' iteration
+    order; each element gets the same operations in any order.
     """
-    new_a = c * a
-    tmp = s * b
-    new_a += tmp
-    np.multiply(s, a, out=tmp)
-    b *= c
-    b -= tmp
+    new_a = np.multiply(c, a, order=order)
+    tmp = np.multiply(s, b, order=order)
+    np.add(new_a, tmp, out=new_a, order=order)
+    np.multiply(s, a, out=tmp, order=order)
+    np.multiply(b, c, out=b, order=order)
+    np.subtract(b, tmp, out=b, order=order)
     a[...] = new_a
 
 
@@ -106,7 +130,12 @@ class OrthogonalTransform:
     layers: tuple
 
     @classmethod
-    def random(cls, dim: int, seed) -> "OrthogonalTransform":
+    def random(cls, dim: int, seed, workers=None) -> "OrthogonalTransform":
+        """The transform of (dim, seed); `workers` threads build the angles.
+
+        None means every usable core; the result is the same for any
+        count.  The layers hold views of one cos and one sin array.
+        """
         if dim < 1:
             raise DomainError(f"dim must be >= 1, got {dim!r}")
         strides = [1 << layer for layer in range((dim - 1).bit_length())]
@@ -114,14 +143,19 @@ class OrthogonalTransform:
         for stride in strides:
             blocks, tail = _layer_shape(dim, stride)
             counts.append(blocks * stride + tail)
-        u = _philox_uniforms(seed, sum(counts))
+        total = sum(counts)
+        cos, sin = np.empty(total), np.empty(total)
+        # one contiguous part per thread, each starting on a Philox block
+        size = 4 * max(1, -(-total // (4 * thread_count(workers))))
+        run_parts(_angles, [(seed, a, min(a + size, total), cos, sin)
+                            for a in range(0, total, size)], workers)
         layers = []
         pos = 0
         for stride, count in zip(strides, counts):
-            theta = (2.0 * math.pi) * u[pos : pos + count]
-            pos += count
             layers.append(_Layer(dim=dim, stride=stride,
-                                 cos=np.cos(theta), sin=np.sin(theta)))
+                                 cos=cos[pos : pos + count],
+                                 sin=sin[pos : pos + count]))
+            pos += count
         return cls(dim=dim, layers=tuple(layers))
 
     def _check(self, v: np.ndarray) -> np.ndarray:

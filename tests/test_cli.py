@@ -79,6 +79,21 @@ def test_validate_config_names_offending_field():
         validate_config(RunConfig(eps_total=None))
 
 
+@pytest.mark.parametrize("value", [0, -1, True, 1.5, "2",
+                                   cli.WORKERS_MAX + 1, 10 ** 30])
+def test_bad_thread_count_is_named(value):
+    # checked by validate_config alone, so no test starts that many threads
+    with pytest.raises(ConfigError, match="config field 'workers'"):
+        config_from_dict({"workers": value})
+
+
+def test_thread_count_defaults_to_every_usable_core():
+    assert RunConfig().workers is None
+    assert config_from_dict({"workers": None}).workers is None
+    assert config_from_dict({"workers": cli.WORKERS_MAX}).workers == \
+        cli.WORKERS_MAX
+
+
 @pytest.mark.parametrize("field, value", [
     ("d_a", float("inf")),
     ("xi", 1e300),

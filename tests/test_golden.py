@@ -2,9 +2,10 @@
 
 Each run goes through `cli.main` in-process.  The manifest holds, per run,
 the sha256 of every file written, the exit code and the stdout with the
-output directory replaced by `<out>`.  Each `simulate` run is checked with
-workers 1 and 2 against the same entry.  A digest may change only together
-with a CHANGES.md line that names the run, the file and the reason.
+output directory replaced by `<out>`.  Each `simulate` and `validate-bounds`
+run is checked with workers 1 and 2 against the same entry.  A digest may
+change only together with a CHANGES.md line that names the run, the file
+and the reason.
 
 Rewrite the manifest from the current code with
 
@@ -55,7 +56,8 @@ RUNS = {
     "help-validate-bounds": (["validate-bounds", "--help"], None),
 }
 CASES = [(name, w) for name in RUNS
-         for w in ((1, 2) if name.startswith("simulate") else (1,))]
+         for w in ((1, 2) if name.startswith(("simulate", "validate"))
+                   else (1,))]
 
 
 def versions() -> dict:

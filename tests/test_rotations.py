@@ -142,5 +142,39 @@ def test_transform_and_round_uniform_bytes_are_frozen():
         "ebaf9ea42b6352358877a306f7c12f69826fc4e569d5a1ed21732c9b62f49575"
 
 
+# (dim, seed) -> sha256 of apply(v) and apply_conjugate(v), v as above;
+# 40000 holds 298432 angles and 40001 holds 298437, so their angle words
+# split unevenly over 2 and 3 threads
+TRANSFORM_PINS = {
+    40000: ("e01339bfe56e6d54c6d3835303cb78c50c20f9ff71f1a92865aa73b345c93499",
+            "a175af5336e57493d1afadd0ce103eb64eabd44315aa50f04fb3bf68ca2ea6eb"),
+    40001: ("4999c8f09f46d78559905cbf788995a24f0f3acc60cadf2205ba4705eb8668b2",
+            "40991c3ab96f9f24f2d7a44d96d4d4421bbe506da9b88d625b7c3bc03bb3187a"),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(TRANSFORM_PINS))
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_transform_bytes_do_not_depend_on_workers(dim, workers):
+    rot = OrthogonalTransform.random(dim, (1, 1), workers=workers)
+    assert sum(lay.cos.size for lay in rot.layers) % 8 == \
+        {40000: 0, 40001: 5}[dim]
+    v = np.random.default_rng(2024).normal(size=dim)
+    assert (_sha256(rot.apply(v)), _sha256(rot.apply_conjugate(v))) == \
+        TRANSFORM_PINS[dim]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
+def test_small_transforms_do_not_depend_on_workers(dim):
+    # fewer angle words than threads: the parts start on Philox blocks of
+    # 4 words, so some threads get none
+    one = OrthogonalTransform.random(dim, 8, workers=1)
+    three = OrthogonalTransform.random(dim, 8, workers=3)
+    assert len(one.layers) == len(three.layers)
+    for a, b in zip(one.layers, three.layers):
+        assert a.cos.tobytes() == b.cos.tobytes()
+        assert a.sin.tobytes() == b.sin.tobytes()
+
+
 def test_kernel_name_reported():
     assert kernel_name() == "numpy"

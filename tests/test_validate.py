@@ -149,6 +149,14 @@ def test_run_all_deterministic():
     assert obs_a != obs_c
 
 
+def test_run_all_does_not_depend_on_workers():
+    # every chunk draws from its own (seed, row, chunk) substream and
+    # returns integer counts, so any thread count gives the same rows
+    rows = {w: [_cells(r) for r in run_all(seed=5, trials=2000, workers=w)]
+            for w in (1, 2, 4)}
+    assert rows[1] == rows[2] == rows[4]
+
+
 def test_validity_edge_row():
     rows = run_all(seed=99, trials=1000)
     edge = [r for r in rows if r.lemma == "lemma4-validity-edge"]
