@@ -573,33 +573,26 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, help_text in (
+        ("keyrate", "analytic finite-size key length for one config"),
+        ("sweep", "keyrate along a grid of one numeric config field"),
+        ("simulate", "seeded end-to-end protocol run with transcript"),
+        ("validate-bounds", "Monte Carlo check of every tail bound"),
+    ):
+        subs[name] = sub.add_parser(
+            name, help=help_text, epilog=_csv_docs(),
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        _add_common_flags(subs[name])
 
-    p_key = sub.add_parser(
-        "keyrate", help="analytic finite-size key length for one config",
-        epilog=_csv_docs(), formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common_flags(p_key)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="keyrate along a grid of one numeric config field",
-        epilog=_csv_docs(), formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--axis", required=True,
-                         help=f"config field to scan; one of {SWEEP_AXES}")
-    p_sweep.add_argument("--grid", required=True,
-                         help="comma-separated grid values")
-
-    p_sim = sub.add_parser(
-        "simulate", help="seeded end-to-end protocol run with transcript",
-        epilog=_csv_docs(), formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common_flags(p_sim)
-    p_sim.add_argument("--batch-csv", action="store_true",
-                       help="also write the symmetrized rounds to batch.csv")
-
-    p_val = sub.add_parser(
-        "validate-bounds", help="Monte Carlo check of every tail bound",
-        epilog=_csv_docs(), formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common_flags(p_val)
-
+    subs["sweep"].add_argument(
+        "--axis", required=True,
+        help=f"config field to scan; one of {SWEEP_AXES}")
+    subs["sweep"].add_argument("--grid", required=True,
+                               help="comma-separated grid values")
+    subs["simulate"].add_argument(
+        "--batch-csv", action="store_true",
+        help="also write the symmetrized rounds to batch.csv")
     return parser
 
 
