@@ -54,7 +54,7 @@ from .finitekey import (
     mle_entropy,
     universal_hash,
 )
-from .pe import LOG_BASES, calibrate_deltas, gamma_estimates, pe_decision
+from .pe import calibrate_deltas, gamma_estimates, pe_decision
 from .reconciliation import (
     hash_length,
     leak_model,
@@ -106,7 +106,6 @@ class RunConfig:
     out: str = "."
     workers: Optional[int] = None
     trials: int = 100000
-    log_base: str = "natural"
     delta_ent_mode: str = "paper"
     xi_actual: Optional[float] = None
 
@@ -225,8 +224,6 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.xi_actual is not None:
         _require(0 <= cfg.xi_actual <= XI_MAX, "xi_actual",
                  f"must lie in [0, {XI_MAX:g}], got {cfg.xi_actual!r}")
-    _require(cfg.log_base in LOG_BASES, "log_base",
-             f"must be one of {LOG_BASES}, got {cfg.log_base!r}")
     _require(cfg.delta_ent_mode in DELTA_ENT_MODES, "delta_ent_mode",
              f"must be one of {DELTA_ENT_MODES}, got {cfg.delta_ent_mode!r}")
     _require(isinstance(cfg.out, str) and cfg.out != "", "out",
@@ -285,7 +282,7 @@ def _keyrate_chain(cfg: RunConfig, budget: SecurityBudget):
     """
     params = _protocol_params(cfg)
     deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k,
-                              budget.eps_pe, budget.eps_rob, cfg.log_base)
+                              budget.eps_pe, budget.eps_rob)
     v = params.v_a + 1.0
     always_pass = (float("-inf"), float("-inf"), float("inf"))
     region = pe_decision(always_pass, v, cfg.T, cfg.xi, deltas,
@@ -431,9 +428,9 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     norm_x2, norm_y2, ip_xy = pe_statistics(split_pe_sets(batch, cfg.k))
     try:
         gammas = gamma_estimates(norm_x2, norm_y2, ip_xy, cfg.k,
-                                 budget.eps_pe, cfg.log_base)
+                                 budget.eps_pe)
         deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k,
-                                  budget.eps_pe, budget.eps_rob, cfg.log_base)
+                                  budget.eps_pe, budget.eps_rob)
     except RegimeError as exc:
         raise _regime_error(cfg, budget, exc) from None
     region = pe_decision(gammas, params.v_a + 1.0, cfg.T, cfg.xi, deltas,
@@ -517,8 +514,7 @@ def run_validate_bounds(cfg: RunConfig) -> int:
             f"config field 'trials': need >= 1000 for stable frequencies, "
             f"got {cfg.trials!r}"
         )
-    rows = validate_mod.run_all(cfg.seed, cfg.trials, cfg.log_base,
-                                cfg.workers)
+    rows = validate_mod.run_all(cfg.seed, cfg.trials, cfg.workers)
     out = _outdir(cfg)
     _write_csv(out / "bounds.csv", validate_mod.BoundRow.CSV_HEADER,
                [astuple(r) for r in rows])
@@ -557,8 +553,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="DIR", help="output directory")
     sub.add_argument("--trials", type=int,
                      help="Monte Carlo trials for validate-bounds")
-    sub.add_argument("--log-base", choices=LOG_BASES, dest="log_base",
-                     help="deviation-term log convention")
     sub.add_argument("--delta-ent-mode", choices=DELTA_ENT_MODES,
                      dest="delta_ent_mode",
                      help="entropy-accumulation penalty variant")
@@ -598,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     overrides = {}
-    for name in ("seed", "out", "trials", "log_base", "delta_ent_mode"):
+    for name in ("seed", "out", "trials", "delta_ent_mode"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value

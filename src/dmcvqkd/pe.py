@@ -15,11 +15,8 @@ norm and inner-product arguments of `projection_bounds`,
 `inner_product_bounds`, `cross_half_bounds` and `gamma_estimates` may be
 numpy arrays, which gives element-wise results (`validate` relies on this).
 
-Logarithm base: deviation terms written here as log(.) use the natural
-logarithm by default; log_base="paper-literal" switches those occurrences
-to base 2 (the source formulas mix the two notations; the difference is
-below 2x in the deviation term).  Expressions derived from explicit
-exponential tails (projection_bounds) always use ln.
+Every deviation term log(.) is the natural logarithm, because it inverts
+a tail bound of the form eps = c e^(-x).
 """
 from __future__ import annotations
 
@@ -37,18 +34,6 @@ from .errors import (
     ValidityRange,
 )
 from .modulation import lambda_ratio_sum, lambda_weights
-
-LOG_BASES = ("natural", "paper-literal")
-
-
-def _dev_log(value: float, log_base: str) -> float:
-    """log(value) in the convention selected for deviation terms."""
-    if log_base == "natural":
-        return math.log(value)
-    if log_base == "paper-literal":
-        return math.log2(value)
-    raise DomainError(f"log_base must be one of {LOG_BASES}, got {log_base!r}")
-
 
 class InnerProductBounds(NamedTuple):
     """Split inner-product bounds: two-sided interval and one-sided floor."""
@@ -171,7 +156,6 @@ def cross_half_bounds(
     k: int,
     epsilon: float,
     norm_other_half2: float,
-    log_base: str = "natural",
 ) -> CrossHalfBounds:
     """Bounds on the unobserved half of rotation-symmetrized data.
 
@@ -191,7 +175,7 @@ def cross_half_bounds(
         raise DomainError(f"k must be >= 1, got {k!r}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    ratio = _dev_log(2.0 / epsilon, log_base) / (2.0 * k)
+    ratio = math.log(2.0 / epsilon) / (2.0 * k)
     if ratio > 0.05:
         raise ValidityRange(
             f"log(2/eps)/(2k)={ratio:.4f} exceeds validity limit 0.05"
@@ -204,7 +188,7 @@ def cross_half_bounds(
     )
 
 
-def _estimator_terms(k: int, epsilon: float, log_base: str) -> tuple:
+def _estimator_terms(k: int, epsilon: float) -> tuple:
     """(inflation, gamma_c penalty) of the worst-case estimators.
 
     The inflation is 1 + 3 r with r = sqrt(log(36/eps)/k), the penalty
@@ -215,7 +199,7 @@ def _estimator_terms(k: int, epsilon: float, log_base: str) -> tuple:
         raise DomainError(f"k must be >= 1, got {k!r}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    r = math.sqrt(_dev_log(36.0 / epsilon, log_base) / k)
+    r = math.sqrt(math.log(36.0 / epsilon) / k)
     lhs = (1.0 + 2.5 * r) * (1.0 + (360.0 / epsilon) * math.exp(-k / 16.0))
     rhs = 1.0 + 3.0 * r
     if lhs > rhs:
@@ -223,9 +207,7 @@ def _estimator_terms(k: int, epsilon: float, log_base: str) -> tuple:
             f"regime constraint fails at k={k}, eps={epsilon}: "
             f"{lhs:.6g} > {rhs:.6g}"
         )
-    penalty = 6.0 * math.sqrt(
-        _dev_log(144.0 / epsilon, log_base) / float(k) ** 3
-    )
+    penalty = 6.0 * math.sqrt(math.log(144.0 / epsilon) / float(k) ** 3)
     return 1.0 + 3.0 * r, penalty
 
 
@@ -235,7 +217,6 @@ def gamma_estimates(
     ip_xy: float,
     k: int,
     epsilon_pe: float,
-    log_base: str = "natural",
 ) -> tuple:
     """Worst-case channel-parameter estimators from the PE statistics.
 
@@ -245,7 +226,7 @@ def gamma_estimates(
 
     Raises RegimeError outside the estimator-chain regime.
     """
-    infl, penalty = _estimator_terms(k, epsilon_pe, log_base)
+    infl, penalty = _estimator_terms(k, epsilon_pe)
     gamma_a = infl * norm_x2 / (2.0 * k) - 1.0
     gamma_b = infl * norm_y2 / (2.0 * k) - 1.0
     gamma_c = ip_xy / (2.0 * k) - penalty * (norm_x2 + norm_y2)
@@ -306,7 +287,6 @@ def calibrate_deltas(
     k: int,
     epsilon_pe: float,
     epsilon_rob: float = 1e-2,
-    log_base: str = "natural",
 ) -> DeltaTriple:
     """Robustness offsets so the honest channel aborts with prob <= eps_rob.
 
@@ -321,7 +301,7 @@ def calibrate_deltas(
     if not 0.0 < epsilon_rob < 1.0:
         raise DomainError(f"epsilon_rob must be in (0,1), got {epsilon_rob!r}")
     budget = epsilon_rob / 6.0
-    infl, dc = _estimator_terms(k, epsilon_pe, log_base)
+    infl, dc = _estimator_terms(k, epsilon_pe)
 
     v_a = 2.0 * alpha * alpha
     v = v_a + 1.0

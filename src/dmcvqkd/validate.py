@@ -55,9 +55,13 @@ class BoundRow:
                   "trials", "verdict")
 
 
-def _verdict(claimed: float, observed: float, trials: int) -> str:
+def _row(lemma: str, k: int, param: float, claimed: float, count: int,
+         trials: int) -> BoundRow:
+    """The row of `count` violations in `trials` draws, with its verdict."""
+    observed = count / trials
     se = math.sqrt(max(claimed * (1.0 - claimed), 0.0) / trials)
-    return "ok" if observed <= claimed + 3.0 * se else "violated"
+    verdict = "ok" if observed <= claimed + 3.0 * se else "violated"
+    return BoundRow(lemma, k, param, claimed, observed, trials, verdict)
 
 
 def _rng(seed, row: int, chunk: int) -> np.random.Generator:
@@ -145,14 +149,14 @@ def lemma3_violations(seed, row: int, k: int, x: float, trials: int,
 
 
 def lemma4_violations(seed, row: int, k: int, epsilon: float, trials: int,
-                      r: float = 0.6, log_base: str = "natural") -> tuple:
+                      r: float = 0.6) -> tuple:
     """(upper, lower, ip) violation counts for the cross-half bounds."""
     up = lo = ipv = 0
     for ci, size in _chunks(trials):
         g = _rng(seed, row, ci)
         nx1, ny1, ip1 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
         nx2, _, ip2 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
-        b = pe.cross_half_bounds(nx1, ip1, k, epsilon, ny1, log_base)
+        b = pe.cross_half_bounds(nx1, ip1, k, epsilon, ny1)
         up += int(np.count_nonzero(nx2 > b.upper_other))
         lo += int(np.count_nonzero(nx2 < b.lower_other))
         ipv += int(np.count_nonzero(ip2 < b.ip_lower))
@@ -161,8 +165,7 @@ def lemma4_violations(seed, row: int, k: int, epsilon: float, trials: int,
 
 def pe_theorem_violations(seed, row: int, k: int, eps_pe: float,
                           trials: int, alpha: float = 0.5, T: float = 0.6,
-                          xi: float = 0.05,
-                          log_base: str = "natural") -> int:
+                          xi: float = 0.05) -> int:
     """Count honest-channel runs where an estimator misses the true value.
 
     Bad event: gamma_a < V, gamma_b < Sigma_b, or gamma_c > sqrt(T) Z —
@@ -183,15 +186,14 @@ def pe_theorem_violations(seed, row: int, k: int, eps_pe: float,
         g = _rng(seed, row, ci)
         nx, ny, ip = _wishart2(g, 4 * k, size, math.sqrt(va2),
                                math.sqrt(vb2), r)
-        g_a, g_b, g_c = pe.gamma_estimates(nx, ny, ip, k, eps_pe, log_base)
+        g_a, g_b, g_c = pe.gamma_estimates(nx, ny, ip, k, eps_pe)
         bad += int(
             np.count_nonzero((g_a < v) | (g_b < sigma_b) | (g_c > z_bar))
         )
     return bad
 
 
-def run_all(seed, trials: int, log_base: str = "natural",
-            workers=None) -> list:
+def run_all(seed, trials: int, workers=None) -> list:
     """All validation rows with their default parameters.
 
     The row families are independent calls; they run on `workers` threads
@@ -214,29 +216,16 @@ def run_all(seed, trials: int, log_base: str = "natural",
     rows = []
     for x, (up, lo) in zip((1.0, 2.0, 4.0), lemma1):
         claimed = math.exp(-x)
-        rows.append(BoundRow("lemma1-upper", 100, x, claimed, up / trials,
-                             trials, _verdict(claimed, up / trials, trials)))
-        rows.append(BoundRow("lemma1-lower", 100, x, claimed, lo / trials,
-                             trials, _verdict(claimed, lo / trials, trials)))
-
-    rows.append(BoundRow("lemma2-interval", 100, 0.05, 2 * 0.05,
-                         bad2 / trials, trials,
-                         _verdict(0.1, bad2 / trials, trials)))
-
-    c2 = 8.0 * math.exp(-2.0)
-    c1 = 4.0 * math.exp(-2.0)
-    rows.append(BoundRow("lemma3-two-sided", 200, 2.0, c2, two / trials,
-                         trials, _verdict(c2, two / trials, trials)))
-    rows.append(BoundRow("lemma3-one-sided", 200, 2.0, c1, one / trials,
-                         trials, _verdict(c1, one / trials, trials)))
-
-    for name, cnt, claimed in (
-        ("lemma4-norm-upper", up4, 0.05),
-        ("lemma4-norm-lower", lo4, 0.05),
-        ("lemma4-ip-lower", ipv, 4 * 0.05),
-    ):
-        rows.append(BoundRow(name, 500, 0.05, claimed, cnt / trials,
-                             trials, _verdict(claimed, cnt / trials, trials)))
+        rows += [_row("lemma1-upper", 100, x, claimed, up, trials),
+                 _row("lemma1-lower", 100, x, claimed, lo, trials)]
+    rows += [
+        _row("lemma2-interval", 100, 0.05, 2 * 0.05, bad2, trials),
+        _row("lemma3-two-sided", 200, 2.0, 8.0 * math.exp(-2.0), two, trials),
+        _row("lemma3-one-sided", 200, 2.0, 4.0 * math.exp(-2.0), one, trials),
+        _row("lemma4-norm-upper", 500, 0.05, 0.05, up4, trials),
+        _row("lemma4-norm-lower", 500, 0.05, 0.05, lo4, trials),
+        _row("lemma4-ip-lower", 500, 0.05, 4 * 0.05, ipv, trials),
+    ]
 
     # validity-edge probe: documented as a reported row, not a crash
     try:
@@ -247,7 +236,5 @@ def run_all(seed, trials: int, log_base: str = "natural",
     rows.append(BoundRow("lemma4-validity-edge", 5, 1e-9, float("nan"),
                          float("nan"), 0, edge_verdict))
 
-    rows.append(BoundRow("pe-theorem", 500, 1e-3, 1e-3, bad_pe / pe_trials,
-                         pe_trials,
-                         _verdict(1e-3, bad_pe / pe_trials, pe_trials)))
+    rows.append(_row("pe-theorem", 500, 1e-3, 1e-3, bad_pe, pe_trials))
     return rows

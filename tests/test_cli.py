@@ -61,9 +61,14 @@ def test_config_json_round_trip(tmp_path):
     assert config_from_json(p) == cfg
 
 
-def test_config_unknown_field_named():
-    with pytest.raises(ConfigError, match="unknown config field 'bogus'"):
-        config_from_dict({"bogus": 1})
+# log_base is no longer a field (every PE deviation log is ln); an old
+# config that still sets it is rejected by name
+@pytest.mark.parametrize("data", [{"bogus": 1}, {"log_base": "natural"}],
+                         ids=["bogus", "log_base"])
+def test_config_unknown_field_named(data):
+    field, = data
+    with pytest.raises(ConfigError, match=f"unknown config field '{field}'"):
+        config_from_dict(data)
 
 
 def test_validate_config_names_offending_field():
@@ -71,8 +76,6 @@ def test_validate_config_names_offending_field():
         validate_config(RunConfig(alpha=-1.0))
     with pytest.raises(ConfigError, match="'n'"):
         validate_config(RunConfig(n=0))
-    with pytest.raises(ConfigError, match="'log_base'"):
-        validate_config(RunConfig(log_base="decimal"))
     with pytest.raises(ConfigError, match="'k'"):
         validate_config(RunConfig(k=1.5))
     with pytest.raises(ConfigError, match="'eps_total'"):

@@ -102,16 +102,6 @@ def test_gamma_estimates_are_conservative():
     assert g[2] <= STATS["ip_xy"] / (2 * k)
 
 
-def test_gamma_estimates_log_base():
-    g_nat = gamma_estimates(epsilon_pe=1e-2, **STATS)
-    g_lit = gamma_estimates(epsilon_pe=1e-2, log_base="paper-literal", **STATS)
-    # log2 deviations are larger than ln ones
-    assert g_lit[0] > g_nat[0]
-    assert g_lit[2] < g_nat[2]
-    with pytest.raises(DomainError):
-        gamma_estimates(epsilon_pe=1e-2, log_base="log10", **STATS)
-
-
 def test_gamma_estimates_regime_error():
     with pytest.raises(RegimeError):
         gamma_estimates(100.0, 100.0, 0.0, 50, 1e-6)
@@ -123,8 +113,7 @@ def test_gamma_estimates_regime_error():
 ARRAY_CALLS = [
     (projection_bounds, lambda nx, ny, ip: (nx, 10000, 1e-2)),
     (inner_product_bounds, lambda nx, ny, ip: (nx, ny, ip, 10000, 4.0)),
-    (cross_half_bounds,
-     lambda nx, ny, ip: (nx, ip, 10000, 1e-2, ny, "paper-literal")),
+    (cross_half_bounds, lambda nx, ny, ip: (nx, ip, 10000, 1e-2, ny)),
     (gamma_estimates, lambda nx, ny, ip: (nx, ny, ip, 10000, 1e-2)),
 ]
 

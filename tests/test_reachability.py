@@ -6,6 +6,11 @@ function or class, or a public method, must be named somewhere in
 src/dmcvqkd outside its own definition (the re-exports in __init__.py do
 not count).  A name shared with an unrelated attribute, such as `copy`,
 can hide an unused method; it never flags a used one.
+
+A second guard covers parameters: every parameter of a function or lambda
+in the package must be named in that function's own body, so an argument
+that callers pass cannot be silently ignored.  `self`, `cls` and names that
+start with `_` are exempt.
 """
 import ast
 from collections import Counter
@@ -62,3 +67,28 @@ def test_every_definition_is_named_elsewhere_in_the_package():
     # every allowed name is defined and still unused, so the list stays short
     assert {entry.split(":")[1] for entry in unused} >= ALLOWED
     assert sorted(e for e in unused if e.split(":")[1] not in ALLOWED) == []
+
+
+def _parameters(node):
+    args = node.args
+    for arg in (args.posonlyargs + args.args + args.kwonlyargs
+                + [a for a in (args.vararg, args.kwarg) if a is not None]):
+        if arg.arg not in ("self", "cls") and not arg.arg.startswith("_"):
+            yield arg.arg
+
+
+def test_every_parameter_is_named_in_its_body():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for part in body for sub in ast.walk(part)
+                    if isinstance(sub, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{name}: {param}"
+                       for param in _parameters(node) if param not in read]
+    assert unread == []

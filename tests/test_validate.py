@@ -61,9 +61,9 @@ def _tight_inner_product_bounds(norm_x2, norm_y2, ip_xy, k, x):
 
 
 def _tight_cross_half_bounds(norm_half2, ip_half, k, epsilon,
-                             norm_other_half2, log_base="natural"):
+                             norm_other_half2):
     b = _SHIPPED["cross_half_bounds"](norm_half2, ip_half, k, epsilon,
-                                      norm_other_half2, log_base)
+                                      norm_other_half2)
     return pe.CrossHalfBounds(
         upper_other=norm_half2 + (b.upper_other - norm_half2) / 10.0,
         lower_other=norm_half2 + (b.lower_other - norm_half2) / 10.0,
@@ -71,10 +71,9 @@ def _tight_cross_half_bounds(norm_half2, ip_half, k, epsilon,
     )
 
 
-def _tight_gamma_estimates(norm_x2, norm_y2, ip_xy, k, epsilon_pe,
-                           log_base="natural"):
+def _tight_gamma_estimates(norm_x2, norm_y2, ip_xy, k, epsilon_pe):
     gammas = _SHIPPED["gamma_estimates"](norm_x2, norm_y2, ip_xy, k,
-                                         epsilon_pe, log_base)
+                                         epsilon_pe)
     unbiased = (norm_x2 / (2.0 * k) - 1.0, norm_y2 / (2.0 * k) - 1.0,
                 ip_xy / (2.0 * k))
     return tuple(c + (g - c) / 10.0 for g, c in zip(gammas, unbiased))
