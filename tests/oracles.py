@@ -126,10 +126,13 @@ def _biawgn_density(x: np.ndarray, s: float) -> np.ndarray:
 
 
 def biawgn_capacity_array(s: float) -> float:
-    """The binary-input AWGN capacity with the integrand on 0-d arrays.
+    """The binary-input AWGN capacity by adaptive quadrature of -phi log phi.
 
-    The form whose bits tests/golden.json froze: the same quad call as the
-    package, with the density evaluated on np.asarray(x) and xlogy.
+    QUADPACK's `quad` over the output density phi_s, the equal mixture of
+    N(-1, 1/s) and N(+1, 1/s), with epsabs = epsrel = 1e-10.  An
+    independent form of the integral, good to about 1e-10 relative on
+    s in [1e-4, 200].  Below that the absolute tolerance swamps C: at
+    s = 1e-30 it returns 2.1e-14 for 7.2e-31.
     """
     from scipy.integrate import quad
     from scipy.special import xlogy
@@ -150,6 +153,30 @@ def biawgn_capacity_array(s: float) -> float:
     )
     c = h - 0.5 * math.log2(2.0 * math.pi * math.e) + 0.5 * math.log2(s)
     return min(max(c, 0.0), math.nextafter(1.0, 0.0))
+
+
+def biawgn_capacity_mp(s: float, dps: int = 30) -> float:
+    """The binary-input AWGN capacity at SNR s in dps-digit arithmetic.
+
+    With x = s + sqrt(s) Z, Z ~ N(0, 1): C ln 2 = s - E[log1p(2 sinh^2(x/2))]
+    for s <= 1 and ln 2 - E[log1p(e^(-2x))] for s > 1.  Z is cut to
+    [-12, 12], whose tails weigh below 1e-31; for s > 1 the integrand
+    peaks within 1/sqrt(s) of x = 0, where the breakpoints sit.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        s = mp.mpf(s)
+        r = mp.sqrt(s)
+        if s <= 1:
+            e = mp.quad(lambda z: mp.log1p(2 * mp.sinh((s + r * z) / 2) ** 2)
+                        * mp.npdf(z), [-12, 0, 12])
+            return float((s - e) / mp.log(2))
+        points = sorted(p for p in {-12, -r - 1, -r, -r + 1, 0, 12}
+                        if -12 <= p <= 12)
+        e = mp.quad(lambda z: mp.log1p(mp.exp(-2 * (s + r * z)))
+                    * mp.npdf(z), points)
+        return float((mp.log(2) - e) / mp.log(2))
 
 
 def repetition_block_error(s: float, k_rep: int) -> float:

@@ -187,6 +187,22 @@ def test_cli_import_skips_scipy_stats():
     assert out.strip() == "False"
 
 
+def test_keyrate_and_sweep_skip_scipy_integrate(tmp_path):
+    # the capacity is a fixed-node sum, so no subcommand imports quad
+    code = ("import sys; from dmcvqkd import cli; "
+            f"cli.main(['keyrate', '--out', {str(tmp_path / 'k')!r}]); "
+            f"cli.main(['sweep', '--out', {str(tmp_path / 's')!r}, "
+            "'--axis', 'T', '--grid', '0.5,0.9']); "
+            "print('scipy.integrate' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    assert (tmp_path / "k" / "keyrate.csv").is_file()
+    assert (tmp_path / "s" / "sweep.csv").is_file()
+    assert out.strip().splitlines()[-1] == "False"
+
+
 def test_sweep_rejects_non_finite_grid_point(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json")
     rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
@@ -240,6 +256,19 @@ def test_keyrate_feasible_point(tmp_path):
     assert float(row["l"]) == pytest.approx(1325284.0394804422, rel=1e-9)
     assert row["feasible"] == "1"
     assert row["delta_ent_mode"] == "derived"
+
+
+def test_keyrate_leakage_at_vanishing_snr(tmp_path):
+    # C is about 1e-20 here, so beta C vanishes against 1 and the leakage
+    # is exactly the raw bits plus the 32 hash bits; adaptive quadrature
+    # overstated C and wrote 65567.999999999563
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"T": 1e-20}))
+    rc = cli.main(["keyrate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_NO_KEY
+    header, rows = read_csv(tmp_path / "keyrate.csv")
+    row = dict(zip(header, rows[0]))
+    assert float(row["leak_ec"]) == int(row["raw_bits"]) + 32 == 65568
 
 
 def test_keyrate_flag_overrides_config(tmp_path):

@@ -18,6 +18,7 @@ from dmcvqkd.reconciliation import (
 
 from oracles import (
     biawgn_capacity_array,
+    biawgn_capacity_mp,
     gaussian_capacity,
     repetition_block_error,
 )
@@ -42,11 +43,35 @@ def test_biawgn_capacity_frozen():
     assert biawgn_capacity(1.0) == pytest.approx(0.48594415413293524, rel=1e-12)
 
 
+# against 30-digit mpmath the worst relative error is 1.5e-15, at s = 20
+CAPACITY_RTOL = 4e-15
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0,
+                               5.0, 20.0, 50.0, 1e3, 1e6])
+def test_biawgn_capacity_matches_mpmath(s):
+    assert biawgn_capacity(s) == pytest.approx(biawgn_capacity_mp(s),
+                                               rel=CAPACITY_RTOL, abs=0.0)
+
+
 @pytest.mark.parametrize(
-    "s", [float(s) for s in np.logspace(-6, math.log10(200.0), 52)]
-    + GOLDEN_SWEEP_SNRS + [1.0])
-def test_biawgn_capacity_matches_the_array_form_bit_for_bit(s):
-    assert biawgn_capacity(s) == biawgn_capacity_array(s)
+    "s", [float(s) for s in np.logspace(-300, -8, 30)] + [1e-30, 1e-12])
+def test_biawgn_capacity_at_small_snr_matches_the_series(s):
+    # C ln 2 = s/2 - s^2/4 + O(s^3), exact to double precision here;
+    # adaptive quadrature returned 2.13e-14 at s = 1e-30, where C = 7.2e-31
+    series = (s / 2.0 - s * s / 4.0) / math.log(2.0)
+    assert biawgn_capacity(s) == pytest.approx(series, rel=CAPACITY_RTOL,
+                                               abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "s", [float(s) for s in np.logspace(-6, math.log10(200.0), 52)
+          if s >= 1e-4] + GOLDEN_SWEEP_SNRS + [1.0])
+def test_biawgn_capacity_agrees_with_quadrature(s):
+    # quad's tolerance is 1e-10 relative; below s = 1e-4 its absolute
+    # tolerance, 1e-10 on an entropy of several bits, no longer meets it
+    assert biawgn_capacity(s) == pytest.approx(biawgn_capacity_array(s),
+                                               rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -68,6 +93,7 @@ def test_biawgn_capacity_invariants():
         assert biawgn_capacity(float(s) * 1.1) > biawgn_capacity(float(s))
     # binary input saturates at 1 bit
     assert biawgn_capacity(100.0) > 0.9999
+    assert biawgn_capacity(1.7e308) == math.nextafter(1.0, 0.0)
     # and is capacity-achieving in the low-SNR limit
     assert biawgn_capacity(1e-3) / gaussian_capacity(1e-3) > 0.999
 
