@@ -19,6 +19,7 @@ from dmcvqkd.reconciliation import (
 from oracles import (
     biawgn_capacity_array,
     biawgn_capacity_mp,
+    biawgn_capacity_trapezoid,
     gaussian_capacity,
     repetition_block_error,
 )
@@ -62,6 +63,15 @@ def test_biawgn_capacity_at_small_snr_matches_the_series(s):
     series = (s / 2.0 - s * s / 4.0) / math.log(2.0)
     assert biawgn_capacity(s) == pytest.approx(series, rel=CAPACITY_RTOL,
                                                abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "s", [float(s) for s in np.logspace(-6, math.log10(200.0), 52)]
+    + GOLDEN_SWEEP_SNRS + [1.0])
+def test_biawgn_capacity_matches_the_array_form_bit_for_bit(s):
+    # pins the nodes and the form that golden.json froze; a change to
+    # either shows here before it shows as a digest mismatch
+    assert biawgn_capacity(s) == biawgn_capacity_trapezoid(s)
 
 
 @pytest.mark.parametrize(
