@@ -47,7 +47,6 @@ from .definetti import (
 )
 from .errors import ConfigError, RegimeError, UnknownAxis
 from .finitekey import (
-    DELTA_ENT_MODES,
     KeyLengthReport,
     SecurityBudget,
     key_length,
@@ -106,7 +105,8 @@ class RunConfig:
     out: str = "."
     workers: Optional[int] = None
     trials: int = 100000
-    delta_ent_mode: str = "paper"
+    # only "derived"; perfbench/workloads.py still sets it (ROADMAP item 10)
+    delta_ent_mode: str = "derived"
     xi_actual: Optional[float] = None
 
 
@@ -114,9 +114,8 @@ _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 # numeric fields a sweep may scan; int fields get coerced per point
 SWEEP_AXES = (
-    "alpha", "T", "xi", "beta", "n", "m", "k",
-    "eps_total", "eps_pe", "eps_sm", "eps_ent", "eps_cor",
-    "p_ec", "eps_rob", "k_test", "d_a", "d_b", "eta", "k_rep",
+    "alpha", "T", "xi", "beta", "n", "k",
+    "eps_total", "eps_pe", "eps_sm", "eps_ent", "eps_cor", "p_ec", "eps_rob",
 )
 _INT_FIELDS = ("n", "m", "k", "k_test", "k_rep", "seed", "workers", "trials")
 _FLOAT_FIELDS = (
@@ -224,8 +223,8 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.xi_actual is not None:
         _require(0 <= cfg.xi_actual <= XI_MAX, "xi_actual",
                  f"must lie in [0, {XI_MAX:g}], got {cfg.xi_actual!r}")
-    _require(cfg.delta_ent_mode in DELTA_ENT_MODES, "delta_ent_mode",
-             f"must be one of {DELTA_ENT_MODES}, got {cfg.delta_ent_mode!r}")
+    _require(cfg.delta_ent_mode == "derived", "delta_ent_mode",
+             f"must be 'derived', got {cfg.delta_ent_mode!r}")
     _require(isinstance(cfg.out, str) and cfg.out != "", "out",
              "must be a non-empty path string")
 
@@ -290,7 +289,7 @@ def _keyrate_chain(cfg: RunConfig, budget: SecurityBudget):
     s = snr(params.v_a, cfg.T, cfg.xi)
     leak = leak_model(2 * cfg.n, cfg.beta, s, budget.eps_cor)
     report = key_length(params, budget, 1.0, region.worst_case_covariance(),
-                        leak, cfg.delta_ent_mode)
+                        leak)
     return params, region, report
 
 
@@ -462,7 +461,7 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     energy_ok = energy_test(energy_a, energy_b, etc)
 
     report = key_length(params, budget, h_mle, region.worst_case_covariance(),
-                        leak_ec, cfg.delta_ent_mode)
+                        leak_ec)
     reduction = _reduction(cfg, budget)
 
     success = (region.passed and verified and energy_ok and report.feasible)
@@ -553,13 +552,16 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="DIR", help="output directory")
     sub.add_argument("--trials", type=int,
                      help="Monte Carlo trials for validate-bounds")
-    sub.add_argument("--delta-ent-mode", choices=DELTA_ENT_MODES,
-                     dest="delta_ent_mode",
-                     help="entropy-accumulation penalty variant")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, this CLI's "no key"
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmcvqkd",
         description="Finite-size security calculator and protocol simulator "
                     "for four-state discrete-modulation CV-QKD.",
@@ -592,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     overrides = {}
-    for name in ("seed", "out", "trials", "delta_ent_mode"):
+    for name in ("seed", "out", "trials"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value

@@ -20,8 +20,6 @@ import numpy as np
 from .errors import DomainError, LengthError, PrecisionLoss
 from .gaussian import holevo_f
 
-DELTA_ENT_MODES = ("paper", "derived")
-
 
 @dataclass(frozen=True)
 class SecurityBudget:
@@ -66,15 +64,14 @@ class KeyLengthReport:
     leak_ec: float
     delta_aep: float
     delta_ent: float
-    delta_ent_mode: str
     eps_total: float
     l: float
     feasible: bool
 
     CSV_HEADER = (
         "n_pairs", "modes", "raw_bits", "h_mle", "f_bits", "entropy_term",
-        "holevo_term", "leak_ec", "delta_aep", "delta_ent",
-        "delta_ent_mode", "eps_total", "l", "feasible",
+        "holevo_term", "leak_ec", "delta_aep", "delta_ent", "eps_total",
+        "l", "feasible",
     )
 
 
@@ -117,28 +114,22 @@ def mle_entropy(counts) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def delta_ent(n_rounds: float, eps_ent: float, mode: str = "paper") -> float:
-    """Entropy-estimation penalty, in bits, for n_rounds observed symbols.
+def delta_ent(n_rounds: float, eps_ent: float) -> float:
+    """Entropy-estimation penalty n t, in bits, for n observed symbols.
 
-    mode="paper":   n * log2(n) * sqrt(2 * log2(2/eps_ent))
-    mode="derived": n * t with t = log2(n) * sqrt(2 * ln(2/eps_ent) / n),
-    i.e. the deviation at which the plug-in entropy's concentration bound
-    2 exp(-n t^2 / (2 log2^2 n)) equals eps_ent.
-
-    The two differ by a sqrt(n)-order factor; both are exposed and the
-    choice is surfaced in every report.
+    t = log2(n) sqrt(2 ln(2/eps_ent) / n) sets McDiarmid's bound for the
+    plug-in entropy, P(|H_hat - E H_hat| >= t) <= 2 exp(-n t^2 /
+    (2 log2(n)^2)), to eps_ent (one symbol moves H_hat by at most
+    2 log2(n)/n; Antos & Kontoyiannis, Random Structures & Algorithms 19,
+    2001).  H_hat is biased low, so H >= H_hat - t with probability at
+    least 1 - eps_ent.  PAPER.md holds only the abstract, so the
+    supplement's own form of this term cannot be checked against it.
     """
     if n_rounds < 1:
         raise DomainError(f"n_rounds must be >= 1, got {n_rounds!r}")
     if not 0.0 < eps_ent < 1.0:
         raise DomainError(f"eps_ent must be in (0, 1), got {eps_ent!r}")
-    if mode not in DELTA_ENT_MODES:
-        raise DomainError(
-            f"mode must be one of {DELTA_ENT_MODES}, got {mode!r}"
-        )
     log_n = math.log2(n_rounds)
-    if mode == "paper":
-        return n_rounds * log_n * math.sqrt(2.0 * (1.0 - math.log2(eps_ent)))
     t = log_n * math.sqrt(2.0 * math.log(2.0 / eps_ent) / n_rounds)
     return n_rounds * t
 
@@ -149,7 +140,6 @@ def key_length(
     h_mle: float,
     region,
     leak_ec: float,
-    delta_ent_mode: str = "paper",
 ) -> KeyLengthReport:
     """Secure key length for one run, with full term decomposition.
 
@@ -172,7 +162,7 @@ def key_length(
     entropy_term = 2.0 * n * (2.0 * h_mle)
     holevo_term = 2.0 * n * f
     d_aep = delta_aep(modes, budget.eps_sm, budget.p_ec)
-    d_ent = delta_ent(modes, budget.eps_ent, delta_ent_mode)
+    d_ent = delta_ent(modes, budget.eps_ent)
     l = entropy_term - holevo_term - leak_ec - d_aep - d_ent
     return KeyLengthReport(
         n_pairs=n,
@@ -185,7 +175,6 @@ def key_length(
         leak_ec=float(leak_ec),
         delta_aep=d_aep,
         delta_ent=d_ent,
-        delta_ent_mode=delta_ent_mode,
         eps_total=budget.eps_total,
         l=l,
         feasible=l > 0.0,

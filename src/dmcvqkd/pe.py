@@ -224,6 +224,10 @@ def gamma_estimates(
         gamma_b = (1/2k)[1 + 3 sqrt(log(36/eps)/k)] ||Y||^2 - 1
         gamma_c = (1/2k) <X,Y> - 6 sqrt(log(144/eps)/k^3) (||X||^2+||Y||^2)
 
+    As |<X,Y>| <= (||X||^2 + ||Y||^2)/2, gamma_c <= (||X||^2 + ||Y||^2)
+    (1/(4k) - p) with p the penalty above: gamma_c < 0 on every record
+    when k < 576 log(144/eps), e.g. k < 15,598 at eps = 2.5e-10.
+
     Raises RegimeError outside the estimator-chain regime.
     """
     infl, penalty = _estimator_terms(k, epsilon_pe)

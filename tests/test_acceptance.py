@@ -46,7 +46,7 @@ BENIGN = cli.RunConfig(
     alpha=0.5, T=0.5, xi=0.01, beta=0.95,
     n=100_000_000, m=1000, k=2_000_000_000,
     eps_pe=1e-10, eps_sm=1e-10, eps_ent=1e-10, eps_cor=1e-10,
-    p_ec=0.99, eps_rob=1e-2, delta_ent_mode="derived",
+    p_ec=0.99, eps_rob=1e-2,
 )
 
 
@@ -166,14 +166,13 @@ def test_criterion_05_key_length_audit_and_monotonicity():
     budget = cli.resolve_budget(BENIGN)
     corner = (1.5009811602015506, 1.2558850065017988, 0.7685409749444306)
     leak_lengths = [
-        key_length(params, budget, 1.0, corner, leak, "derived").l
+        key_length(params, budget, 1.0, corner, leak).l
         for leak in (3.0e8, 3.5e8, 4.0e8)
     ]
     assert all(a > b for a, b in zip(leak_lengths, leak_lengths[1:]))
 
     z_lengths = [
-        key_length(params, budget, 1.0, (corner[0], corner[1], z),
-                   3.5e8, "derived").l
+        key_length(params, budget, 1.0, (corner[0], corner[1], z), 3.5e8).l
         for z in (0.2, 0.45, 0.7, 0.7685409749444306)
     ]
     assert all(a < b for a, b in zip(z_lengths, z_lengths[1:]))

@@ -71,6 +71,34 @@ def test_config_unknown_field_named(data):
         config_from_dict(data)
 
 
+# only the derived entropy-estimation penalty remains; a config or flag
+# that still asks for the old variant is an error, not a silent "no key"
+def test_delta_ent_mode_other_than_derived_is_named(tmp_path, capsys):
+    assert config_from_dict({"delta_ent_mode": "derived"}) == RunConfig()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"delta_ent_mode": "paper"}))
+    rc = cli.main(["keyrate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_ERROR
+    assert "'delta_ent_mode'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["keyrate", "--bogus"], "--bogus"),
+    (["keyrate", "--seed", "x"], "--seed"),
+    (["sweep", "--axis", "T"], "--grid"),
+    (["bogus"], "'bogus'"),
+    (["keyrate", "--delta-ent-mode", "paper"], "--delta-ent-mode"),
+], ids=["unknown-flag", "bad-int", "missing-grid", "unknown-subcommand",
+        "removed-flag"])
+def test_usage_error_exits_1_and_names_the_argument(capsys, argv, named):
+    # argparse's own code 2 would read as "no key"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "usage:" in err and named in err, err
+
+
 def test_validate_config_names_offending_field():
     with pytest.raises(ConfigError, match="'alpha'"):
         validate_config(RunConfig(alpha=-1.0))
@@ -159,9 +187,11 @@ def test_malformed_config_never_raises(tmp_path, doc):
 
 
 SWEEP_GRID_VALUES = (math.nan, math.inf, -1.0, 0.0, 1e-300, 1e300, 0.5)
+# config fields that never reach the key length, so no longer sweep axes
+INERT_AXES = ("m", "k_test", "d_a", "d_b", "eta", "k_rep")
 
 
-@pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+@pytest.mark.parametrize("axis", cli.SWEEP_AXES + INERT_AXES)
 @pytest.mark.parametrize("value", SWEEP_GRID_VALUES, ids=repr)
 def test_sweep_point_never_raises_and_names_its_axis(tmp_path, capsys, axis,
                                                      value):
@@ -170,10 +200,26 @@ def test_sweep_point_never_raises_and_names_its_axis(tmp_path, capsys, axis,
     cfg = write_config(tmp_path, "c.json")
     rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
                    "--axis", axis, "--grid", repr(value)])
-    assert rc in (EXIT_OK, EXIT_ERROR, EXIT_NO_KEY)
+    assert rc in ((EXIT_ERROR,) if axis in INERT_AXES
+                  else (EXIT_OK, EXIT_ERROR, EXIT_NO_KEY))
     err = capsys.readouterr().err
     if rc == EXIT_ERROR:
         assert repr(axis) in err, err
+
+
+@pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+def test_every_sweep_axis_changes_the_row(tmp_path, axis):
+    # a 10 % step from the default value moves some column of sweep.csv
+    cfg = RunConfig()
+    base = getattr(cfg, axis)
+    if base is None:
+        base = getattr(resolve_budget(cfg), axis)
+    step = int(base * 0.9) if axis in cli._INT_FIELDS else base * 0.9
+    rc = cli.main(["sweep", "--out", str(tmp_path), "--axis", axis,
+                   "--grid", f"{base!r},{step!r}"])
+    assert rc == EXIT_NO_KEY
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 2 and rows[0][2:] != rows[1][2:]
 
 
 def test_cli_import_skips_scipy_stats():
@@ -206,9 +252,9 @@ def test_keyrate_and_sweep_skip_scipy_integrate(tmp_path):
 def test_sweep_rejects_non_finite_grid_point(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json")
     rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
-                   "--axis", "d_b", "--grid", "1,inf"])
+                   "--axis", "xi", "--grid", "0.01,inf"])
     assert rc == EXIT_ERROR
-    assert "'d_b'" in capsys.readouterr().err
+    assert "'xi'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("size", [0, 1, 5000])
@@ -247,7 +293,7 @@ def test_keyrate_feasible_point(tmp_path):
         "alpha": 0.5, "T": 0.5, "xi": 0.01, "beta": 0.95,
         "n": 100_000_000, "m": 1000, "k": 2_000_000_000,
         "eps_pe": 1e-10, "eps_sm": 1e-10, "eps_ent": 1e-10,
-        "eps_cor": 1e-10, "delta_ent_mode": "derived",
+        "eps_cor": 1e-10,
     }))
     rc = cli.main(["keyrate", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == EXIT_OK
@@ -255,7 +301,6 @@ def test_keyrate_feasible_point(tmp_path):
     row = dict(zip(header, rows[0]))
     assert float(row["l"]) == pytest.approx(1325284.0394804422, rel=1e-9)
     assert row["feasible"] == "1"
-    assert row["delta_ent_mode"] == "derived"
 
 
 def test_keyrate_leakage_at_vanishing_snr(tmp_path):
@@ -272,12 +317,12 @@ def test_keyrate_leakage_at_vanishing_snr(tmp_path):
 
 
 def test_keyrate_flag_overrides_config(tmp_path):
-    cfg = write_config(tmp_path, "c.json")
-    rc = cli.main(["keyrate", "--config", cfg, "--out", str(tmp_path),
-                   "--delta-ent-mode", "derived"])
+    cfg = write_config(tmp_path, "c.json", out=str(tmp_path / "from_config"))
+    rc = cli.main(["keyrate", "--config", cfg,
+                   "--out", str(tmp_path / "from_flag")])
     assert rc in (EXIT_OK, EXIT_NO_KEY)
-    header, rows = read_csv(tmp_path / "keyrate.csv")
-    assert dict(zip(header, rows[0]))["delta_ent_mode"] == "derived"
+    assert (tmp_path / "from_flag" / "keyrate.csv").is_file()
+    assert not (tmp_path / "from_config").exists()
 
 
 def test_sweep_single_point_matches_keyrate(tmp_path):
@@ -426,6 +471,10 @@ def test_missing_config_file_is_an_error(tmp_path, capsys):
 
 
 def test_help_documents_output_columns():
+    for argv in (["--help"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == EXIT_OK
     text = cli.build_parser().format_help()
     for name in ("keyrate.csv", "sweep.csv", "transcript.csv", "bounds.csv"):
         assert name in text

@@ -55,8 +55,8 @@ def test_truncation_epsilon_against_high_precision():
     oracle = 2 * (N + K) ** 7 / N ** 3 * mp.e ** (
         -2 * N ** 3 / ((N + K) ** 2 * mp.log(2))
     )
-    assert val == pytest.approx(float(oracle), rel=1e-12)
-    assert val == pytest.approx(2.3547467196215343e-26, rel=1e-12)
+    assert val == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
+    assert val == pytest.approx(2.3547467196215343e-26, rel=1e-12, abs=0.0)
 
 
 def test_truncation_epsilon_clamps():
@@ -103,7 +103,7 @@ def test_photon_cutoff_frozen():
 
 def test_general_attack_epsilon_exact_prefactor():
     val = general_attack_epsilon(1e-10, 20)
-    assert val == pytest.approx(2.666866666666667e-06, rel=1e-15)
+    assert val == pytest.approx(2.666866666666667e-06, rel=1e-15, abs=0.0)
     # prefactor is evaluated as an exact rational before the product
     assert val == (2.0 + float(Fraction(20 ** 4, 6))) * 1e-10
     # a vacuous bound is returned as its value, >= 1
@@ -128,7 +128,7 @@ def test_make_reduction_report_frozen():
     cfg = EnergyTestConfig(k_test=1000, d_a=1.0, d_b=1.0, eps_test=1e-10)
     rep = make_reduction_report(200_000_000, cfg, 4e-10)
     assert rep.K == 515773559
-    assert rep.eta == pytest.approx(0.7205820278182561, rel=1e-14)
+    assert rep.eta == pytest.approx(0.7205820278182561, rel=1e-14, abs=0.0)
     assert rep.eps_general == pytest.approx(4.7178598823434603e+24, rel=1e-12)
     assert rep.key_reduction == 223
     assert audit_reduction(rep)

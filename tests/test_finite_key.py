@@ -58,19 +58,19 @@ def test_mle_entropy_reference_points():
         mle_entropy([0, 0])
 
 
-def test_delta_ent_frozen_both_modes():
-    assert delta_ent(2e8, 1e-10, "paper") == pytest.approx(
-        45624975479.378265, rel=1e-13
-    )
-    assert delta_ent(2e8, 1e-10, "derived") == pytest.approx(
+def test_delta_ent_frozen():
+    assert delta_ent(2e8, 1e-10) == pytest.approx(
         2685965.170322137, rel=1e-13
     )
-    # the stated form carries an extra sqrt(n)-order factor
-    assert delta_ent(2e8, 1e-10, "paper") > 1e4 * delta_ent(
-        2e8, 1e-10, "derived"
+    # the default config's 2n key modes and eps_ent
+    assert delta_ent(32768, 2.5e-10) == pytest.approx(
+        18336.837293335815, rel=1e-13
     )
+    # one formula: the variant argument is gone
+    with pytest.raises(TypeError):
+        delta_ent(2e8, 1e-10, "paper")
     with pytest.raises(DomainError):
-        delta_ent(2e8, 1e-10, "bogus")
+        delta_ent(0.5, 1e-10)
 
 
 def test_key_length_benign_frozen():
@@ -79,13 +79,10 @@ def test_key_length_benign_frozen():
     )
     s = snr(params.v_a, params.T, params.xi)
     leak = leak_model(2 * params.n, 0.95, s, BENIGN_BUDGET.eps_cor)
-    rep = key_length(
-        params, BENIGN_BUDGET, 1.0, BENIGN_REGION, leak,
-        delta_ent_mode="derived",
-    )
+    rep = key_length(params, BENIGN_BUDGET, 1.0, BENIGN_REGION, leak)
     assert rep.l == pytest.approx(1325284.0394804422, rel=1e-9)
     assert rep.feasible
-    assert rep.f_bits == pytest.approx(0.13041110041935633, rel=1e-12)
+    assert rep.f_bits == pytest.approx(0.13041110041935633, rel=1e-12, abs=0.0)
     assert rep.leak_ec == pytest.approx(367797437.33192605, rel=1e-12)
     assert rep.delta_aep == pytest.approx(2109093.3744001277, rel=1e-12)
     assert rep.delta_ent == pytest.approx(2685965.170322137, rel=1e-12)
@@ -124,7 +121,7 @@ def test_key_length_input_guards():
 
 
 def test_security_budget_composition():
-    assert BENIGN_BUDGET.eps_total == pytest.approx(4e-10, rel=1e-15)
+    assert BENIGN_BUDGET.eps_total == pytest.approx(4e-10, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         SecurityBudget(eps_pe=0.0, eps_sm=1e-10, eps_ent=1e-10, eps_cor=1e-10)
     with pytest.raises(DomainError):

@@ -38,14 +38,14 @@ def test_g_entropy_rejects_below_vacuum():
 
 def test_symplectic_eigenvalues_frozen():
     spec = symplectic_eigenvalues((1.5, 1.255, 0.7754))
-    assert spec.nu1 == pytest.approx(1.2610346239794379, rel=1e-14)
-    assert spec.nu2 == pytest.approx(1.0160346239794378, rel=1e-14)
-    assert spec.nu3 == pytest.approx(1.2333724345898005, rel=1e-14)
+    assert spec.nu1 == pytest.approx(1.2610346239794379, rel=1e-14, abs=0.0)
+    assert spec.nu2 == pytest.approx(1.0160346239794378, rel=1e-14, abs=0.0)
+    assert spec.nu3 == pytest.approx(1.2333724345898005, rel=1e-14, abs=0.0)
 
 
 def test_holevo_f_frozen():
     f = holevo_f((1.5, 1.255, 0.7754))
-    assert f == pytest.approx(0.11148811510568002, rel=1e-13)
+    assert f == pytest.approx(0.11148811510568002, rel=1e-13, abs=0.0)
 
 
 def test_holevo_f_accepts_triple():

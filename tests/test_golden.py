@@ -34,7 +34,7 @@ BENIGN = {
     "alpha": 0.5, "T": 0.5, "xi": 0.01, "beta": 0.95,
     "n": 100_000_000, "m": 1000, "k": 2_000_000_000,
     "eps_pe": 1e-10, "eps_sm": 1e-10, "eps_ent": 1e-10, "eps_cor": 1e-10,
-    "p_ec": 0.99, "eps_rob": 1e-2, "delta_ent_mode": "derived",
+    "p_ec": 0.99, "eps_rob": 1e-2,
 }
 
 # name -> (arguments before --config/--out, config or None for a help run)

@@ -33,7 +33,7 @@ def test_lambda_weights_sum_to_one():
 
 def test_lambda_ratio_sum_frozen():
     assert lambda_ratio_sum(lambda_weights(0.5)) == pytest.approx(
-        2.193088039590327, rel=1e-14
+        2.193088039590327, rel=1e-14, abs=0.0
     )
 
 
@@ -45,7 +45,8 @@ def test_lambda_ratio_sum_matches_the_roll_form_bit_for_bit():
 
 
 def test_correlation_frozen():
-    assert correlation_z(0.5) == pytest.approx(1.0965440197951635, rel=1e-14)
+    assert correlation_z(0.5) == pytest.approx(1.0965440197951635,
+                                               rel=1e-14, abs=0.0)
 
 
 def test_correlation_z_below_epr_limit():
@@ -55,7 +56,7 @@ def test_correlation_z_below_epr_limit():
         epr = math.sqrt(v_a * v_a + 2.0 * v_a)
         assert 0.0 < correlation_z(alpha) < epr
     assert correlation_z(0.5) / math.sqrt(0.25 + 1.0) == pytest.approx(
-        0.9807787874331442, rel=1e-12
+        0.9807787874331442, rel=1e-12, abs=0.0
     )
 
 

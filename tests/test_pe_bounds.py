@@ -87,9 +87,9 @@ def test_cross_half_bounds_validity_range():
 
 def test_gamma_estimates_frozen():
     g = gamma_estimates(epsilon_pe=1e-2, **STATS)
-    assert g[0] == pytest.approx(0.19443242269750227, rel=1e-13)
-    assert g[1] == pytest.approx(0.3030171883972752, rel=1e-13)
-    assert g[2] == pytest.approx(-0.30403977775998814, rel=1e-13)
+    assert g[0] == pytest.approx(0.19443242269750227, rel=1e-13, abs=0.0)
+    assert g[1] == pytest.approx(0.3030171883972752, rel=1e-13, abs=0.0)
+    assert g[2] == pytest.approx(-0.30403977775998814, rel=1e-13, abs=0.0)
 
 
 def test_gamma_estimates_are_conservative():
@@ -100,6 +100,21 @@ def test_gamma_estimates_are_conservative():
     assert g[0] >= STATS["norm_x2"] / (2 * k) - 1.0
     assert g[1] >= STATS["norm_y2"] / (2 * k) - 1.0
     assert g[2] <= STATS["ip_xy"] / (2 * k)
+
+
+def test_gamma_c_sign_threshold():
+    # |<X,Y>| <= (||X||^2 + ||Y||^2)/2 caps gamma_c at
+    # (||X||^2 + ||Y||^2)(1/(4k) - p), negative for k < 576 log(144/eps);
+    # the cap is reached with ||X||^2 = ||Y||^2 = <X,Y>
+    eps = 2.5e-10
+    assert 576.0 * math.log(144.0 / eps) == pytest.approx(15597.7, abs=0.1)
+
+    def capped(k):
+        return gamma_estimates(4 * k, 4 * k, 4 * k, k, eps)[2]
+
+    assert capped(15500) == pytest.approx(-0.0063, abs=1e-4)
+    assert capped(15700) == pytest.approx(0.0065, abs=1e-4)
+    assert capped(15597) < 0.0 < capped(15598)
 
 
 def test_gamma_estimates_regime_error():
@@ -146,8 +161,8 @@ def test_one_negative_norm_in_an_array_raises(fn, make_args):
 
 def test_calibrate_deltas_frozen():
     d = calibrate_deltas(0.5, 0.6, 0.05, 10000, 1e-2, 1e-2)
-    assert d.delta_a == pytest.approx(0.27130572033429967, rel=1e-12)
-    assert d.delta_b == pytest.approx(0.2528569313515674, rel=1e-12)
+    assert d.delta_a == pytest.approx(0.27130572033429967, rel=1e-12, abs=0.0)
+    assert d.delta_b == pytest.approx(0.2528569313515674, rel=1e-12, abs=0.0)
     assert d.delta_c == pytest.approx(1.8230967450055084, rel=1e-12)
 
 
@@ -192,7 +207,8 @@ def test_pe_decision_thresholds_and_verdicts():
     assert isinstance(dec, ConfidenceRegion)
     assert dec.sigma_a_max == pytest.approx(1.5009811602015506, rel=1e-12)
     assert dec.sigma_b_max == pytest.approx(1.2558850065017988, rel=1e-12)
-    assert dec.sigma_c_min == pytest.approx(0.7685409749444306, rel=1e-12)
+    assert dec.sigma_c_min == pytest.approx(0.7685409749444306, rel=1e-12,
+                                            abs=0.0)
     assert dec.passed and dec.verdict == "pass"
     # violating any one threshold aborts
     assert pe_decision((1.6, 0.4, 0.9), 1.5, 0.5, 0.01, deltas).verdict == "abort"

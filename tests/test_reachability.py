@@ -27,6 +27,7 @@ ALLOWED = {
     "truncation_epsilon",  # the cutoff's failure term, for reduction.csv
     "hi",  # a layer's pair index arrays, kept beside `lo` until perfbench
     # counts pairs with cos.size (`lo` is hidden by validate's variable)
+    "error",  # cli's argparse override; argparse calls it on a usage error
 }
 
 

@@ -30,18 +30,20 @@ GOLDEN_SWEEP_SNRS = [snr(0.5, T, 0.01)
 
 
 def test_snr_frozen():
-    assert snr(0.5, 0.5, 0.05) == pytest.approx(0.1234567901234568, rel=1e-14)
+    assert snr(0.5, 0.5, 0.05) == pytest.approx(0.1234567901234568,
+                                                rel=1e-14, abs=0.0)
     # definition: T * (V_A/2) over the per-quadrature noise (2 + T xi)/2
-    assert snr(0.5, 0.5, 0.0) == pytest.approx(0.125, rel=1e-14)
+    assert snr(0.5, 0.5, 0.0) == pytest.approx(0.125, rel=1e-14, abs=0.0)
 
 
 def test_gaussian_capacity_reference():
-    assert gaussian_capacity(1.0) == pytest.approx(0.5, rel=1e-14)
-    assert gaussian_capacity(3.0) == pytest.approx(1.0, rel=1e-14)
+    assert gaussian_capacity(1.0) == pytest.approx(0.5, rel=1e-14, abs=0.0)
+    assert gaussian_capacity(3.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_biawgn_capacity_frozen():
-    assert biawgn_capacity(1.0) == pytest.approx(0.48594415413293524, rel=1e-12)
+    assert biawgn_capacity(1.0) == pytest.approx(0.48594415413293524,
+                                                 rel=1e-12, abs=0.0)
 
 
 # against 30-digit mpmath the worst relative error is 1.5e-15, at s = 20
