@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -163,9 +164,11 @@ def config_to_json(cfg: RunConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
 
 
-def _require(cond: bool, field: str, message: str) -> None:
+def _require(cond: bool, field: str, message: str, *args) -> None:
+    """Raise ConfigError naming `field`; `message.format(*args)` is built
+    only when the check fails, since most calls pass."""
     if not cond:
-        raise ConfigError(f"config field {field!r}: {message}")
+        raise ConfigError(f"config field {field!r}: {message.format(*args)}")
 
 
 def _is_finite_number(val) -> bool:
@@ -185,46 +188,48 @@ def validate_config(cfg: RunConfig) -> None:
         if val is None and name in _OPTIONAL_FIELDS:
             continue
         _require(_is_finite_number(val), name,
-                 f"must be a finite number, got {val!r}")
+                 "must be a finite number, got {!r}", val)
     _require(ALPHA_MIN <= cfg.alpha <= ALPHA_MAX, "alpha",
-             f"must lie in [{ALPHA_MIN:g}, {ALPHA_MAX:g}], got {cfg.alpha!r}")
-    _require(0 < cfg.T <= 1, "T", f"must lie in (0, 1], got {cfg.T!r}")
+             "must lie in [{:g}, {:g}], got {!r}",
+             ALPHA_MIN, ALPHA_MAX, cfg.alpha)
+    _require(0 < cfg.T <= 1, "T", "must lie in (0, 1], got {!r}", cfg.T)
     _require(0 <= cfg.xi <= XI_MAX, "xi",
-             f"must lie in [0, {XI_MAX:g}], got {cfg.xi!r}")
+             "must lie in [0, {:g}], got {!r}", XI_MAX, cfg.xi)
     _require(0 < cfg.beta <= 1, "beta",
-             f"must lie in (0, 1], got {cfg.beta!r}")
+             "must lie in (0, 1], got {!r}", cfg.beta)
     for name in _INT_FIELDS:
         val = getattr(cfg, name)
         if val is None and name in _OPTIONAL_FIELDS:
             continue
         _require(isinstance(val, int) and not isinstance(val, bool),
-                 name, f"must be an integer, got {val!r}")
+                 name, "must be an integer, got {!r}", val)
     for name in ("n", "m", "k", "k_test", "k_rep"):
         _require(getattr(cfg, name) >= 1, name, "must be >= 1")
     if cfg.workers is not None:
         _require(1 <= cfg.workers <= WORKERS_MAX, "workers",
-                 f"must lie in [1, {WORKERS_MAX}], got {cfg.workers!r}")
+                 "must lie in [1, {}], got {!r}", WORKERS_MAX, cfg.workers)
     _require(cfg.trials >= 1, "trials", "must be >= 1")
     _require(cfg.seed >= 0, "seed", "must be a non-negative integer")
     for name in ("eps_total", "eps_pe", "eps_sm", "eps_ent", "eps_cor"):
         val = getattr(cfg, name)
         if val is not None:
-            _require(0 < val < 1, name, f"must lie in (0, 1), got {val!r}")
-    _require(0 < cfg.p_ec <= 1, "p_ec", f"must lie in (0, 1], got {cfg.p_ec!r}")
+            _require(0 < val < 1, name, "must lie in (0, 1), got {!r}", val)
+    _require(0 < cfg.p_ec <= 1, "p_ec", "must lie in (0, 1], got {!r}",
+             cfg.p_ec)
     _require(0 < cfg.eps_rob < 1, "eps_rob",
-             f"must lie in (0, 1), got {cfg.eps_rob!r}")
+             "must lie in (0, 1), got {!r}", cfg.eps_rob)
     for name in ("d_a", "d_b"):
         val = getattr(cfg, name)
         if val is not None:
-            _require(val > 0, name, f"must be positive, got {val!r}")
+            _require(val > 0, name, "must be positive, got {!r}", val)
     if cfg.eta is not None:
         _require(0 <= cfg.eta < 1, "eta",
-                 f"must lie in [0, 1), got {cfg.eta!r}")
+                 "must lie in [0, 1), got {!r}", cfg.eta)
     if cfg.xi_actual is not None:
         _require(0 <= cfg.xi_actual <= XI_MAX, "xi_actual",
-                 f"must lie in [0, {XI_MAX:g}], got {cfg.xi_actual!r}")
+                 "must lie in [0, {:g}], got {!r}", XI_MAX, cfg.xi_actual)
     _require(cfg.delta_ent_mode == "derived", "delta_ent_mode",
-             f"must be 'derived', got {cfg.delta_ent_mode!r}")
+             "must be 'derived', got {!r}", cfg.delta_ent_mode)
     _require(isinstance(cfg.out, str) and cfg.out != "", "out",
              "must be a non-empty path string")
 
@@ -314,6 +319,12 @@ def _cell(value):
     return value
 
 
+def _row(report) -> tuple:
+    """The field values of an all-scalar report, in field order (a shallow
+    `astuple`)."""
+    return tuple(getattr(report, f.name) for f in dataclasses.fields(report))
+
+
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -336,9 +347,9 @@ def run_keyrate(cfg: RunConfig) -> int:
     reduction = _reduction(cfg, budget)
     out = _outdir(cfg)
     _write_csv(out / "keyrate.csv", KeyLengthReport.CSV_HEADER,
-               [astuple(report)])
+               [_row(report)])
     _write_csv(out / "reduction.csv", ReductionReport.CSV_HEADER,
-               [astuple(reduction)])
+               [_row(reduction)])
     status = "feasible" if report.feasible else "no key"
     print(f"l = {report.l:.6g} bits over {report.modes} key modes "
           f"({status}); wrote keyrate.csv, reduction.csv to {out}")
@@ -378,7 +389,7 @@ def run_sweep(cfg: RunConfig, axis: str, grid: list) -> int:
             raise ConfigError(f"axis {axis!r} at {float(value)!r}: "
                               f"{type(exc).__name__}: {exc}") from None
         any_feasible = any_feasible or report.feasible
-        rows.append((axis, float(value)) + astuple(report))
+        rows.append((axis, float(value)) + _row(report))
     out = _outdir(cfg)
     _write_csv(out / "sweep.csv", ("axis", "value") + KeyLengthReport.CSV_HEADER,
                rows)
@@ -492,9 +503,9 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
         float(np.mean(energy_a)), float(np.mean(energy_b)), energy_ok,
     )])
     _write_csv(out / "keylength.csv", KeyLengthReport.CSV_HEADER,
-               [astuple(report)])
+               [_row(report)])
     _write_csv(out / "reduction.csv", ReductionReport.CSV_HEADER,
-               [astuple(reduction)])
+               [_row(reduction)])
     _write_csv(out / "key.csv", ("bit",), key_bits.reshape(-1, 1).tolist())
     _write_csv(out / "transcript.csv", TRANSCRIPT_HEADER, [(
         cfg.seed, cfg.n, cfg.m, cfg.k, cfg.xi, xi_true,
@@ -516,7 +527,7 @@ def run_validate_bounds(cfg: RunConfig) -> int:
     rows = validate_mod.run_all(cfg.seed, cfg.trials, cfg.workers)
     out = _outdir(cfg)
     _write_csv(out / "bounds.csv", validate_mod.BoundRow.CSV_HEADER,
-               [astuple(r) for r in rows])
+               [_row(r) for r in rows])
     checked = [r for r in rows if r.verdict != "regime-error"]
     ok = sum(1 for r in checked if r.verdict == "ok")
     print(f"validated {ok}/{len(checked)} bounds ok "
@@ -560,7 +571,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it
+    unchanged, and `--help` reads the terminal width when it formats."""
     parser = _Parser(
         prog="dmcvqkd",
         description="Finite-size security calculator and protocol simulator "

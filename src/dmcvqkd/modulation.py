@@ -7,6 +7,7 @@ whose weights lambda_k drive every correlation quantity below.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -54,13 +55,22 @@ def lambda_ratio_sum(lam: np.ndarray) -> float:
     return float(np.sum(lam ** 1.5 / np.sqrt(lam[[1, 2, 3, 0]])))
 
 
+@functools.lru_cache(maxsize=256)
+def lambda_ratio_sum_at(alpha: float) -> float:
+    """`lambda_ratio_sum(lambda_weights(alpha))`, computed once per alpha.
+
+    Every keyrate or sweep point asks for it more than once at the same
+    alpha.  It keeps numpy's `power`: `x ** 1.5` on Python floats differs
+    from it in the last bit on about 5 % of inputs, which would change the
+    reported key-length terms at some alphas.
+    """
+    return lambda_ratio_sum(lambda_weights(alpha))
+
+
 def correlation_z(alpha: float) -> float:
     """Trusted cross-correlation Z of the purified constellation state.
 
     Z = V_A * sum_k lambda_k^{3/2} / lambda_{k+1}^{1/2}, strictly smaller
     than the Gaussian benchmark sqrt(V_A^2 + 2 V_A).
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    v_a = 2.0 * alpha * alpha
-    return v_a * lambda_ratio_sum(lambda_weights(alpha))
+    return 2.0 * alpha * alpha * lambda_ratio_sum_at(alpha)

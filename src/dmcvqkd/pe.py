@@ -33,7 +33,7 @@ from .errors import (
     RegimeError,
     ValidityRange,
 )
-from .modulation import lambda_ratio_sum, lambda_weights
+from .modulation import lambda_ratio_sum_at
 
 class InnerProductBounds(NamedTuple):
     """Split inner-product bounds: two-sided interval and one-sided floor."""
@@ -268,7 +268,7 @@ def pe_decision(
     sigma_a_max = v + delta_a
     sigma_b_max = T * v_a + 1.0 + T * xi + delta_b
     sigma_c_min = (
-        math.sqrt(T) * v_a * lambda_ratio_sum(lambda_weights(alpha)) - delta_c
+        math.sqrt(T) * v_a * lambda_ratio_sum_at(alpha) - delta_c
     )
     ok = (
         gamma_a <= sigma_a_max
@@ -310,7 +310,7 @@ def calibrate_deltas(
     v_a = 2.0 * alpha * alpha
     v = v_a + 1.0
     sigma_b = T * v_a + 1.0 + T * xi
-    z_bar = math.sqrt(T) * v_a * lambda_ratio_sum(lambda_weights(alpha))
+    z_bar = math.sqrt(T) * v_a * lambda_ratio_sum_at(alpha)
 
     dof = 4 * k
     q_hi = chdtri(dof, budget)  # upper-tail quantile of chi2(dof)

@@ -148,7 +148,7 @@ def test_criterion_05_key_length_audit_and_monotonicity():
     start = time.perf_counter()
     rep = _chain()
     assert audit_key_length(rep)
-    assert rep.l == pytest.approx(1325284.0394804422, rel=1e-9)
+    assert rep.l == 1325284.039480323
     oracle_l = composition_key_length(
         0.5, 0.5, 0.01, 0.95, 100_000_000, 2_000_000_000,
         1e-10, 1e-10, 1e-10, 1e-10, 0.99, 1e-2,

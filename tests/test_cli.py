@@ -1,6 +1,7 @@
 """Command-line workflows: configs, exit codes, CSV outputs, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -23,15 +24,28 @@ from dmcvqkd.cli import (
     resolve_budget,
     validate_config,
 )
-from dmcvqkd.channel import apply_symmetrization, simulate_rounds
+from dmcvqkd.channel import (
+    ROLE_KEY,
+    apply_symmetrization,
+    interleave,
+    simulate_rounds,
+)
 from dmcvqkd.errors import ConfigError
+from dmcvqkd.reconciliation import repetition_reconcile
 from dmcvqkd.rotations import OrthogonalTransform
-from oracles import import_batch, role_codes
+from oracles import import_batch, role_codes, toeplitz_hash_direct
 
 SIM_BASE = {
     "alpha": 0.5, "T": 0.6, "xi": 0.05,
     "n": 512, "m": 100, "k": 2000,
     "k_rep": 64, "k_test": 150, "seed": 424242,
+}
+
+# the README's benign operating point, l = 1325284.04
+BENIGN = {
+    "alpha": 0.5, "T": 0.5, "xi": 0.01, "beta": 0.95,
+    "n": 100_000_000, "m": 1000, "k": 2_000_000_000,
+    "eps_pe": 1e-10, "eps_sm": 1e-10, "eps_ent": 1e-10, "eps_cor": 1e-10,
 }
 
 SIM_FILES = (
@@ -108,6 +122,35 @@ def test_validate_config_names_offending_field():
         validate_config(RunConfig(k=1.5))
     with pytest.raises(ConfigError, match="'eps_total'"):
         validate_config(RunConfig(eps_total=None))
+
+
+# the exact text of each validate_config message
+@pytest.mark.parametrize("overrides, message", [
+    ({"alpha": math.nan}, "'alpha': must be a finite number, got nan"),
+    ({"alpha": 2e3}, "'alpha': must lie in [0.05, 1000], got 2000.0"),
+    ({"T": 0.0}, "'T': must lie in (0, 1], got 0.0"),
+    ({"xi": -1.0}, "'xi': must lie in [0, 1e+06], got -1.0"),
+    ({"beta": 1.5}, "'beta': must lie in (0, 1], got 1.5"),
+    ({"n": 1.5}, "'n': must be an integer, got 1.5"),
+    ({"m": 0}, "'m': must be >= 1"),
+    ({"workers": 300}, "'workers': must lie in [1, 256], got 300"),
+    ({"trials": 0}, "'trials': must be >= 1"),
+    ({"seed": -1}, "'seed': must be a non-negative integer"),
+    ({"eps_pe": 1.0}, "'eps_pe': must lie in (0, 1), got 1.0"),
+    ({"p_ec": 0.0}, "'p_ec': must lie in (0, 1], got 0.0"),
+    ({"eps_rob": 1.0}, "'eps_rob': must lie in (0, 1), got 1.0"),
+    ({"d_b": -2.0}, "'d_b': must be positive, got -2.0"),
+    ({"eta": 1.0}, "'eta': must lie in [0, 1), got 1.0"),
+    ({"xi_actual": 2e6},
+     "'xi_actual': must lie in [0, 1e+06], got 2000000.0"),
+    ({"delta_ent_mode": "paper"},
+     "'delta_ent_mode': must be 'derived', got 'paper'"),
+    ({"out": ""}, "'out': must be a non-empty path string"),
+])
+def test_validate_config_messages_are_exact(overrides, message):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(RunConfig(**overrides))
+    assert str(exc.value) == "config field " + message
 
 
 @pytest.mark.parametrize("value", [0, -1, True, 1.5, "2",
@@ -289,18 +332,33 @@ def test_keyrate_default_config_no_key(tmp_path):
 
 def test_keyrate_feasible_point(tmp_path):
     cfg = tmp_path / "benign.json"
-    cfg.write_text(json.dumps({
-        "alpha": 0.5, "T": 0.5, "xi": 0.01, "beta": 0.95,
-        "n": 100_000_000, "m": 1000, "k": 2_000_000_000,
-        "eps_pe": 1e-10, "eps_sm": 1e-10, "eps_ent": 1e-10,
-        "eps_cor": 1e-10,
-    }))
+    cfg.write_text(json.dumps(BENIGN))
     rc = cli.main(["keyrate", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == EXIT_OK
     header, rows = read_csv(tmp_path / "keyrate.csv")
     row = dict(zip(header, rows[0]))
-    assert float(row["l"]) == pytest.approx(1325284.0394804422, rel=1e-9)
+    assert float(row["l"]) == 1325284.039480323
     assert row["feasible"] == "1"
+
+
+def test_per_process_caches_leave_outputs_unchanged(tmp_path, capsys):
+    # the parser and the constellation sum are built once per process; a
+    # usage error and --help in between must not change a later run
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "benign.json"
+    cfg.write_text(json.dumps(BENIGN))
+    sweep = ["sweep", "--config", str(cfg), "--axis", "T",
+             "--grid", "0.3,0.5,0.7,0.9", "--out"]
+    assert cli.main(sweep + [str(tmp_path / "first")]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["keyrate", "--bogus"])
+    assert exc.value.code == EXIT_ERROR
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == EXIT_OK
+    assert cli.main(sweep + [str(tmp_path / "again")]) == EXIT_OK
+    first = (tmp_path / "first" / "sweep.csv").read_bytes()
+    assert (tmp_path / "again" / "sweep.csv").read_bytes() == first
 
 
 def test_keyrate_leakage_at_vanishing_snr(tmp_path):
@@ -418,6 +476,34 @@ def test_simulate_transcript_contents(tmp_path):
     assert rc == EXIT_NO_KEY and row["exit_code"] == "2"
     _, key_rows = read_csv(tmp_path / "key.csv")
     assert key_rows == []
+
+
+def test_simulate_success_branch_writes_the_hashed_key(tmp_path,
+                                                       monkeypatch):
+    # no config this simulator can run gives l > 0 (ROADMAP item 6), so a
+    # positive key length is stubbed in; the default config passes PE, the
+    # hash check and the energy test
+    real = cli.key_length
+
+    def positive(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, l=200.5, feasible=True)
+
+    monkeypatch.setattr(cli, "key_length", positive)
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == EXIT_OK
+    header, rows = read_csv(tmp_path / "transcript.csv")
+    assert dict(zip(header, rows[0]))["exit_code"] == "0"
+    # Bob's block signs, hashed to int(l) = 200 of the 4n/k_rep = 256 bits
+    cfg = RunConfig()
+    batch = simulate_rounds(cli._protocol_params(cfg), cfg.seed)
+    key = batch.role_indices(ROLE_KEY)
+    y_hard, _, _ = repetition_reconcile(
+        interleave(batch.bob_x[key], batch.bob_p[key]), cfg.k_rep)
+    bits_b = (y_hard < 0).astype(np.uint8)
+    assert bits_b.size == 4 * cfg.n // cfg.k_rep == 256
+    want = toeplitz_hash_direct(bits_b, (cfg.seed, 4), 200)
+    _, key_rows = read_csv(tmp_path / "key.csv")
+    assert [int(bit) for bit, in key_rows] == want.tolist()
 
 
 def test_simulate_adversarial_noise_aborts(tmp_path):

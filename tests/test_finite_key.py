@@ -80,10 +80,10 @@ def test_key_length_benign_frozen():
     s = snr(params.v_a, params.T, params.xi)
     leak = leak_model(2 * params.n, 0.95, s, BENIGN_BUDGET.eps_cor)
     rep = key_length(params, BENIGN_BUDGET, 1.0, BENIGN_REGION, leak)
-    assert rep.l == pytest.approx(1325284.0394804422, rel=1e-9)
+    assert rep.l == 1325284.039480323
     assert rep.feasible
     assert rep.f_bits == pytest.approx(0.13041110041935633, rel=1e-12, abs=0.0)
-    assert rep.leak_ec == pytest.approx(367797437.33192605, rel=1e-12)
+    assert rep.leak_ec == 367797437.33192617
     assert rep.delta_aep == pytest.approx(2109093.3744001277, rel=1e-12)
     assert rep.delta_ent == pytest.approx(2685965.170322137, rel=1e-12)
     assert rep.modes == 2 * params.n and rep.raw_bits == 4 * params.n

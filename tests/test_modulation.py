@@ -7,7 +7,12 @@ import pytest
 
 from dmcvqkd.errors import DomainError
 from dmcvqkd.gaussian import symplectic_eigenvalues
-from dmcvqkd.modulation import correlation_z, lambda_ratio_sum, lambda_weights
+from dmcvqkd.modulation import (
+    correlation_z,
+    lambda_ratio_sum,
+    lambda_ratio_sum_at,
+    lambda_weights,
+)
 
 from oracles import fock_modulation_oracle
 
@@ -42,6 +47,22 @@ def test_lambda_ratio_sum_matches_the_roll_form_bit_for_bit():
         lam = lambda_weights(float(alpha))
         rolled = float(np.sum(lam ** 1.5 / np.sqrt(np.roll(lam, -1))))
         assert lambda_ratio_sum(lam) == rolled
+
+
+def test_cached_ratio_sum_is_the_uncached_sum_bit_for_bit():
+    for alpha in np.geomspace(0.05, 1e3, 1000):
+        want = lambda_ratio_sum(lambda_weights(float(alpha)))
+        assert lambda_ratio_sum_at(float(alpha)) == want
+        assert lambda_ratio_sum_at(float(alpha)) == want  # from the cache
+
+
+def test_cached_ratio_sum_rejects_bad_alpha_on_every_call():
+    # an exception is not cached, so a repeated bad alpha raises again
+    for alpha in (0.0, -0.3, 0.0, -0.3):
+        with pytest.raises(DomainError):
+            lambda_ratio_sum_at(alpha)
+        with pytest.raises(DomainError):
+            correlation_z(alpha)
 
 
 def test_correlation_frozen():

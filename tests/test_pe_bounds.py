@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import chdtri
+from scipy.special import chdtr, chdtri
 
 from dmcvqkd.errors import (
     DomainError,
@@ -14,6 +15,7 @@ from dmcvqkd.errors import (
 )
 from dmcvqkd.pe import (
     ConfidenceRegion,
+    _estimator_terms,
     calibrate_deltas,
     chi2_tail_thresholds,
     cross_half_bounds,
@@ -120,6 +122,41 @@ def test_gamma_c_sign_threshold():
 def test_gamma_estimates_regime_error():
     with pytest.raises(RegimeError):
         gamma_estimates(100.0, 100.0, 0.0, 50, 1e-6)
+
+
+# Soundness of the a and b estimators (Section III), with their exact law.
+# In the honest model ||X||^2 = ((V + 1)/2) U with U ~ chi2(4k), so
+# gamma_a < V exactly when U < 4k/infl, and likewise gamma_b < Sigma_b:
+# both fail with probability chdtr(4k, 4k/infl).
+OUT_OF_REGIME = {(500, 1e-12), (500, 1e-10)}
+
+
+@pytest.mark.parametrize("k", [500, 2000, 10 ** 4, 10 ** 6, 2 * 10 ** 9])
+@pytest.mark.parametrize("eps_pe", [1e-12, 1e-10, 1e-2])
+def test_a_and_b_estimators_fail_with_at_most_eps_pe(k, eps_pe):
+    if (k, eps_pe) in OUT_OF_REGIME:
+        with pytest.raises(RegimeError):
+            _estimator_terms(k, eps_pe)
+        return
+    infl, _ = _estimator_terms(k, eps_pe)
+    u_edge = 4 * k / infl
+    # at the edge of the event the estimators meet the true values
+    v, sigma_b = 1.5, 1.26
+    g_a, g_b, _ = gamma_estimates((v + 1.0) / 2.0 * u_edge,
+                                  (sigma_b + 1.0) / 2.0 * u_edge, 0.0,
+                                  k, eps_pe)
+    assert g_a == pytest.approx(v, rel=1e-12, abs=0.0)
+    assert g_b == pytest.approx(sigma_b, rel=1e-12, abs=0.0)
+    assert 0.0 < chdtr(4 * k, u_edge) <= eps_pe
+
+
+def test_exact_estimator_tail_matches_mpmath():
+    infl, _ = _estimator_terms(2000, 1e-10)
+    with mpmath.workdps(30):
+        want = mpmath.gammainc(4000, 0, 4000 / mpmath.mpf(infl),
+                               regularized=True)
+    assert chdtr(8000, 8000 / infl) == pytest.approx(float(want), rel=1e-10,
+                                                     abs=0.0)
 
 
 # (function, argument maker): the norm/inner-product arguments come from

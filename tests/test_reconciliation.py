@@ -120,7 +120,7 @@ def test_hash_length():
 def test_leak_model_frozen_and_structure():
     s = snr(0.5, 0.5, 0.01)
     leak = leak_model(200_000_000, 0.95, s, 1e-10)
-    assert leak == pytest.approx(367797437.33192605, rel=1e-12)
+    assert leak == 367797437.33192617
     # leak = 2 n (1 - beta C_BI) + hash bits
     expected = 2 * 200_000_000 * (1 - 0.95 * biawgn_capacity(s)) + 34
     assert leak == pytest.approx(expected, rel=1e-14)
