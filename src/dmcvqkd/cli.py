@@ -75,12 +75,12 @@ class RunConfig:
     """Flat run configuration; every field has a JSON key of the same name.
 
     `None` means "derive the documented default": epsilon components split
-    the total budget equally, energy thresholds d_a/d_b default to three
-    times the expected per-mode energies, eta to its feasibility boundary,
-    xi_actual (the channel truth used by `simulate`) to xi, and workers
-    (threads; never affects outputs) to every usable core.  alpha lies in
-    [ALPHA_MIN, ALPHA_MAX]; xi and xi_actual are capped at XI_MAX, workers
-    at WORKERS_MAX.
+    the total budget equally, xi_actual (the channel truth used by
+    `simulate`) to xi, and workers (threads; never affects outputs) to
+    every usable core.  alpha lies in [ALPHA_MIN, ALPHA_MAX]; xi and
+    xi_actual are capped at XI_MAX, workers at WORKERS_MAX.  The reduction
+    takes no setting: d_A and d_B are 3x the expected per-mode energies,
+    and eta is the smallest value that admits the certified cutoff.
     """
 
     alpha: float = 0.5
@@ -98,9 +98,6 @@ class RunConfig:
     p_ec: float = 0.99
     eps_rob: float = 1e-2
     k_test: int = 1000
-    d_a: Optional[float] = None
-    d_b: Optional[float] = None
-    eta: Optional[float] = None
     k_rep: int = 256
     seed: int = 12345
     out: str = "."
@@ -118,11 +115,12 @@ SWEEP_AXES = (
     "alpha", "T", "xi", "beta", "n", "k",
     "eps_total", "eps_pe", "eps_sm", "eps_ent", "eps_cor", "p_ec", "eps_rob",
 )
-_INT_FIELDS = ("n", "m", "k", "k_test", "k_rep", "seed", "workers", "trials")
-_FLOAT_FIELDS = (
-    "alpha", "T", "xi", "beta", "eps_total", "eps_pe", "eps_sm", "eps_ent",
-    "eps_cor", "p_ec", "eps_rob", "d_a", "d_b", "eta", "xi_actual",
-)
+# in field order, so the first bad field of a config is the one named
+_INT_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
+                    if f.type in ("int", "Optional[int]"))
+_FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
+                      if f.type in ("float", "Optional[float]"))
+_EPS_COMPONENTS = ("eps_pe", "eps_sm", "eps_ent", "eps_cor")
 # Lower limit of the amplitude.  The closed-form lambda_2 and lambda_3
 # cancel at small alpha: against 50-digit arithmetic every weight is within
 # 4.2e-9 relative error from 0.05 on, lambda_3 is off by 1.8e-8 at 0.04 and
@@ -210,7 +208,7 @@ def validate_config(cfg: RunConfig) -> None:
                  "must lie in [1, {}], got {!r}", WORKERS_MAX, cfg.workers)
     _require(cfg.trials >= 1, "trials", "must be >= 1")
     _require(cfg.seed >= 0, "seed", "must be a non-negative integer")
-    for name in ("eps_total", "eps_pe", "eps_sm", "eps_ent", "eps_cor"):
+    for name in ("eps_total",) + _EPS_COMPONENTS:
         val = getattr(cfg, name)
         if val is not None:
             _require(0 < val < 1, name, "must lie in (0, 1), got {!r}", val)
@@ -218,13 +216,6 @@ def validate_config(cfg: RunConfig) -> None:
              cfg.p_ec)
     _require(0 < cfg.eps_rob < 1, "eps_rob",
              "must lie in (0, 1), got {!r}", cfg.eps_rob)
-    for name in ("d_a", "d_b"):
-        val = getattr(cfg, name)
-        if val is not None:
-            _require(val > 0, name, "must be positive, got {!r}", val)
-    if cfg.eta is not None:
-        _require(0 <= cfg.eta < 1, "eta",
-                 "must lie in [0, 1), got {!r}", cfg.eta)
     if cfg.xi_actual is not None:
         _require(0 <= cfg.xi_actual <= XI_MAX, "xi_actual",
                  "must lie in [0, {:g}], got {!r}", XI_MAX, cfg.xi_actual)
@@ -232,6 +223,14 @@ def validate_config(cfg: RunConfig) -> None:
              "must be 'derived', got {!r}", cfg.delta_ent_mode)
     _require(isinstance(cfg.out, str) and cfg.out != "", "out",
              "must be a non-empty path string")
+    # SecurityBudget.eps_total; an unset component is eps_total/4, so only
+    # set ones can push the sum to 1
+    parts = {name: getattr(cfg, name) for name in _EPS_COMPONENTS}
+    total = sum(cfg.eps_total / 4 if v is None else v for v in parts.values())
+    if not total < 1:
+        named = ", ".join(repr(n) for n, v in parts.items() if v is not None)
+        raise ConfigError(f"config field {named}: the epsilon components "
+                          f"sum to {total!r}, which must be below 1")
 
 
 def resolve_budget(cfg: RunConfig) -> SecurityBudget:
@@ -247,12 +246,9 @@ def resolve_budget(cfg: RunConfig) -> SecurityBudget:
 
 
 def resolve_energy_thresholds(cfg: RunConfig) -> tuple:
-    """(d_a, d_b): configured values or 3x the expected per-mode energy."""
+    """(d_a, d_b): 3x the expected per-mode energy on each side."""
     v_a = 2.0 * cfg.alpha * cfg.alpha
-    d_a = cfg.d_a if cfg.d_a is not None else 3.0 * v_a / 2.0
-    d_b = cfg.d_b if cfg.d_b is not None else \
-        3.0 * cfg.T * (v_a + cfg.xi) / 2.0
-    return d_a, d_b
+    return 3.0 * v_a / 2.0, 3.0 * cfg.T * (v_a + cfg.xi) / 2.0
 
 
 def _regime_error(cfg: RunConfig, budget: SecurityBudget,
@@ -306,8 +302,13 @@ def _energy_config(cfg: RunConfig, budget: SecurityBudget) -> EnergyTestConfig:
 
 def _reduction(cfg: RunConfig, budget: SecurityBudget) -> ReductionReport:
     n_modes = 2 * (cfg.n + cfg.m + cfg.k)
-    return make_reduction_report(n_modes, _energy_config(cfg, budget),
-                                 budget.eps_total, cfg.eta)
+    try:
+        return make_reduction_report(n_modes, _energy_config(cfg, budget),
+                                     budget.eps_total)
+    except RegimeError as exc:  # the energy test is too short for a cutoff
+        raise ConfigError(f"config field 'k_test' = {cfg.k_test} with "
+                          f"eps_total = {budget.eps_total!r} is outside the "
+                          f"energy test's regime ({exc})") from None
 
 
 def _cell(value):
@@ -556,15 +557,6 @@ def _csv_docs() -> str:
     return "\n".join(lines)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH",
-                     help="flat JSON config file; flags override its values")
-    sub.add_argument("--seed", type=int, help="base seed (64-bit)")
-    sub.add_argument("--out", metavar="DIR", help="output directory")
-    sub.add_argument("--trials", type=int,
-                     help="Monte Carlo trials for validate-bounds")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2, this CLI's "no key"
         self.print_usage(sys.stderr)
@@ -590,10 +582,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "seeded end-to-end protocol run with transcript"),
         ("validate-bounds", "Monte Carlo check of every tail bound"),
     ):
-        subs[name] = sub.add_parser(
+        subs[name] = p = sub.add_parser(
             name, help=help_text, epilog=_csv_docs(),
             formatter_class=argparse.RawDescriptionHelpFormatter)
-        _add_common_flags(subs[name])
+        # --seed and --trials only where a run reads them
+        p.add_argument("--config", metavar="PATH",
+                       help="flat JSON config file; flags override its values")
+        if name in ("simulate", "validate-bounds"):
+            p.add_argument("--seed", type=int, help="base seed (64-bit)")
+        p.add_argument("--out", metavar="DIR", help="output directory")
+        if name == "validate-bounds":
+            p.add_argument("--trials", type=int,
+                           help="Monte Carlo trials for validate-bounds")
 
     subs["sweep"].add_argument(
         "--axis", required=True,

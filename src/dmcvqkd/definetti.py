@@ -186,18 +186,19 @@ def make_reduction_report(
     n_modes: int,
     config: EnergyTestConfig,
     eps_collective: float,
-    eta: float = None,
 ) -> ReductionReport:
     """Compose the reduction numbers for a run of n_modes protocol modes.
 
-    When eta is omitted it is placed at the truncation-validity boundary
-    K/(K + n - 5), the smallest value admitting the certified cutoff.
+    eta sits on the truncation-validity boundary: the rounded K/(K + n - 5),
+    stepped up by ulps until `truncation_epsilon` accepts the cutoff K.
     """
     K = photon_cutoff(
         n_modes, config.k_test, config.d_a, config.d_b, config.eps_test
     )
-    if eta is None:
-        eta = K / (K + max(n_modes - 5, 1))
+    big_n = max(n_modes - 5, 1)
+    eta = K / (K + big_n)
+    while eta < 1.0 and K > (eta / (1.0 - eta)) * big_n:
+        eta = math.nextafter(eta, 1.0)
     return ReductionReport(
         n_modes=int(n_modes),
         k_test=int(config.k_test),

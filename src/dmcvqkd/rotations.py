@@ -82,11 +82,6 @@ class _Layer:
         i = np.arange(self.dim, dtype=np.int64)
         return i[((i & self.stride) == 0) & (i + self.stride < self.dim)]
 
-    @property
-    def hi(self) -> np.ndarray:
-        """int64 upper members of the pairs, lo + stride."""
-        return self.lo + self.stride
-
     def rotate(self, v: np.ndarray) -> None:
         """Rotate the layer's pairs of v in place."""
         s = self.stride

@@ -30,6 +30,7 @@ from dmcvqkd.channel import (
     interleave,
     simulate_rounds,
 )
+from dmcvqkd.definetti import truncation_epsilon
 from dmcvqkd.errors import ConfigError
 from dmcvqkd.reconciliation import repetition_reconcile
 from dmcvqkd.rotations import OrthogonalTransform
@@ -75,10 +76,12 @@ def test_config_json_round_trip(tmp_path):
     assert config_from_json(p) == cfg
 
 
-# log_base is no longer a field (every PE deviation log is ln); an old
-# config that still sets it is rejected by name
-@pytest.mark.parametrize("data", [{"bogus": 1}, {"log_base": "natural"}],
-                         ids=["bogus", "log_base"])
+# log_base is no longer a field (every PE deviation log is ln), nor are
+# the derived energy thresholds and eta; an old config that still sets one
+# is rejected by name
+@pytest.mark.parametrize("data", [{"bogus": 1}, {"log_base": "natural"},
+                                  {"d_a": 1.0}, {"d_b": 1.0}, {"eta": 0.0}],
+                         ids=["bogus", "log_base", "d_a", "d_b", "eta"])
 def test_config_unknown_field_named(data):
     field, = data
     with pytest.raises(ConfigError, match=f"unknown config field '{field}'"):
@@ -98,12 +101,18 @@ def test_delta_ent_mode_other_than_derived_is_named(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["keyrate", "--bogus"], "--bogus"),
-    (["keyrate", "--seed", "x"], "--seed"),
+    (["simulate", "--seed", "x"], "--seed"),
     (["sweep", "--axis", "T"], "--grid"),
     (["bogus"], "'bogus'"),
     (["keyrate", "--delta-ent-mode", "paper"], "--delta-ent-mode"),
+    # a flag is offered only where its value is read
+    (["keyrate", "--trials", "5"], "--trials"),
+    (["keyrate", "--seed", "1"], "--seed"),
+    (["sweep", "--axis", "T", "--grid", "0.5", "--seed", "1"], "--seed"),
+    (["simulate", "--trials", "5"], "--trials"),
 ], ids=["unknown-flag", "bad-int", "missing-grid", "unknown-subcommand",
-        "removed-flag"])
+        "removed-flag", "keyrate-trials", "keyrate-seed", "sweep-seed",
+        "simulate-trials"])
 def test_usage_error_exits_1_and_names_the_argument(capsys, argv, named):
     # argparse's own code 2 would read as "no key"
     with pytest.raises(SystemExit) as exc:
@@ -139,8 +148,12 @@ def test_validate_config_names_offending_field():
     ({"eps_pe": 1.0}, "'eps_pe': must lie in (0, 1), got 1.0"),
     ({"p_ec": 0.0}, "'p_ec': must lie in (0, 1], got 0.0"),
     ({"eps_rob": 1.0}, "'eps_rob': must lie in (0, 1), got 1.0"),
-    ({"d_b": -2.0}, "'d_b': must be positive, got -2.0"),
-    ({"eta": 1.0}, "'eta': must lie in [0, 1), got 1.0"),
+    ({"eps_pe": 0.5, "eps_sm": 0.5},
+     "'eps_pe', 'eps_sm': the epsilon components sum to 1.0000000005, "
+     "which must be below 1"),
+    ({"eps_total": 0.9, "eps_cor": 0.5},
+     "'eps_cor': the epsilon components sum to 1.175, "
+     "which must be below 1"),
     ({"xi_actual": 2e6},
      "'xi_actual': must lie in [0, 1e+06], got 2000000.0"),
     ({"delta_ent_mode": "paper"},
@@ -169,7 +182,7 @@ def test_thread_count_defaults_to_every_usable_core():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("d_a", float("inf")),
+    ("T", float("inf")),
     ("xi", 1e300),
     ("alpha", True),
     ("alpha", 1e300),
@@ -205,14 +218,46 @@ def test_regime_error_names_k_and_eps_pe(tmp_path, capsys, field, derived):
         assert f"config field 'k' = {SIM_BASE['k']}" in err, err
 
 
+def test_energy_test_regime_error_names_k_test(tmp_path, capsys):
+    # the cutoff needs k_test > 2 ln(8/eps_total); photon_cutoff's own
+    # message speaks of a k, which is another config field.  sweep writes
+    # no reduction, so it does not check this
+    cfg = write_config(tmp_path, "c.json", k_test=3)
+    for command in ("keyrate", "simulate"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg,
+                         "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'k_test' = 3 with "
+                              "eps_total = 1e-09 is outside"), err
+        assert not out.exists()
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--axis", "T", "--grid", "0.6"]) == EXIT_NO_KEY
+
+
+@pytest.mark.parametrize("config", [BENIGN, {}], ids=["benign", "default"])
+def test_reduction_eta_admits_the_cutoff(config):
+    # the rounded boundary K/(K + n - 5) fell just below the benign
+    # point's cutoff; eta is stepped up until truncation_epsilon accepts it
+    cfg = config_from_dict(config)
+    report = cli._reduction(cfg, resolve_budget(cfg))
+    assert 0.0 <= truncation_epsilon(report.n_modes, report.K,
+                                     report.eta) <= 1.0
+
+
 MALFORMED_VALUES = (math.inf, -math.inf, math.nan, 1e300, -1, 0, "x", [], {},
                     None, True)
 NON_OBJECT_CONFIGS = ([], [SIM_BASE], "x", 1, 1e300, None, True)
 
 
+# removed fields stay in the list: a config that sets one exits 1
+REMOVED_FIELDS = ("d_a", "d_b", "eta")
+
+
 @pytest.mark.parametrize("doc", [
     pytest.param(dict(SIM_BASE, **{field: value}), id=f"{field}={value!r}")
-    for field in cli._FIELD_NAMES for value in MALFORMED_VALUES
+    for field in cli._FIELD_NAMES + REMOVED_FIELDS
+    for value in MALFORMED_VALUES
 ] + [
     pytest.param(doc, id=f"document{i}")
     for i, doc in enumerate(NON_OBJECT_CONFIGS)
@@ -230,8 +275,9 @@ def test_malformed_config_never_raises(tmp_path, doc):
 
 
 SWEEP_GRID_VALUES = (math.nan, math.inf, -1.0, 0.0, 1e-300, 1e300, 0.5)
-# config fields that never reach the key length, so no longer sweep axes
-INERT_AXES = ("m", "k_test", "d_a", "d_b", "eta", "k_rep")
+# config fields that never reach the key length, so no longer sweep
+# axes, and removed fields
+INERT_AXES = ("m", "k_test", "k_rep") + REMOVED_FIELDS
 
 
 @pytest.mark.parametrize("axis", cli.SWEEP_AXES + INERT_AXES)

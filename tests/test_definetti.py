@@ -132,13 +132,22 @@ def test_make_reduction_report_frozen():
     assert rep.eps_general == pytest.approx(4.7178598823434603e+24, rel=1e-12)
     assert rep.key_reduction == 223
     assert audit_reduction(rep)
-    # default eta sits at the truncation-validity boundary K/(K + n - 5)
+    # here eta sits exactly at the truncation-validity boundary
     assert rep.eta == rep.K / (rep.K + 200_000_000 - 5)
     assert len(astuple(rep)) == len(ReductionReport.CSV_HEADER)
 
 
-def test_make_reduction_report_explicit_eta():
-    cfg = EnergyTestConfig(k_test=1000, d_a=1.0, d_b=1.0, eps_test=1e-10)
-    rep = make_reduction_report(200_000_000, cfg, 4e-10, eta=0.9)
-    assert rep.eta == 0.9
-    assert rep.K == 515773559  # cutoff independent of eta
+@pytest.mark.parametrize("n_modes, d", [
+    (200_000_000, 1.0), (6_225_516_713, 1.958), (54_768, 0.3825), (6, 1.0),
+    (1000, 1e-9), (10 ** 12, 7.0),
+])
+def test_make_reduction_report_eta_admits_the_cutoff(n_modes, d):
+    # eta is the rounded boundary K/(K + n - 5), or the first float above
+    # it at which truncation_epsilon accepts the cutoff
+    cfg = EnergyTestConfig(k_test=1000, d_a=d, d_b=d, eps_test=1e-10)
+    rep = make_reduction_report(n_modes, cfg, 4e-10)
+    truncation_epsilon(rep.n_modes, rep.K, rep.eta)
+    big_n = n_modes - 5
+    below = np.nextafter(rep.eta, 0.0)
+    assert rep.eta == rep.K / (rep.K + big_n) or \
+        rep.K > (below / (1.0 - below)) * big_n

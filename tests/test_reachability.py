@@ -25,8 +25,6 @@ ALLOWED = {
     "kernel_name",  # perfbench/run.py records it with every benchmark run
     "config_to_json",  # the resolved config of a per-run record to come
     "truncation_epsilon",  # the cutoff's failure term, for reduction.csv
-    "hi",  # a layer's pair index arrays, kept beside `lo` until perfbench
-    # counts pairs with cos.size (`lo` is hidden by validate's variable)
     "error",  # cli's argparse override; argparse calls it on a usage error
 }
 
