@@ -8,7 +8,7 @@ layer; the submodules stay importable for the full APIs.
 from .channel import ProtocolParams, QuadratureBatch, simulate_rounds
 from .finitekey import KeyLengthReport, SecurityBudget, key_length
 from .gaussian import g_entropy, holevo_f, symplectic_eigenvalues
-from .modulation import correlation_z, lambda_weights
+from .modulation import honest_covariance, lambda_weights
 from .pe import ConfidenceRegion, calibrate_deltas, gamma_estimates, pe_decision
 from .reconciliation import biawgn_capacity
 from .rotations import OrthogonalTransform
@@ -25,10 +25,10 @@ __all__ = [
     "__version__",
     "biawgn_capacity",
     "calibrate_deltas",
-    "correlation_z",
     "g_entropy",
     "gamma_estimates",
     "holevo_f",
+    "honest_covariance",
     "key_length",
     "lambda_weights",
     "pe_decision",

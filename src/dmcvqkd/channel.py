@@ -42,7 +42,7 @@ from .errors import (
     EmptySelection,
     InsufficientRounds,
 )
-from .modulation import CONSTELLATION_PHASES, correlation_z
+from .modulation import CONSTELLATION_PHASES, honest_covariance
 from .parallel import run_parts
 from .rotations import OrthogonalTransform, _philox_uniforms
 
@@ -137,14 +137,6 @@ class QuadratureBatch:
         return slice(first, first + self.counts[role])
 
 
-class SigmaTriple(NamedTuple):
-    """Raw per-mode second moments (no vacuum-unit correction)."""
-
-    a: float  # mean of ax^2 + ap^2
-    b: float  # mean of bx^2 + bp^2
-    c: float  # mean of ax*bx - ap*bp
-
-
 class PESplit(NamedTuple):
     """Interleaved (x, p) vectors for the two PE halves, 2k entries each."""
 
@@ -177,14 +169,13 @@ def _gaussian_cholesky(params: ProtocolParams):
     """Per-plane 2x2 Cholesky factors of the heterodyne record covariance.
 
     x-plane cov [[va, c], [c, vb]], p-plane [[va, -c], [-c, vb]] with
-    va = (V_A + 2)/2, vb = (T V_A + 2 + T xi)/2, c = sqrt(T) Z / 2.
+    va = (V + 1)/2, vb = (Sigma_b + 1)/2 and c = Z_bar/2 from the honest
+    covariance (V, Sigma_b, Z_bar).
     """
-    va = (params.v_a + 2.0) / 2.0
-    vb = (params.T * params.v_a + 2.0 + params.T * params.xi) / 2.0
-    c = math.sqrt(params.T) * correlation_z(params.alpha) / 2.0
-    l11 = math.sqrt(va)
-    l21 = c / l11
-    l22 = math.sqrt(vb - l21 * l21)
+    v, sigma_b, z_bar = honest_covariance(params.alpha, params.T, params.xi)
+    l11 = math.sqrt((v + 1.0) / 2.0)
+    l21 = z_bar / 2.0 / l11
+    l22 = math.sqrt((sigma_b + 1.0) / 2.0 - l21 * l21)
     return l11, l21, l22
 
 
@@ -317,28 +308,6 @@ def apply_symmetrization(batch: QuadratureBatch,
     x[g] = v[0::2]
     p[g] = v[1::2]
     return replace(batch, **dict(zip(names, (x, p))))
-
-
-def empirical_sigma(batch: QuadratureBatch) -> SigmaTriple:
-    """Raw second-moment triple over the gaussian-role rounds.
-
-    a = mean(ax^2 + ap^2), b likewise for Bob, c = mean(ax*bx - ap*bp).
-    No vacuum correction is applied: both records are heterodyne outcomes,
-    so the state quadrature variance is (raw - 1); the cross term c needs
-    no correction.
-    """
-    g = batch.role_indices(ROLE_GAUSSIAN)
-    ax = batch.alice_x[g]
-    ap = batch.alice_p[g]
-    bx = batch.bob_x[g]
-    bp = batch.bob_p[g]
-    if ax.size == 0:
-        raise EmptySelection("no gaussian-role rounds")
-    return SigmaTriple(
-        a=float(np.mean(ax * ax + ap * ap)),
-        b=float(np.mean(bx * bx + bp * bp)),
-        c=float(np.mean(ax * bx - ap * bp)),
-    )
 
 
 def split_pe_sets(batch: QuadratureBatch, k: int) -> PESplit:

@@ -31,7 +31,6 @@ from .channel import (
     ROLE_KEY,
     ProtocolParams,
     apply_symmetrization,
-    empirical_sigma,
     export_batch,
     heterodyne_energy,
     interleave,
@@ -433,13 +432,11 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     # R on Alice's gaussian records and S R S on Bob's leave ||X||^2, ||Y||^2
     # and the signed <X, Y> unchanged (rotations.apply_conjugate), so the
     # statistics are taken before the symmetrization; it is only carried
-    # out for batch.csv
-    sigma_hat = empirical_sigma(batch)
-
-    norm_x2, norm_y2, ip_xy = pe_statistics(split_pe_sets(batch, cfg.k))
+    # out for batch.csv.  sigma_hat are the same totals per gaussian mode.
+    totals = pe_statistics(split_pe_sets(batch, cfg.k))
+    sigma_hat = tuple(total / (2 * cfg.k) for total in totals)
     try:
-        gammas = gamma_estimates(norm_x2, norm_y2, ip_xy, cfg.k,
-                                 budget.eps_pe)
+        gammas = gamma_estimates(*totals, cfg.k, budget.eps_pe)
         deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k,
                                   budget.eps_pe, budget.eps_rob)
     except RegimeError as exc:
@@ -585,6 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         subs[name] = p = sub.add_parser(
             name, help=help_text, epilog=_csv_docs(),
             formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.set_defaults(parser=p)
         # --seed and --trials only where a run reads them
         p.add_argument("--config", metavar="PATH",
                        help="flat JSON config file; flags override its values")
@@ -620,7 +618,14 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # argparse passes a subcommand's unknown arguments up to the top
+        # level: report them with the subcommand's parser, and those given
+        # before the subcommand with the top level's
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args.parser.parse_args(argv[argv.index(args.command) + 1:])
+        parser.parse_args(argv)
     try:
         cfg = config_from_json(args.config) if args.config else RunConfig()
         cfg = _merge_flags(cfg, args)

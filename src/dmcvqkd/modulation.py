@@ -1,4 +1,4 @@
-"""Four-state constellation: eigenstate weights and correlation strength.
+"""Four-state constellation: eigenstate weights and the honest covariance.
 
 Alice draws one of four coherent states alpha * exp(i*(2k+1)*pi/4),
 k = 0..3, uniformly.  The modulation variance is V_A = 2*alpha^2 (shot-noise
@@ -67,10 +67,15 @@ def lambda_ratio_sum_at(alpha: float) -> float:
     return lambda_ratio_sum(lambda_weights(alpha))
 
 
-def correlation_z(alpha: float) -> float:
-    """Trusted cross-correlation Z of the purified constellation state.
+def honest_covariance(alpha: float, T: float, xi: float) -> tuple:
+    """(V, Sigma_b, Z_bar) that an honest channel of transmittance T and
+    excess noise xi gives the constellation state.
 
-    Z = V_A * sum_k lambda_k^{3/2} / lambda_{k+1}^{1/2}, strictly smaller
-    than the Gaussian benchmark sqrt(V_A^2 + 2 V_A).
+    V = V_A + 1, Sigma_b = T V_A + 1 + T xi and Z_bar = sqrt(T) V_A
+    sum_k lambda_k^{3/2} / lambda_{k+1}^{1/2}, in shot-noise units.  At
+    T = 1, xi = 0, Z_bar is the trusted correlation Z, strictly below the
+    Gaussian benchmark sqrt(V_A^2 + 2 V_A).
     """
-    return 2.0 * alpha * alpha * lambda_ratio_sum_at(alpha)
+    v_a = 2.0 * alpha * alpha
+    return (v_a + 1.0, T * v_a + 1.0 + T * xi,
+            math.sqrt(T) * v_a * lambda_ratio_sum_at(alpha))

@@ -33,7 +33,7 @@ from .errors import (
     RegimeError,
     ValidityRange,
 )
-from .modulation import lambda_ratio_sum_at
+from .modulation import honest_covariance, lambda_ratio_sum_at
 
 class InnerProductBounds(NamedTuple):
     """Split inner-product bounds: two-sided interval and one-sided floor."""
@@ -307,10 +307,7 @@ def calibrate_deltas(
     budget = epsilon_rob / 6.0
     infl, dc = _estimator_terms(k, epsilon_pe)
 
-    v_a = 2.0 * alpha * alpha
-    v = v_a + 1.0
-    sigma_b = T * v_a + 1.0 + T * xi
-    z_bar = math.sqrt(T) * v_a * lambda_ratio_sum_at(alpha)
+    v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
 
     dof = 4 * k
     q_hi = chdtri(dof, budget)  # upper-tail quantile of chi2(dof)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pe
 from .errors import ValidityRange
-from .modulation import correlation_z
+from .modulation import honest_covariance
 from .parallel import run_parts
 
 _CHUNK = 4096
@@ -173,10 +173,7 @@ def pe_theorem_violations(seed, row: int, k: int, eps_pe: float,
     side.  Honest draws come straight from the joint record law (the
     symmetrization leaves that law invariant).
     """
-    v_a = 2.0 * alpha * alpha
-    v = v_a + 1.0
-    sigma_b = T * v_a + 1.0 + T * xi
-    z_bar = math.sqrt(T) * correlation_z(alpha)
+    v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
     va2 = (v + 1.0) / 2.0
     vb2 = (sigma_b + 1.0) / 2.0
     rho = z_bar / 2.0

@@ -27,7 +27,7 @@ from dmcvqkd.definetti import (
 )
 from dmcvqkd.finitekey import key_length
 from dmcvqkd.gaussian import symplectic_eigenvalues
-from dmcvqkd.modulation import correlation_z, lambda_weights
+from dmcvqkd.modulation import honest_covariance, lambda_weights
 from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
 from dmcvqkd.reconciliation import biawgn_capacity
 from dmcvqkd.validate import run_all
@@ -92,7 +92,8 @@ def test_criterion_02_modulation_constants_vs_fock_oracle():
         lam_oracle, z_oracle = fock_modulation_oracle(float(alpha))
         lam = lambda_weights(float(alpha))
         np.testing.assert_allclose(lam, lam_oracle, rtol=1e-8, atol=1e-12)
-        assert correlation_z(float(alpha)) == pytest.approx(z_oracle, rel=1e-8)
+        z = honest_covariance(float(alpha), 1.0, 0.0)[2]
+        assert z == pytest.approx(z_oracle, rel=1e-8)
     assert time.perf_counter() - start < 30.0
 
 

@@ -18,7 +18,6 @@ from dmcvqkd.channel import (
     QuadratureBatch,
     _round_uniforms,
     apply_symmetrization,
-    empirical_sigma,
     export_batch,
     heterodyne_energy,
     pe_statistics,
@@ -30,16 +29,20 @@ from dmcvqkd.errors import (
     ConfigError,
     DimensionMismatch,
     DomainError,
-    EmptySelection,
     InsufficientRounds,
 )
-from dmcvqkd.modulation import correlation_z
+from dmcvqkd.modulation import honest_covariance
 from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
 from dmcvqkd.rotations import OrthogonalTransform, _philox_uniforms
 from oracles import export_batch_rows, import_batch, role_codes
 
 PARAMS = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=400, m=300, k=500)
 RECORDS = ("alice_x", "alice_p", "bob_x", "bob_p")
+
+
+def per_mode_statistics(batch, k):
+    """(||X||^2, ||Y||^2, <X, Y>) over the 2k PE modes, per mode."""
+    return tuple(t / (2 * k) for t in pe_statistics(split_pe_sets(batch, k)))
 
 
 def test_layout_and_counts():
@@ -120,16 +123,13 @@ def test_key_mode_output_moments():
 def test_gaussian_mode_second_moments():
     params = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=0, m=0, k=120000)
     batch = simulate_rounds(params, seed=12)
-    sig = empirical_sigma(batch)
+    a, b, c = per_mode_statistics(batch, params.k)
     v_a = params.v_a
     # heterodyne records carry one extra vacuum unit per quadrature
-    assert sig.a == pytest.approx(v_a + 2.0, rel=0.02)
-    assert sig.b == pytest.approx(
-        params.T * (v_a + params.xi) + 2.0, rel=0.02
-    )
-    assert sig.c == pytest.approx(
-        math.sqrt(params.T) * correlation_z(params.alpha), rel=0.05
-    )
+    assert a == pytest.approx(v_a + 2.0, rel=0.02)
+    assert b == pytest.approx(params.T * (v_a + params.xi) + 2.0, rel=0.02)
+    z = honest_covariance(params.alpha, 1.0, 0.0)[2]
+    assert c == pytest.approx(math.sqrt(params.T) * z, rel=0.05)
 
 
 def test_quadrant_bits_convention():
@@ -182,24 +182,18 @@ def test_pe_statistics_match_a_per_mode_loop():
         assert abs(value - ref) <= 2000 * 2.0 ** -52 * scale
 
 
-def test_empirical_sigma_requires_rounds():
-    batch = simulate_rounds(replace(PARAMS, n=5, m=3, k=0), seed=1)
-    with pytest.raises(EmptySelection):
-        empirical_sigma(batch)
-
-
-def test_symmetrization_preserves_empirical_sigma():
+def test_symmetrization_preserves_pe_statistics():
     # rotating Alice by R and Bob by the conjugated transform leaves the
     # summary statistics of the gaussian block (nearly) unchanged
     batch = simulate_rounds(PARAMS, seed=14)
-    before = empirical_sigma(batch)
+    before = per_mode_statistics(batch, PARAMS.k)
     rot = OrthogonalTransform.random(2 * 1000, seed=(14, 1))
     rotated = apply_symmetrization(batch, rot, "alice")
     rotated = apply_symmetrization(rotated, rot, "bob")
-    after = empirical_sigma(rotated)
-    assert after.a == pytest.approx(before.a, rel=1e-12)
-    assert after.b == pytest.approx(before.b, rel=1e-12)
-    assert after.c == pytest.approx(before.c, rel=1e-9, abs=1e-9)
+    after = per_mode_statistics(rotated, PARAMS.k)
+    assert after[0] == pytest.approx(before[0], rel=1e-12)
+    assert after[1] == pytest.approx(before[1], rel=1e-12)
+    assert after[2] == pytest.approx(before[2], rel=1e-9, abs=1e-9)
     # non-gaussian rounds untouched
     key = batch.role_indices(ROLE_KEY)
     np.testing.assert_array_equal(rotated.alice_x[key], batch.alice_x[key])
@@ -246,7 +240,7 @@ def test_pe_statistics_do_not_need_the_symmetrization(xi_actual):
         gammas = gamma_estimates(*values, cfg.k, budget.eps_pe)
         region = pe_decision(gammas, params.v_a + 1.0, cfg.T, cfg.xi, deltas,
                              budget.eps_pe)
-        return values + tuple(empirical_sigma(b)), region.verdict
+        return values, region.verdict
 
     plain, verdict = estimate(batch)
     after, verdict_after = estimate(rotated)

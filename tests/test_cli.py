@@ -28,10 +28,13 @@ from dmcvqkd.channel import (
     ROLE_KEY,
     apply_symmetrization,
     interleave,
+    pe_statistics,
     simulate_rounds,
+    split_pe_sets,
 )
 from dmcvqkd.definetti import truncation_epsilon
 from dmcvqkd.errors import ConfigError
+from dmcvqkd.pe import gamma_estimates
 from dmcvqkd.reconciliation import repetition_reconcile
 from dmcvqkd.rotations import OrthogonalTransform
 from oracles import import_batch, role_codes, toeplitz_hash_direct
@@ -99,27 +102,34 @@ def test_delta_ent_mode_other_than_derived_is_named(tmp_path, capsys):
     assert "'delta_ent_mode'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["keyrate", "--bogus"], "--bogus"),
-    (["simulate", "--seed", "x"], "--seed"),
-    (["sweep", "--axis", "T"], "--grid"),
-    (["bogus"], "'bogus'"),
-    (["keyrate", "--delta-ent-mode", "paper"], "--delta-ent-mode"),
-    # a flag is offered only where its value is read
-    (["keyrate", "--trials", "5"], "--trials"),
-    (["keyrate", "--seed", "1"], "--seed"),
-    (["sweep", "--axis", "T", "--grid", "0.5", "--seed", "1"], "--seed"),
-    (["simulate", "--trials", "5"], "--trials"),
+@pytest.mark.parametrize("argv, named, prog", [
+    (["keyrate", "--bogus"], "--bogus", "dmcvqkd keyrate"),
+    (["simulate", "--seed", "x"], "--seed", "dmcvqkd simulate"),
+    (["sweep", "--axis", "T"], "--grid", "dmcvqkd sweep"),
+    (["bogus"], "'bogus'", "dmcvqkd"),
+    (["keyrate", "--delta-ent-mode", "paper"], "--delta-ent-mode",
+     "dmcvqkd keyrate"),
+    # a flag is offered only where its value is read, and the subcommand
+    # that does not offer it reports it under its own usage
+    (["keyrate", "--trials", "5"], "--trials", "dmcvqkd keyrate"),
+    (["keyrate", "--seed", "1"], "--seed", "dmcvqkd keyrate"),
+    (["sweep", "--axis", "T", "--grid", "0.5", "--seed", "1"], "--seed",
+     "dmcvqkd sweep"),
+    (["simulate", "--trials", "5"], "--trials", "dmcvqkd simulate"),
+    # before the subcommand, an unknown flag is the top level's
+    (["--bogus", "keyrate"], "--bogus", "dmcvqkd"),
 ], ids=["unknown-flag", "bad-int", "missing-grid", "unknown-subcommand",
         "removed-flag", "keyrate-trials", "keyrate-seed", "sweep-seed",
-        "simulate-trials"])
-def test_usage_error_exits_1_and_names_the_argument(capsys, argv, named):
+        "simulate-trials", "flag-before-subcommand"])
+def test_usage_error_exits_1_and_names_the_argument(capsys, argv, named,
+                                                    prog):
     # argparse's own code 2 would read as "no key"
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert "usage:" in err and named in err, err
+    usage, message = capsys.readouterr().err.split(f"\n{prog}: error: ")
+    assert usage.startswith(f"usage: {prog} [-h]"), usage
+    assert named in message, message
 
 
 def test_validate_config_names_offending_field():
@@ -522,6 +532,28 @@ def test_simulate_transcript_contents(tmp_path):
     assert rc == EXIT_NO_KEY and row["exit_code"] == "2"
     _, key_rows = read_csv(tmp_path / "key.csv")
     assert key_rows == []
+
+
+@pytest.mark.parametrize("config", [{}, {**SIM_BASE, "xi_actual": 0.5}],
+                         ids=["default", "sim-base-xi0.5"])
+def test_sigma_hat_are_the_pe_statistics_per_mode(tmp_path, config):
+    # transcript.csv's sigma_hat and pe.csv's gammas come from one pass over
+    # the 2k gaussian modes
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    header, rows = read_csv(tmp_path / "transcript.csv")
+    row = dict(zip(header, rows[0]))
+    cfg = config_from_dict(config)
+    params = cli._protocol_params(cfg).with_xi(float(row["xi_actual"]))
+    totals = pe_statistics(split_pe_sets(simulate_rounds(params, cfg.seed),
+                                         cfg.k))
+    for name, total in zip("abc", totals):
+        assert float(row[f"sigma_hat_{name}"]) == total / (2 * cfg.k)
+    header, rows = read_csv(tmp_path / "pe.csv")
+    gammas = gamma_estimates(*totals, cfg.k, resolve_budget(cfg).eps_pe)
+    assert [float(rows[0][header.index(f"gamma_{name}")])
+            for name in "abc"] == list(gammas)
 
 
 def test_simulate_success_branch_writes_the_hashed_key(tmp_path,

@@ -8,7 +8,7 @@ import pytest
 from dmcvqkd.errors import DomainError
 from dmcvqkd.gaussian import symplectic_eigenvalues
 from dmcvqkd.modulation import (
-    correlation_z,
+    honest_covariance,
     lambda_ratio_sum,
     lambda_ratio_sum_at,
     lambda_weights,
@@ -62,12 +62,20 @@ def test_cached_ratio_sum_rejects_bad_alpha_on_every_call():
         with pytest.raises(DomainError):
             lambda_ratio_sum_at(alpha)
         with pytest.raises(DomainError):
-            correlation_z(alpha)
+            honest_covariance(alpha, 1.0, 0.0)
+
+
+def trusted_z(alpha: float) -> float:
+    """The trusted correlation Z: the honest Z_bar at T = 1, xi = 0."""
+    return honest_covariance(alpha, 1.0, 0.0)[2]
 
 
 def test_correlation_frozen():
-    assert correlation_z(0.5) == pytest.approx(1.0965440197951635,
-                                               rel=1e-14, abs=0.0)
+    assert trusted_z(0.5) == pytest.approx(1.0965440197951635,
+                                           rel=1e-14, abs=0.0)
+    # Z_bar = sqrt(T) Z bit for bit at this T, next to V and Sigma_b
+    assert honest_covariance(0.5, 0.6, 0.05) == (
+        1.5, 1.33, math.sqrt(0.6) * 1.0965440197951635)
 
 
 def test_correlation_z_below_epr_limit():
@@ -75,8 +83,8 @@ def test_correlation_z_below_epr_limit():
     for alpha in (0.1, 0.3, 0.5, 0.8, 1.2):
         v_a = 2.0 * alpha * alpha
         epr = math.sqrt(v_a * v_a + 2.0 * v_a)
-        assert 0.0 < correlation_z(alpha) < epr
-    assert correlation_z(0.5) / math.sqrt(0.25 + 1.0) == pytest.approx(
+        assert 0.0 < trusted_z(alpha) < epr
+    assert trusted_z(0.5) / math.sqrt(0.25 + 1.0) == pytest.approx(
         0.9807787874331442, rel=1e-12, abs=0.0
     )
 
@@ -86,7 +94,7 @@ def test_weights_and_correlation_match_fock_oracle(alpha):
     lam_oracle, z_oracle = fock_modulation_oracle(alpha)
     w = lambda_weights(alpha)
     np.testing.assert_allclose(w, lam_oracle, rtol=1e-8, atol=1e-12)
-    assert correlation_z(alpha) == pytest.approx(z_oracle, rel=1e-8)
+    assert trusted_z(alpha) == pytest.approx(z_oracle, rel=1e-8)
 
 
 def test_expected_covariance_is_physical():
@@ -95,8 +103,10 @@ def test_expected_covariance_is_physical():
     for alpha in (0.1, 0.5, 1.0):
         v_a = 2.0 * alpha * alpha
         for T in (0.05, 0.5, 1.0):
-            cov = (v_a + 1.0, T * v_a + 1.0 + T * 0.05,
-                   math.sqrt(T) * correlation_z(alpha))
+            cov = honest_covariance(alpha, T, 0.05)
+            assert cov[:2] == (v_a + 1.0, T * v_a + 1.0 + T * 0.05)
+            assert cov[2] == pytest.approx(
+                math.sqrt(T) * trusted_z(alpha), rel=1e-15, abs=0.0)
             assert symplectic_eigenvalues(cov).nu2 >= 1.0 - 1e-9
 
 

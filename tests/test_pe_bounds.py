@@ -1,6 +1,9 @@
 """Parameter-estimation estimators, thresholds and abort decision."""
 
+import hashlib
 import math
+import random
+import struct
 
 import mpmath
 import numpy as np
@@ -276,3 +279,33 @@ def test_worst_case_covariance_clamps_negative_correlation():
 def test_pe_decision_rejects_negative_deltas():
     with pytest.raises(DomainError):
         pe_decision((0.0, 0.0, 0.0), 1.5, 0.5, 0.01, (-0.1, 0.1, 0.1))
+
+
+def _pe_chain_digest(points: int, seed: int) -> str:
+    """sha256 of the float bits of `calibrate_deltas` and of `pe_decision`'s
+    three thresholds at `points` seeded (alpha, T, xi, k, eps_pe)."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    always_pass = (float("-inf"), float("-inf"), float("inf"))
+    for _ in range(points):
+        alpha = 0.05 * (1e3 / 0.05) ** rng.random()
+        T = 1.0 - rng.random()  # (0, 1]
+        xi = 10.0 ** (6.0 * rng.random() - 4.0)
+        k = int(10.0 ** (3.7 + 6.3 * rng.random()))
+        eps_pe = 10.0 ** (-15.0 + 13.0 * rng.random())
+        deltas = calibrate_deltas(alpha, T, xi, k, eps_pe, 1e-2)
+        region = pe_decision(always_pass, 2.0 * alpha * alpha + 1.0, T, xi,
+                             deltas, eps_pe)
+        h.update(struct.pack("<6d", *deltas, region.sigma_a_max,
+                             region.sigma_b_max, region.sigma_c_min))
+    return h.hexdigest()
+
+
+def test_pe_chain_bits_are_frozen():
+    # alpha log-uniform on [0.05, 1e3], T on (0, 1], xi on [1e-4, 1e2],
+    # k on [5e3, 1e10], eps_pe on [1e-15, 1e-2]: far wider than the golden
+    # runs, so a refactor of the threshold arithmetic that moves any bit
+    # anywhere fails here
+    assert _pe_chain_digest(200, 20) == (
+        "9eb66358124499ec18b984037577e1436deef606f745201414aad4512b89d1e1"
+    )

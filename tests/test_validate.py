@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from dmcvqkd import cli, pe
-from dmcvqkd.modulation import correlation_z
+from dmcvqkd.modulation import honest_covariance
 from dmcvqkd.validate import BoundRow, _rng, _wishart2, run_all
 
 from oracles import draw_pair, pair_statistics
@@ -26,7 +26,7 @@ def _pe_theorem_scaling(alpha=0.5, T=0.6, xi=0.05):
     v_a = 2.0 * alpha * alpha
     va2 = (v_a + 2.0) / 2.0
     vb2 = (T * v_a + 2.0 + T * xi) / 2.0
-    rho = math.sqrt(T) * correlation_z(alpha) / 2.0
+    rho = math.sqrt(T) * honest_covariance(alpha, 1.0, 0.0)[2] / 2.0
     return math.sqrt(va2), math.sqrt(vb2), rho / math.sqrt(va2 * vb2)
 
 
