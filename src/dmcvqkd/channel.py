@@ -21,10 +21,21 @@ with quadrature variance v the record has variance (v + 1)/2 per entry
 rounds' Alice record is the modulation itself: for quadrant q the mean of
 bob_x is sqrt(T) * sqrt(2) * alpha * cos((2q+1) pi/4).
 
-Randomness: a counter-based generator (Philox) keyed by the seed.  Each
-round owns a fixed window of 8 64-bit words regardless of chunking or
-worker count, so results are reproducible bit-for-bit under any
-parallel schedule.
+Gaussian rounds: parameter estimation reads only the Gram matrix of the
+4k-entry vectors X (Alice's records, interleaved x, p) and S Y (Bob's, with
+the p entries negated): W = (||X||^2, ||Y||^2, <X, S Y>).  The pairs
+(X_i, (S Y)_i) are i.i.d. bivariate normal, so W is a 2x2 Wishart matrix
+with 4k degrees of freedom, drawn exactly from three variates (`wishart2`).
+The rounds themselves are built only on request, as [X, S Y] = Q R with R
+the upper Cholesky factor of W and Q a uniformly random orthonormal 4k x 2
+frame, independent of R: that is the conditional law of the rows given W
+(Muirhead, Aspects of Multivariate Statistical Theory, 1982, ch. 3), so the
+rows have the i.i.d. law and their totals are W to rounding.
+
+Randomness: counter-based generators (Philox) keyed by the seed.  Each key
+or decoy round owns a fixed window of 4 64-bit words regardless of chunking
+or worker count, and the gaussian block draws from its own key (seed, 3),
+so results are reproducible bit-for-bit under any parallel schedule.
 """
 from __future__ import annotations
 
@@ -51,8 +62,8 @@ ROLE_DECOY = 1
 ROLE_GAUSSIAN = 2
 ROLE_NAMES = ("key", "decoy", "gaussian")
 
-#: 64-bit words of randomness reserved per round
-WORDS_PER_ROUND = 8
+#: 64-bit words of randomness reserved per key or decoy round
+WORDS_PER_ROUND = 4
 #: rounds generated per chunk (fixed; independent of worker count)
 CHUNK_ROUNDS = 8192
 
@@ -100,8 +111,10 @@ class QuadratureBatch:
     """Per-round quadrature records for both parties.
 
     The rounds form a key, a decoy and a gaussian block, in that order, of
-    `counts` = (2n, 2m, 2k) rounds; `role_indices` gives each block as a
-    slice of the four record arrays.
+    `counts` rounds; `role_indices` gives each block as a slice of the four
+    record arrays.  `gram` is W = (||X||^2, ||Y||^2, <X, S Y>) over the
+    run's 2k gaussian modes, which `simulate_rounds` draws whether or not
+    the gaussian block holds their rows (None for a batch made otherwise).
     """
 
     alice_x: np.ndarray
@@ -109,6 +122,7 @@ class QuadratureBatch:
     bob_x: np.ndarray
     bob_p: np.ndarray
     counts: tuple  # rounds per role, in ROLE_NAMES order
+    gram: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.counts) != 3 or min(self.counts) < 0:
@@ -149,13 +163,13 @@ class PESplit(NamedTuple):
 def _round_uniforms(seed, start: int, count: int) -> np.ndarray:
     """Uniforms for rounds [start, start+count), shaped (count, 4).
 
-    Round r always maps to Philox counter words [8r, 8r+8), so any chunking
-    of the round range reproduces identical values.  Every role reads words
-    0-3 of its window; words 4-7 are reserved.
+    Round r always maps to Philox counter words [4r, 4r+4), so any chunking
+    of the round range reproduces identical values.  Key rounds read words
+    0-2 of their window and decoy rounds words 0-3.
     """
     u = _philox_uniforms(seed, count * WORDS_PER_ROUND,
                          start * WORDS_PER_ROUND)
-    return u.reshape(count, WORDS_PER_ROUND)[:, :4]
+    return u.reshape(count, WORDS_PER_ROUND)
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray):
@@ -165,18 +179,40 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray):
     return r * np.cos(ang), r * np.sin(ang)
 
 
-def _gaussian_cholesky(params: ProtocolParams):
-    """Per-plane 2x2 Cholesky factors of the heterodyne record covariance.
+def gaussian_record_law(alpha: float, T: float, xi: float) -> tuple:
+    """(sx, sy, r): the law of a gaussian round's entry pair (X_i, (S Y)_i).
 
-    x-plane cov [[va, c], [c, vb]], p-plane [[va, -c], [-c, vb]] with
-    va = (V + 1)/2, vb = (Sigma_b + 1)/2 and c = Z_bar/2 from the honest
-    covariance (V, Sigma_b, Z_bar).
+    The x plane has covariance [[va, c], [c, vb]] and the p plane
+    [[va, -c], [-c, vb]], with va = (V + 1)/2, vb = (Sigma_b + 1)/2 and
+    c = Z_bar/2 from the honest covariance (V, Sigma_b, Z_bar); S negates
+    the p entries of Bob's records, so every pair has standard deviations
+    sx = sqrt(va), sy = sqrt(vb) and correlation r = c/(sx sy).
     """
-    v, sigma_b, z_bar = honest_covariance(params.alpha, params.T, params.xi)
-    l11 = math.sqrt((v + 1.0) / 2.0)
-    l21 = z_bar / 2.0 / l11
-    l22 = math.sqrt((sigma_b + 1.0) / 2.0 - l21 * l21)
-    return l11, l21, l22
+    v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
+    va2 = (v + 1.0) / 2.0
+    vb2 = (sigma_b + 1.0) / 2.0
+    return math.sqrt(va2), math.sqrt(vb2), z_bar / 2.0 / math.sqrt(va2 * vb2)
+
+
+def wishart2(g: np.random.Generator, dof: int, size, sx: float, sy: float,
+             r: float) -> tuple:
+    """(sum x^2, sum y^2, sum x*y) over `dof` i.i.d. bivariate-normal pairs.
+
+    Entries have standard deviations sx, sy and correlation r; `size`
+    draws are made at once (None: one, as scalars).  Exact Bartlett
+    decomposition of the 2x2 Wishart matrix (Smith & Hocking 1972, Applied
+    Statistics AS 53): with c1^2 ~ chi2(dof), c2^2 ~ chi2(dof - 1),
+    z ~ N(0, 1) and s = sqrt(1 - r^2), the statistics are sx^2 c1^2,
+    sy^2 ((r c1 + s z)^2 + s^2 c2^2) and sx sy c1 (r c1 + s z).
+    """
+    c1sq = g.chisquare(dof, size)
+    c2sq = g.chisquare(dof - 1, size)
+    z = g.standard_normal(size)
+    s = math.sqrt(1.0 - r * r)
+    c1 = np.sqrt(c1sq)
+    t = r * c1 + s * z
+    return (sx * sx * c1sq, sy * sy * (t * t + s * s * c2sq),
+            sx * sy * c1 * t)
 
 
 def _role_slices(batch: QuadratureBatch, start: int, stop: int):
@@ -193,66 +229,99 @@ def _role_slices(batch: QuadratureBatch, start: int, stop: int):
 
 def _fill_chunk(batch: QuadratureBatch, params: ProtocolParams, seed,
                 start: int, stop: int, amp_x, amp_p) -> None:
-    """Generate rounds [start, stop) into the batch's record arrays."""
+    """Generate key and decoy rounds [start, stop) into the record arrays."""
     u = _round_uniforms(seed, start, stop - start)
     sqrt_t = math.sqrt(params.T)
     sigma = math.sqrt((2.0 + params.T * params.xi) / 2.0)
 
     for role, rows, dst in _role_slices(batch, start, stop):
-        if role == ROLE_GAUSSIAN:
-            l11, l21, l22 = _gaussian_cholesky(params)
-            w1, w2 = _box_muller(u[rows, 0], u[rows, 1])
-            w3, w4 = _box_muller(u[rows, 2], u[rows, 3])
-            ax = l11 * w1
-            ap = l11 * w2
-            # x-plane correlation +c, p-plane -c
-            bx = l21 * w1 + l22 * w3
-            bp = -l21 * w2 + l22 * w4
+        if role == ROLE_KEY:
+            q = np.minimum((4.0 * u[rows, 0]).astype(np.int64), 3)
+            ax = amp_x[q]
+            ap = amp_p[q]
+            g1, g2 = _box_muller(u[rows, 1], u[rows, 2])
         else:
-            if role == ROLE_KEY:
-                q = np.minimum((4.0 * u[rows, 0]).astype(np.int64), 3)
-                ax = amp_x[q]
-                ap = amp_p[q]
-                g1, g2 = _box_muller(u[rows, 1], u[rows, 2])
-            else:
-                s_mod = math.sqrt(params.v_a / 2.0)
-                a1, a2 = _box_muller(u[rows, 0], u[rows, 1])
-                g1, g2 = _box_muller(u[rows, 2], u[rows, 3])
-                ax = s_mod * a1
-                ap = s_mod * a2
-            bx = sqrt_t * ax + sigma * g1
-            bp = sqrt_t * ap + sigma * g2
+            s_mod = math.sqrt(params.v_a / 2.0)
+            a1, a2 = _box_muller(u[rows, 0], u[rows, 1])
+            g1, g2 = _box_muller(u[rows, 2], u[rows, 3])
+            ax = s_mod * a1
+            ap = s_mod * a2
         batch.alice_x[dst] = ax
         batch.alice_p[dst] = ap
-        batch.bob_x[dst] = bx
-        batch.bob_p[dst] = bp
+        batch.bob_x[dst] = sqrt_t * ax + sigma * g1
+        batch.bob_p[dst] = sqrt_t * ap + sigma * g2
+
+
+def _gram(g: np.random.Generator, params: ProtocolParams) -> tuple:
+    """W of the run's 2k gaussian modes, as Python floats (zeros for k = 0)."""
+    if params.k == 0:
+        return (0.0, 0.0, 0.0)
+    sx, sy, r = gaussian_record_law(params.alpha, params.T, params.xi)
+    return tuple(float(t) for t in wishart2(g, 4 * int(params.k), None,
+                                            sx, sy, r))
+
+
+def _fill_gaussian(batch: QuadratureBatch, g: np.random.Generator) -> None:
+    """Write the gaussian block as [X, S Y] = Q R (see the module docstring).
+
+    Q is the Gram-Schmidt frame of two standard normal 4k-vectors, uniform
+    on the orthonormal frames; R = [[r11, r12], [0, r22]] with R^T R = W.
+    """
+    w_xx, w_yy, w_xy = batch.gram
+    r11 = math.sqrt(w_xx)
+    r12 = w_xy / r11
+    r22 = math.sqrt(w_yy - r12 * r12)
+    q1, q2 = g.standard_normal((2, 2 * batch.counts[ROLE_GAUSSIAN]))
+    # np.sum, not `@`: a BLAS dot may split a long vector across threads,
+    # and its rounding would then depend on the thread count
+    q1 /= math.sqrt(np.sum(q1 * q1))
+    q2 -= np.sum(q1 * q2) * q1
+    q2 /= math.sqrt(np.sum(q2 * q2))
+    x = r11 * q1
+    s_y = r12 * q1 + r22 * q2
+    block = batch.role_indices(ROLE_GAUSSIAN)
+    batch.alice_x[block] = x[0::2]
+    batch.alice_p[block] = x[1::2]
+    batch.bob_x[block] = s_y[0::2]
+    batch.bob_p[block] = -s_y[1::2]
 
 
 def simulate_rounds(params: ProtocolParams, seed,
-                    workers: Optional[int] = None) -> QuadratureBatch:
-    """Simulate one protocol run and return the full quadrature record.
+                    workers: Optional[int] = None,
+                    rows: bool = True) -> QuadratureBatch:
+    """Simulate one protocol run and return its quadrature record.
 
-    The batch holds 2n key modes, 2m decoy modes and 2k gaussian modes of
-    `params`, laid out in that block order.  One "round" of the batch is
-    one mode: two quadratures per side.
+    The batch holds the 2n key modes and 2m decoy modes of `params` and,
+    when `rows` is true, its 2k gaussian modes, laid out in that block
+    order.  One "round" of the batch is one mode: two quadratures per side.
+    Its `gram` is the gaussian modes' W, the same bits with or without
+    their rows.
 
     The output is a deterministic function of (params, seed): each chunk
-    of CHUNK_ROUNDS rounds reads its own counter window, so `workers`
+    of CHUNK_ROUNDS key and decoy rounds reads its own counter window and
+    the gaussian block is drawn on the calling thread, so `workers`
     (threads; None means every usable core) only affects wall-clock time.
     """
-    counts = (2 * int(params.n), 2 * int(params.m), 2 * int(params.k))
+    counts = (2 * int(params.n), 2 * int(params.m),
+              2 * int(params.k) if rows else 0)
     total = sum(counts)
-    batch = QuadratureBatch(*(np.empty(total) for _ in range(4)), counts)
+    g = np.random.Generator(np.random.Philox(key=(seed, 3)))
+    batch = QuadratureBatch(*(np.empty(total) for _ in range(4)), counts,
+                            _gram(g, params))
 
     s2a = math.sqrt(2.0) * params.alpha
     amp_x = np.array([s2a * math.cos(ph) for ph in CONSTELLATION_PHASES])
     amp_p = np.array([s2a * math.sin(ph) for ph in CONSTELLATION_PHASES])
 
+    modulated = counts[ROLE_KEY] + counts[ROLE_DECOY]
     spans = [
-        (batch, params, seed, a, min(a + CHUNK_ROUNDS, total), amp_x, amp_p)
-        for a in range(0, total, CHUNK_ROUNDS)
+        (batch, params, seed, a, min(a + CHUNK_ROUNDS, modulated), amp_x,
+         amp_p)
+        for a in range(0, modulated, CHUNK_ROUNDS)
     ]
     run_parts(_fill_chunk, spans, workers)
+    if counts[ROLE_GAUSSIAN]:
+        _fill_gaussian(batch, g)
     return batch
 
 
@@ -332,22 +401,6 @@ def split_pe_sets(batch: QuadratureBatch, k: int) -> PESplit:
         x2=interleave(batch.alice_x[h2], batch.alice_p[h2]),
         y2=interleave(batch.bob_x[h2], batch.bob_p[h2]),
     )
-
-
-def pe_statistics(halves: PESplit) -> tuple:
-    """(||X||^2, ||Y||^2, <X, Y>) over both PE halves, as Python floats.
-
-    The inner product is the signed sum(ax*bx - ap*bp) of the interleaved
-    vectors.  Each half is summed on its own and the halves are then added,
-    an order that `simulate`'s frozen pe.csv values depend on.
-    """
-    def signed_ip(a, b):
-        return float(np.sum(a[0::2] * b[0::2]) - np.sum(a[1::2] * b[1::2]))
-
-    norm_x2 = float(np.sum(halves.x1 ** 2) + np.sum(halves.x2 ** 2))
-    norm_y2 = float(np.sum(halves.y1 ** 2) + np.sum(halves.y2 ** 2))
-    ip_xy = signed_ip(halves.x1, halves.y1) + signed_ip(halves.x2, halves.y2)
-    return norm_x2, norm_y2, ip_xy
 
 
 def heterodyne_energy(x, p) -> np.ndarray:

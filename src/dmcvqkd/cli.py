@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import math
+import resource
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,9 +35,11 @@ from .channel import (
     export_batch,
     heterodyne_energy,
     interleave,
-    pe_statistics,
     quadrant_bits,
     simulate_rounds,
+    # unused here since the statistics come from the Wishart draw; the
+    # traced `simulate` benchmark still wraps cli.split_pe_sets (ROADMAP
+    # item 10)
     split_pe_sets,
 )
 from .definetti import (
@@ -412,6 +415,26 @@ TRANSCRIPT_HEADER = ("seed", "n", "m", "k", "xi_nominal", "xi_actual",
                      "feasible", "exit_code")
 
 
+def _memory_error(cfg: RunConfig, batch_csv: bool) -> ConfigError:
+    """The error of a `simulate` run too large for this process, naming the
+    config fields that size it.
+
+    The run holds four float64 records, 32 bytes, per round: the 2(n + m)
+    key and decoy rounds, and the 2k gaussian rounds only for batch.csv.
+    That is a lower bound on what it allocates.
+    """
+    fields = "'n', 'm', 'k'" if batch_csv else "'n', 'm'"
+    rounds = 2 * (cfg.n + cfg.m + (cfg.k if batch_csv else 0))
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    where = ("more than this process could allocate"
+             if limit == resource.RLIM_INFINITY else
+             f"above the address-space limit (RLIMIT_AS) of "
+             f"{limit / 2**30:.3g} GiB")
+    return ConfigError(f"config field {fields}: simulate holds {rounds} "
+                       f"rounds, which need at least "
+                       f"{32 * rounds / 2**30:.3g} GiB, {where}")
+
+
 def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     budget = resolve_budget(cfg)
     if (4 * cfg.n) % cfg.k_rep != 0:
@@ -427,13 +450,13 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     xi_true = cfg.xi if cfg.xi_actual is None else cfg.xi_actual
     params = _protocol_params(cfg)
     batch = simulate_rounds(params.with_xi(xi_true), cfg.seed,
-                            workers=cfg.workers)
+                            workers=cfg.workers, rows=batch_csv)
 
-    # R on Alice's gaussian records and S R S on Bob's leave ||X||^2, ||Y||^2
-    # and the signed <X, Y> unchanged (rotations.apply_conjugate), so the
-    # statistics are taken before the symmetrization; it is only carried
-    # out for batch.csv.  sigma_hat are the same totals per gaussian mode.
-    totals = pe_statistics(split_pe_sets(batch, cfg.k))
+    # parameter estimation reads only W = (||X||^2, ||Y||^2, <X, S Y>) of
+    # the gaussian modes, drawn whether or not their rows are built (only
+    # for batch.csv, whose symmetrization leaves W unchanged).  sigma_hat
+    # are the same totals per gaussian mode.
+    totals = batch.gram
     sigma_hat = tuple(total / (2 * cfg.k) for total in totals)
     try:
         gammas = gamma_estimates(*totals, cfg.k, budget.eps_pe)
@@ -634,7 +657,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(cfg, args.axis, parse_grid(args.grid))
         if args.command == "simulate":
-            return run_simulate(cfg, args.batch_csv)
+            try:
+                return run_simulate(cfg, args.batch_csv)
+            except MemoryError:
+                raise _memory_error(cfg, args.batch_csv) from None
         return run_validate_bounds(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
-"""Threads for the counter-keyed stages: simulated rounds, transform angles
-and the Monte Carlo row families.
+"""Threads for the counter-keyed stages: simulated key and decoy rounds,
+transform angles and the Monte Carlo row families.
 
 Each of these stages splits its work into parts whose random numbers come
-from fixed counter windows (a round's 8 Philox words, an angle's word, a
+from fixed counter windows (a round's 4 Philox words, an angle's word, a
 row's (seed, row, chunk) substreams), and every part writes its own output
 slice or returns its own result.  The parts can therefore run on any
 number of threads: `run_parts` returns the results in part order, so the

@@ -12,11 +12,13 @@ standard errors.  Sampling models:
   distributed like a uniformly random split (exchangeability), matching the
   rotation-symmetrized setting.  They never build the vectors: a half's
   (||X||^2, ||Y||^2, <X,Y>) is a 2x2 Wishart matrix, drawn exactly from two
-  chi-squares and one normal per trial (`_wishart2`), and the two halves
-  are independent, so whole-vector statistics are sums of the halves'.
+  chi-squares and one normal per trial (`channel.wishart2`, the sampler
+  `simulate` draws its PE statistics with), and the two halves are
+  independent, so whole-vector statistics are sums of the halves'.
   These rows judge the draws with the shipped `pe.inner_product_bounds`,
   `pe.cross_half_bounds` and `pe.gamma_estimates`, called on whole arrays;
-- the estimator-chain row simulates the honest channel end to end.
+  the pe-theorem row draws the honest channel's whole-vector W with the
+  entry law `simulate` uses (`channel.gaussian_record_law`).
 
 All draws are chunked with counter-based substreams keyed by
 (seed, row index, chunk index), so results are reproducible for a given
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pe
+from .channel import gaussian_record_law, wishart2
 from .errors import ValidityRange
 from .modulation import honest_covariance
 from .parallel import run_parts
@@ -111,26 +114,6 @@ def lemma2_violations(seed, row: int, k: int, epsilon: float,
     return bad
 
 
-def _wishart2(g: np.random.Generator, dof: int, size: int, sx: float,
-              sy: float, r: float) -> tuple:
-    """(sum x^2, sum y^2, sum x*y) over `dof` i.i.d. bivariate-normal pairs.
-
-    Entries have standard deviations sx, sy and correlation r.  Exact
-    Bartlett decomposition of the 2x2 Wishart matrix (Smith & Hocking 1972,
-    Applied Statistics AS 53): with c1^2 ~ chi2(dof), c2^2 ~ chi2(dof - 1),
-    z ~ N(0, 1) and s = sqrt(1 - r^2), the statistics are sx^2 c1^2,
-    sy^2 ((r c1 + s z)^2 + s^2 c2^2) and sx sy c1 (r c1 + s z).
-    """
-    c1sq = g.chisquare(dof, size)
-    c2sq = g.chisquare(dof - 1, size)
-    z = g.standard_normal(size)
-    s = math.sqrt(1.0 - r * r)
-    c1 = np.sqrt(c1sq)
-    t = r * c1 + s * z
-    return (sx * sx * c1sq, sy * sy * (t * t + s * s * c2sq),
-            sx * sy * c1 * t)
-
-
 def lemma3_violations(seed, row: int, k: int, x: float, trials: int,
                       r: float = 0.6) -> tuple:
     """(two_sided, one_sided) violation counts for the split inner product.
@@ -140,8 +123,8 @@ def lemma3_violations(seed, row: int, k: int, x: float, trials: int,
     two = one = 0
     for ci, size in _chunks(trials):
         g = _rng(seed, row, ci)
-        nx1, ny1, ip1 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
-        nx2, ny2, ip2 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
+        nx1, ny1, ip1 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
+        nx2, ny2, ip2 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
         b = pe.inner_product_bounds(nx1 + nx2, ny1 + ny2, ip1 + ip2, k, x)
         two += int(np.count_nonzero((ip1 < b.lower) | (ip1 > b.upper)))
         one += int(np.count_nonzero(ip1 < b.one_sided_lower))
@@ -154,8 +137,8 @@ def lemma4_violations(seed, row: int, k: int, epsilon: float, trials: int,
     up = lo = ipv = 0
     for ci, size in _chunks(trials):
         g = _rng(seed, row, ci)
-        nx1, ny1, ip1 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
-        nx2, _, ip2 = _wishart2(g, 2 * k, size, 1.0, 1.0, r)
+        nx1, ny1, ip1 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
+        nx2, _, ip2 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
         b = pe.cross_half_bounds(nx1, ip1, k, epsilon, ny1)
         up += int(np.count_nonzero(nx2 > b.upper_other))
         lo += int(np.count_nonzero(nx2 < b.lower_other))
@@ -174,15 +157,11 @@ def pe_theorem_violations(seed, row: int, k: int, eps_pe: float,
     symmetrization leaves that law invariant).
     """
     v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
-    va2 = (v + 1.0) / 2.0
-    vb2 = (sigma_b + 1.0) / 2.0
-    rho = z_bar / 2.0
-    r = rho / math.sqrt(va2 * vb2)
+    sx, sy, r = gaussian_record_law(alpha, T, xi)
     bad = 0
     for ci, size in _chunks(trials):
         g = _rng(seed, row, ci)
-        nx, ny, ip = _wishart2(g, 4 * k, size, math.sqrt(va2),
-                               math.sqrt(vb2), r)
+        nx, ny, ip = wishart2(g, 4 * k, size, sx, sy, r)
         g_a, g_b, g_c = pe.gamma_estimates(nx, ny, ip, k, eps_pe)
         bad += int(
             np.count_nonzero((g_a < v) | (g_b < sigma_b) | (g_c > z_bar))

@@ -355,7 +355,7 @@ def draw_pair(g, entries: int, size: int, r: float):
 
     Returns two (size, entries) arrays.  This is the full-vector sampler the
     Monte Carlo validation rows once used; it is kept as the reference for
-    the exact Wishart sampler `validate._wishart2`.
+    the exact Wishart sampler `channel.wishart2`.
     """
     x = g.standard_normal((size, entries))
     w = g.standard_normal((size, entries))
@@ -367,6 +367,56 @@ def pair_statistics(x, y):
     """Per-row (||x||^2, ||y||^2, <x, y>) of two (size, entries) arrays."""
     return (np.sum(x * x, axis=1), np.sum(y * y, axis=1),
             np.sum(x * y, axis=1))
+
+
+def pe_statistics(halves) -> tuple:
+    """(||X||^2, ||Y||^2, <X, Y>) over both PE halves, as Python floats.
+
+    `halves` holds the interleaved (x, p) vectors x1, y1, x2, y2 of
+    `channel.split_pe_sets`.  The inner product is the signed
+    sum(ax*bx - ap*bp); each half is summed on its own and the halves are
+    then added.  This was `simulate`'s statistic before it drew W; it is
+    kept as the reference that the built rows reproduce W.
+    """
+    def signed_ip(a, b):
+        return float(np.sum(a[0::2] * b[0::2]) - np.sum(a[1::2] * b[1::2]))
+
+    norm_x2 = float(np.sum(halves.x1 ** 2) + np.sum(halves.x2 ** 2))
+    norm_y2 = float(np.sum(halves.y1 ** 2) + np.sum(halves.y2 ** 2))
+    ip_xy = signed_ip(halves.x1, halves.y1) + signed_ip(halves.x2, halves.y2)
+    return norm_x2, norm_y2, ip_xy
+
+
+def box_muller_gaussian_totals(va: float, vb: float, c: float, modes: int,
+                               trials: int, seed) -> np.ndarray:
+    """(||X||^2, ||Y||^2, <X, S Y>) of `trials` runs of `modes` gaussian
+    modes, one row per run.
+
+    Each mode is drawn on its own: two Box-Muller pairs from four Philox
+    uniforms, and the per-plane Cholesky factor of the record covariance,
+    [[va, c], [c, vb]] in the x plane and [[va, -c], [-c, vb]] in the p
+    plane.  This was `simulate`'s gaussian-round generator before it drew
+    the three totals as one Wishart matrix; it is kept as the reference
+    for that draw.
+    """
+    def box_muller(u1, u2):
+        r = np.sqrt(-2.0 * np.log1p(-u1))
+        ang = (2.0 * math.pi) * u2
+        return r * np.cos(ang), r * np.sin(ang)
+
+    l11 = math.sqrt(va)
+    l21 = c / l11
+    l22 = math.sqrt(vb - l21 * l21)
+    g = np.random.Generator(np.random.Philox(key=seed))
+    out = np.empty((trials, 3))
+    for t in range(trials):
+        u = g.random((4, modes))
+        w1, w2 = box_muller(u[0], u[1])
+        w3, w4 = box_muller(u[2], u[3])
+        ax, ap = l11 * w1, l11 * w2
+        bx, bp = l21 * w1 + l22 * w3, -l21 * w2 + l22 * w4
+        out[t] = (ax @ ax + ap @ ap, bx @ bx + bp @ bp, ax @ bx - ap @ bp)
+    return out
 
 
 def layer_pairs(dim: int, layer: int) -> list:

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from dmcvqkd import cli
-from dmcvqkd.channel import (
-    ProtocolParams,
-    pe_statistics,
-    simulate_rounds,
-    split_pe_sets,
-)
+from dmcvqkd.channel import ProtocolParams, simulate_rounds
 from dmcvqkd.definetti import (
     general_attack_epsilon,
     photon_cutoff,
@@ -120,17 +115,16 @@ def test_criterion_03_concentration_bounds_monte_carlo():
 def test_criterion_04_pe_robustness_and_soundness():
     # honest channel (T=0.6, xi=0.05, alpha=0.5, k=1e4, eps_pe=eps_rob=1e-2)
     # aborts at most 1% of 1000 seeded runs; 10x noise aborts >= 99%;
-    # the statistics are taken before the symmetrization, as `simulate`
-    # takes them (the rotation leaves them unchanged); budget 10 min
+    # the statistics are each run's Wishart draw W, as `simulate` takes
+    # them, without the gaussian rows; budget 10 min
     start = time.perf_counter()
     k = 10_000
     params = ProtocolParams(alpha=0.5, T=0.6, xi=0.05, n=1, m=1, k=k)
     deltas = calibrate_deltas(0.5, 0.6, 0.05, k, 1e-2, 1e-2)
 
     def one_run(seed, xi_true):
-        batch = simulate_rounds(params.with_xi(xi_true), seed)
-        norm_x2, norm_y2, ip = pe_statistics(split_pe_sets(batch, k))
-        gammas = gamma_estimates(norm_x2, norm_y2, ip, k, 1e-2)
+        batch = simulate_rounds(params.with_xi(xi_true), seed, rows=False)
+        gammas = gamma_estimates(*batch.gram, k, 1e-2)
         return pe_decision(gammas, 1.5, 0.6, 0.05, deltas, 1e-2).passed
 
     runs = 1000

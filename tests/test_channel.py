@@ -20,7 +20,6 @@ from dmcvqkd.channel import (
     apply_symmetrization,
     export_batch,
     heterodyne_energy,
-    pe_statistics,
     quadrant_bits,
     simulate_rounds,
     split_pe_sets,
@@ -34,7 +33,13 @@ from dmcvqkd.errors import (
 from dmcvqkd.modulation import honest_covariance
 from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
 from dmcvqkd.rotations import OrthogonalTransform, _philox_uniforms
-from oracles import export_batch_rows, import_batch, role_codes
+from oracles import (
+    box_muller_gaussian_totals,
+    export_batch_rows,
+    import_batch,
+    pe_statistics,
+    role_codes,
+)
 
 PARAMS = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=400, m=300, k=500)
 RECORDS = ("alice_x", "alice_p", "bob_x", "bob_p")
@@ -132,6 +137,93 @@ def test_gaussian_mode_second_moments():
     assert c == pytest.approx(math.sqrt(params.T) * z, rel=0.05)
 
 
+def _record_moments(alpha, T, xi):
+    """(va, vb, c): record variances and x-plane covariance of a gaussian
+    mode, from the honest covariance (V, Sigma_b, Z_bar)."""
+    v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
+    return (v + 1.0) / 2.0, (sigma_b + 1.0) / 2.0, z_bar / 2.0
+
+
+def _gram_draws(params, seeds) -> np.ndarray:
+    """The W of one run per seed, one row each."""
+    gaussian_only = replace(params, n=0, m=0)
+    return np.array([simulate_rounds(gaussian_only, seed, rows=False).gram
+                     for seed in seeds])
+
+
+@pytest.mark.parametrize("xi_actual", [None, 0.5], ids=["default", "xi0.5"])
+def test_gram_has_the_law_of_the_per_mode_generator(xi_actual):
+    # W against the per-mode Box-Muller generator it replaced, at the
+    # default config, honest and attacked: a two-sample KS test on each
+    # total, and the exact Wishart means 4k (va, vb, c) within 5 SE
+    cfg = cli.RunConfig(xi_actual=xi_actual)
+    xi_true = cfg.xi if xi_actual is None else xi_actual
+    params = cli._protocol_params(cfg).with_xi(xi_true)
+    va, vb, c = _record_moments(cfg.alpha, cfg.T, xi_true)
+    dof = 4 * cfg.k
+    drawn = _gram_draws(params, range(2000))
+    oracle = box_muller_gaussian_totals(va, vb, c, 2 * cfg.k, 200, (7, 21))
+    means = (dof * va, dof * vb, dof * c)
+    variances = (2 * dof * va * va, 2 * dof * vb * vb,
+                 dof * (va * vb + c * c))
+    for i, (mean, var) in enumerate(zip(means, variances)):
+        assert stats.ks_2samp(drawn[:, i], oracle[:, i]).pvalue > 1e-3
+        assert abs(drawn[:, i].mean() - mean) <= \
+            5.0 * math.sqrt(var / len(drawn))
+
+
+def test_gram_norm_x_has_an_exact_chi2_tail():
+    # ||X||^2 / va ~ chi2(4k) at the default config: a one-sample KS test,
+    # and each 1% tail within 5 binomial SE
+    cfg = cli.RunConfig()
+    va, _, _ = _record_moments(cfg.alpha, cfg.T, cfg.xi)
+    dof = 4 * cfg.k
+    u = _gram_draws(cli._protocol_params(cfg), range(10_000, 14_000))[:, 0]
+    u = u / va
+    assert stats.kstest(u, stats.chi2(dof).cdf).pvalue > 1e-3
+    se = math.sqrt(0.01 * 0.99 * u.size)
+    for beyond in (u > stats.chi2.isf(0.01, dof),
+                   u < stats.chi2.ppf(0.01, dof)):
+        assert abs(np.count_nonzero(beyond) - 0.01 * u.size) <= 5.0 * se
+
+
+@pytest.mark.parametrize("xi_actual", [None, 0.5], ids=["default", "xi0.5"])
+def test_gaussian_rows_reproduce_the_gram(xi_actual):
+    # the Q R rows give back W to rounding; building them changes neither
+    # W nor the key and decoy rounds, and no worker count changes them
+    cfg = cli.RunConfig(xi_actual=xi_actual)
+    xi_true = cfg.xi if xi_actual is None else xi_actual
+    params = cli._protocol_params(cfg).with_xi(xi_true)
+    plain = simulate_rounds(params, cfg.seed, workers=1, rows=False)
+    full = simulate_rounds(params, cfg.seed, workers=2)
+    assert plain.counts == (2 * cfg.n, 2 * cfg.m, 0)
+    assert full.counts == (2 * cfg.n, 2 * cfg.m, 2 * cfg.k)
+    assert plain.gram == full.gram
+    assert all(type(total) is float for total in plain.gram)
+    for name in RECORDS:
+        modulated = getattr(full, name)[: plain.n_rounds]
+        assert getattr(plain, name).tobytes() == modulated.tobytes()
+    totals = pe_statistics(split_pe_sets(full, cfg.k))
+    for got, want in zip(totals, full.gram):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_gaussian_row_entries_have_the_record_law():
+    # one mode of the Q R rows across 2000 runs: Alice's x and Bob's x
+    # are N(0, va) and N(0, vb), and Bob's x (p) has covariance +c (-c)
+    # with Alice's x (p)
+    params = replace(PARAMS, n=0, m=0, k=50)
+    va, vb, c = _record_moments(params.alpha, params.T, params.xi)
+    runs = [simulate_rounds(params, seed) for seed in range(2000)]
+    ax, ap, bx, bp = (np.array([getattr(b, name)[3] for b in runs])
+                      for name in RECORDS)
+    assert stats.kstest(ax / math.sqrt(va), "norm").pvalue > 1e-3
+    assert stats.kstest(bx / math.sqrt(vb), "norm").pvalue > 1e-3
+    se = math.sqrt((va * vb + c * c) / len(runs))
+    assert abs(np.mean(ax * bx) - c) <= 5.0 * se
+    assert abs(np.mean(ap * bp) + c) <= 5.0 * se
+
+
 def test_quadrant_bits_convention():
     x = np.array([1.0, 1.0, -1.0, -1.0, 0.0])
     p = np.array([1.0, -1.0, 1.0, -1.0, 0.0])
@@ -221,9 +313,10 @@ def test_symmetrization_rotates_a_copy_of_one_side(side):
 
 @pytest.mark.parametrize("xi_actual", [None, 0.5])
 def test_pe_statistics_do_not_need_the_symmetrization(xi_actual):
-    # at the default config, honest and attacked: the statistics `simulate`
-    # takes from the unrotated batch agree with those of the rotated batch
-    # within a few ulp, and give the same PE verdict
+    # at the default config, honest and attacked: the statistics of the
+    # built rows agree with those of the rotated rows within a few ulp, the
+    # W that `simulate` draws agrees with both to rounding, and all three
+    # give the same PE verdict
     cfg = cli.RunConfig(xi_actual=xi_actual)
     budget = cli.resolve_budget(cfg)
     params = cli._protocol_params(cfg)
@@ -235,19 +328,22 @@ def test_pe_statistics_do_not_need_the_symmetrization(xi_actual):
     deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k, budget.eps_pe,
                               budget.eps_rob)
 
-    def estimate(b):
-        values = pe_statistics(split_pe_sets(b, cfg.k))
+    def estimate(values):
         gammas = gamma_estimates(*values, cfg.k, budget.eps_pe)
         region = pe_decision(gammas, params.v_a + 1.0, cfg.T, cfg.xi, deltas,
                              budget.eps_pe)
         return values, region.verdict
 
-    plain, verdict = estimate(batch)
-    after, verdict_after = estimate(rotated)
+    drawn, verdict_drawn = estimate(batch.gram)
+    plain, verdict = estimate(pe_statistics(split_pe_sets(batch, cfg.k)))
+    after, verdict_after = estimate(
+        pe_statistics(split_pe_sets(rotated, cfg.k)))
     for got, want in zip(after, plain):
         assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
-    assert verdict == verdict_after == ("pass" if xi_actual is None
-                                        else "abort")
+    for got, want in zip(after, drawn):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert verdict_drawn == verdict == verdict_after == (
+        "pass" if xi_actual is None else "abort")
 
 
 @pytest.mark.parametrize("seed, start, count", [
@@ -256,12 +352,14 @@ def test_pe_statistics_do_not_need_the_symmetrization(xi_actual):
     ((7, 1), 999, 4097), (2 ** 63, 5, 0),
 ])
 def test_uniforms_match_the_uint64_conversion(seed, start, count):
-    # Generator.random gives the doubles of the plain uint64 formula, and
-    # a round's uniforms do not depend on where its chunk starts
+    # Generator.random gives the doubles of the plain uint64 formula, round
+    # r reads words [4r, 4r+4), and a round's uniforms do not depend on
+    # where its chunk starts
+    assert WORDS_PER_ROUND == 4
     bg = np.random.Philox(key=seed)
-    raw = bg.random_raw((start + count) * WORDS_PER_ROUND)
+    raw = bg.random_raw((start + count) * 4)
     want = (raw >> np.uint64(11)) * 2.0 ** -53
-    want = want.reshape(-1, WORDS_PER_ROUND)[start:, :4]
+    want = want.reshape(-1, 4)[start:]
     got = _round_uniforms(seed, start, count)
     assert got.dtype == want.dtype and got.shape == (count, 4)
     assert got.tobytes() == want.tobytes()

@@ -28,9 +28,7 @@ from dmcvqkd.channel import (
     ROLE_KEY,
     apply_symmetrization,
     interleave,
-    pe_statistics,
     simulate_rounds,
-    split_pe_sets,
 )
 from dmcvqkd.definetti import truncation_epsilon
 from dmcvqkd.errors import ConfigError
@@ -493,6 +491,44 @@ def test_simulate_writes_all_files_and_is_deterministic(tmp_path):
         assert b1 == (out4 / name).read_bytes(), name
 
 
+def test_simulate_without_batch_csv_is_the_same_for_any_workers(tmp_path):
+    # the default config's 2(n + m) = 34768 key and decoy rounds fill five
+    # chunks, which two threads share; W is drawn on the calling thread
+    outs = []
+    for workers in (1, 2):
+        path = tmp_path / f"w{workers}.json"
+        path.write_text(json.dumps({"workers": workers}))
+        outs.append(tmp_path / f"out-w{workers}")
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(outs[-1])]) == EXIT_NO_KEY
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(set(SIM_FILES) - {"batch.csv"})
+    for name in names:
+        assert (outs[0] / name).read_bytes() == \
+            (outs[1] / name).read_bytes(), name
+
+
+def test_batch_csv_is_the_same_for_any_blas_thread_count(tmp_path):
+    # the default config's gaussian rows are 4k = 40000-entry vectors, long
+    # enough for a threaded BLAS to split a dot product; the bytes must not
+    # depend on how many threads OpenBLAS uses
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    outs = []
+    for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}),
+                          ("default", {})):
+        outs.append(tmp_path / name)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmcvqkd.cli", "simulate", "--batch-csv",
+             "--out", str(outs[-1])],
+            env={**env, **threads, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == EXIT_NO_KEY, proc.stderr
+    assert (outs[0] / "batch.csv").read_bytes() == \
+        (outs[1] / "batch.csv").read_bytes()
+
+
 def test_batch_csv_is_written_only_on_request(tmp_path):
     cfg = write_config(tmp_path, "c.json")
     for name, extra in (("default", []), ("flag", ["--batch-csv"])):
@@ -537,8 +573,8 @@ def test_simulate_transcript_contents(tmp_path):
 @pytest.mark.parametrize("config", [{}, {**SIM_BASE, "xi_actual": 0.5}],
                          ids=["default", "sim-base-xi0.5"])
 def test_sigma_hat_are_the_pe_statistics_per_mode(tmp_path, config):
-    # transcript.csv's sigma_hat and pe.csv's gammas come from one pass over
-    # the 2k gaussian modes
+    # transcript.csv's sigma_hat and pe.csv's gammas come from the one
+    # Wishart draw W of the 2k gaussian modes
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)])
@@ -546,14 +582,86 @@ def test_sigma_hat_are_the_pe_statistics_per_mode(tmp_path, config):
     row = dict(zip(header, rows[0]))
     cfg = config_from_dict(config)
     params = cli._protocol_params(cfg).with_xi(float(row["xi_actual"]))
-    totals = pe_statistics(split_pe_sets(simulate_rounds(params, cfg.seed),
-                                         cfg.k))
+    totals = simulate_rounds(params, cfg.seed, rows=False).gram
     for name, total in zip("abc", totals):
         assert float(row[f"sigma_hat_{name}"]) == total / (2 * cfg.k)
     header, rows = read_csv(tmp_path / "pe.csv")
     gammas = gamma_estimates(*totals, cfg.k, resolve_budget(cfg).eps_pe)
     assert [float(rows[0][header.index(f"gamma_{name}")])
             for name in "abc"] == list(gammas)
+
+
+@pytest.mark.parametrize("config", [{}, {**SIM_BASE, "xi_actual": 0.5}],
+                         ids=["default", "sim-base-xi0.5"])
+def test_batch_csv_gaussian_rows_reproduce_the_pe_totals(tmp_path, config):
+    # the exported gaussian block gives back the W that pe.csv and
+    # transcript.csv were computed from, to rounding
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    cli.main(["simulate", "--config", str(path), "--out", str(tmp_path),
+              "--batch-csv"])
+    back = import_batch(tmp_path / "batch.csv")
+    g = back.roles == 2
+    ax, ap, bx, bp = (getattr(back, name)[g]
+                      for name in ("alice_x", "alice_p", "bob_x", "bob_p"))
+    exported = (float(np.sum(ax * ax) + np.sum(ap * ap)),
+                float(np.sum(bx * bx) + np.sum(bp * bp)),
+                float(np.sum(ax * bx) - np.sum(ap * bp)))
+    cfg = config_from_dict(config)
+    header, rows = read_csv(tmp_path / "transcript.csv")
+    row = dict(zip(header, rows[0]))
+    params = cli._protocol_params(cfg).with_xi(float(row["xi_actual"]))
+    gram = simulate_rounds(params, cfg.seed, rows=False).gram
+    assert ax.size == 2 * cfg.k
+    for name, got, want in zip("abc", exported, gram):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got / (2 * cfg.k) == pytest.approx(
+            float(row[f"sigma_hat_{name}"]), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("flags, fields", [([], "'n', 'm'"),
+                                           (["--batch-csv"], "'n', 'm', 'k'")],
+                         ids=["plain", "batch-csv"])
+def test_simulate_beyond_the_address_space_limit_exits_1_by_name(
+        tmp_path, flags, fields):
+    # the README's benign config holds 2(n + m) = 2e8 key and decoy rounds,
+    # 6 GiB of records; with RLIMIT_AS at 2 GB, set in the child only, the
+    # first record allocation fails before it touches memory, and simulate
+    # exits 1 by name without writing anything
+    path = tmp_path / "benign.json"
+    path.write_text(json.dumps(BENIGN))
+    code = ("import resource, sys, time; "
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, hard)); "
+            "from dmcvqkd import cli; start = time.perf_counter(); "
+            "code = cli.main(sys.argv[1:]); "
+            "print(time.perf_counter() - start); sys.exit(code)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--config", str(path),
+         "--out", str(tmp_path / "out")] + flags,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    assert proc.stderr.startswith(f"error: config field {fields}: ")
+    assert "RLIMIT_AS" in proc.stderr and "Traceback" not in proc.stderr
+    assert float(proc.stdout) < 1.0
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_memory_error_exits_1_by_name(tmp_path, capsys,
+                                               monkeypatch):
+    # an allocation that fails without an address-space limit names the
+    # fields too
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "simulate_rounds", no_memory)
+    rc = cli.main(["simulate", "--out", str(tmp_path), "--batch-csv"])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'n', 'm', 'k': simulate "
+                          "holds 54768 rounds")
 
 
 def test_simulate_success_branch_writes_the_hashed_key(tmp_path,

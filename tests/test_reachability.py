@@ -23,6 +23,9 @@ SRC = Path(dmcvqkd.__file__).resolve().parent
 # unused inside the package on purpose
 ALLOWED = {
     "kernel_name",  # perfbench/run.py records it with every benchmark run
+    # simulate draws its PE totals as one Wishart matrix; only perfbench's
+    # pe-trials workload still splits rows (ROADMAP item 10 unpins it)
+    "split_pe_sets",
     "config_to_json",  # the resolved config of a per-run record to come
     "truncation_epsilon",  # the cutoff's failure term, for reduction.csv
     "error",  # cli's argparse override; argparse calls it on a usage error

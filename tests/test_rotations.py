@@ -136,10 +136,11 @@ def test_transform_and_round_uniform_bytes_are_frozen():
         "e01339bfe56e6d54c6d3835303cb78c50c20f9ff71f1a92865aa73b345c93499"
     assert _sha256(rot.apply_conjugate(v)) == \
         "a175af5336e57493d1afadd0ce103eb64eabd44315aa50f04fb3bf68ca2ea6eb"
+    # rounds 3-9002 at 4 words a round (words 12-36011)
     u = _round_uniforms(12345, 3, 9000)
     assert u.dtype == np.float64 and u.shape == (9000, 4)
     assert _sha256(u) == \
-        "ebaf9ea42b6352358877a306f7c12f69826fc4e569d5a1ed21732c9b62f49575"
+        "91f0abd98d47bcf77bbe09f9930d23b452a2fd6c283a01125c801fbd301cd70f"
 
 
 # (dim, seed) -> sha256 of apply(v) and apply_conjugate(v), v as above;

@@ -8,8 +8,9 @@ import pytest
 from scipy import stats
 
 from dmcvqkd import cli, pe
+from dmcvqkd.channel import wishart2
 from dmcvqkd.modulation import honest_covariance
-from dmcvqkd.validate import BoundRow, _rng, _wishart2, run_all
+from dmcvqkd.validate import BoundRow, _rng, run_all
 
 from oracles import draw_pair, pair_statistics
 
@@ -35,7 +36,7 @@ def _pe_theorem_scaling(alpha=0.5, T=0.6, xi=0.05):
                          ids=["unit", "pe-theorem"])
 def test_wishart2_matches_full_vector_sampler(sx, sy, r):
     dof, size = 100, 4000
-    nx, ny, ip = _wishart2(_rng(11, 0, 0), dof, size, sx, sy, r)
+    nx, ny, ip = wishart2(_rng(11, 0, 0), dof, size, sx, sy, r)
     vx, vy = draw_pair(_rng(12, 0, 0), dof, size, r)
     reference = pair_statistics(sx * vx, sy * vy)
     for drawn, ref in zip((nx, ny, ip), reference):
