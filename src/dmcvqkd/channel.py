@@ -32,6 +32,13 @@ frame, independent of R: that is the conditional law of the rows given W
 (Muirhead, Aspects of Multivariate Statistical Theory, 1982, ch. 3), so the
 rows have the i.i.d. law and their totals are W to rounding.
 
+Key and decoy rounds: `round_records` is the one generator of their
+records, for any range of rounds.  `simulate_rounds` writes its chunks into
+a batch; `simulate` without batch.csv asks it for the decoy block only and
+streams the key rounds through `round_records` chunk by chunk, reducing
+each chunk to its repetition blocks' bits and dropping it, so a run holds
+2 bytes per block instead of 32 per key round.
+
 Randomness: counter-based generators (Philox) keyed by the seed.  Each key
 or decoy round owns a fixed window of 4 64-bit words regardless of chunking
 or worker count, and the gaussian block draws from its own key (seed, 3),
@@ -61,6 +68,8 @@ ROLE_KEY = 0
 ROLE_DECOY = 1
 ROLE_GAUSSIAN = 2
 ROLE_NAMES = ("key", "decoy", "gaussian")
+#: the four record arrays of a QuadratureBatch, in round_records' order
+RECORD_NAMES = ("alice_x", "alice_p", "bob_x", "bob_p")
 
 #: 64-bit words of randomness reserved per key or decoy round
 WORDS_PER_ROUND = 4
@@ -129,7 +138,7 @@ class QuadratureBatch:
             raise DomainError(f"counts must be 3 round counts >= 0, "
                               f"got {self.counts!r}")
         n = self.n_rounds
-        for name in ("alice_x", "alice_p", "bob_x", "bob_p"):
+        for name in RECORD_NAMES:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise DimensionMismatch(
@@ -227,29 +236,49 @@ def _role_slices(batch: QuadratureBatch, start: int, stop: int):
             yield role, slice(first - start, end - start), slice(first, end)
 
 
-def _fill_chunk(batch: QuadratureBatch, params: ProtocolParams, seed,
-                start: int, stop: int, amp_x, amp_p) -> None:
-    """Generate key and decoy rounds [start, stop) into the record arrays."""
+def round_records(params: ProtocolParams, seed, start: int,
+                  stop: int) -> tuple:
+    """(ax, ap, bx, bp): the records of key and decoy rounds [start, stop).
+
+    Rounds [0, 2n) are key rounds and [2n, 2n + 2m) decoy rounds; round r
+    reads its own Philox window, so any split of a range into chunks gives
+    the same values.  This is the package's one generator of those records:
+    `simulate_rounds` writes its chunks into a batch, and `simulate`
+    streams the key rounds through it without keeping them.
+    """
     u = _round_uniforms(seed, start, stop - start)
     sqrt_t = math.sqrt(params.T)
     sigma = math.sqrt((2.0 + params.T * params.xi) / 2.0)
+    split = min(max(2 * int(params.n) - start, 0), stop - start)
+    parts = []
+    if split > 0:
+        s2a = math.sqrt(2.0) * params.alpha
+        amp_x = np.array([s2a * math.cos(ph) for ph in CONSTELLATION_PHASES])
+        amp_p = np.array([s2a * math.sin(ph) for ph in CONSTELLATION_PHASES])
+        key = u[:split]
+        q = np.minimum((4.0 * key[:, 0]).astype(np.int64), 3)
+        parts.append((amp_x[q], amp_p[q]) + _box_muller(key[:, 1], key[:, 2]))
+    if split < stop - start:
+        s_mod = math.sqrt(params.v_a / 2.0)
+        decoy = u[split:]
+        a1, a2 = _box_muller(decoy[:, 0], decoy[:, 1])
+        parts.append((s_mod * a1, s_mod * a2)
+                     + _box_muller(decoy[:, 2], decoy[:, 3]))
+    if len(parts) == 1:
+        ax, ap, g1, g2 = parts[0]
+    else:  # the one chunk that holds the last key and first decoy rounds
+        ax, ap, g1, g2 = (np.concatenate(pair) for pair in zip(*parts))
+    return ax, ap, sqrt_t * ax + sigma * g1, sqrt_t * ap + sigma * g2
 
-    for role, rows, dst in _role_slices(batch, start, stop):
-        if role == ROLE_KEY:
-            q = np.minimum((4.0 * u[rows, 0]).astype(np.int64), 3)
-            ax = amp_x[q]
-            ap = amp_p[q]
-            g1, g2 = _box_muller(u[rows, 1], u[rows, 2])
-        else:
-            s_mod = math.sqrt(params.v_a / 2.0)
-            a1, a2 = _box_muller(u[rows, 0], u[rows, 1])
-            g1, g2 = _box_muller(u[rows, 2], u[rows, 3])
-            ax = s_mod * a1
-            ap = s_mod * a2
-        batch.alice_x[dst] = ax
-        batch.alice_p[dst] = ap
-        batch.bob_x[dst] = sqrt_t * ax + sigma * g1
-        batch.bob_p[dst] = sqrt_t * ap + sigma * g2
+
+def _fill_chunk(batch: QuadratureBatch, params: ProtocolParams, seed,
+                start: int, stop: int, first: int) -> None:
+    """Write rounds [start, stop) into the batch, whose row 0 is round
+    `first`."""
+    rows = slice(start - first, stop - first)
+    for name, values in zip(RECORD_NAMES,
+                            round_records(params, seed, start, stop)):
+        getattr(batch, name)[rows] = values
 
 
 def _gram(g: np.random.Generator, params: ProtocolParams) -> tuple:
@@ -288,36 +317,34 @@ def _fill_gaussian(batch: QuadratureBatch, g: np.random.Generator) -> None:
 
 def simulate_rounds(params: ProtocolParams, seed,
                     workers: Optional[int] = None,
-                    rows: bool = True) -> QuadratureBatch:
+                    rows: bool = True,
+                    key_rows: bool = True) -> QuadratureBatch:
     """Simulate one protocol run and return its quadrature record.
 
-    The batch holds the 2n key modes and 2m decoy modes of `params` and,
-    when `rows` is true, its 2k gaussian modes, laid out in that block
-    order.  One "round" of the batch is one mode: two quadratures per side.
-    Its `gram` is the gaussian modes' W, the same bits with or without
-    their rows.
+    The batch holds the 2m decoy modes of `params`, its 2n key modes when
+    `key_rows` is true and its 2k gaussian modes when `rows` is true, laid
+    out in the block order key, decoy, gaussian.  One "round" of the batch
+    is one mode: two quadratures per side.  Its `gram` is the gaussian
+    modes' W, the same bits with or without their rows; the decoy rounds
+    are the same bits with or without the key rounds, which `simulate`
+    streams through `round_records` instead.
 
     The output is a deterministic function of (params, seed): each chunk
     of CHUNK_ROUNDS key and decoy rounds reads its own counter window and
     the gaussian block is drawn on the calling thread, so `workers`
     (threads; None means every usable core) only affects wall-clock time.
     """
-    counts = (2 * int(params.n), 2 * int(params.m),
+    counts = (2 * int(params.n) if key_rows else 0, 2 * int(params.m),
               2 * int(params.k) if rows else 0)
-    total = sum(counts)
     g = np.random.Generator(np.random.Philox(key=(seed, 3)))
-    batch = QuadratureBatch(*(np.empty(total) for _ in range(4)), counts,
-                            _gram(g, params))
+    batch = QuadratureBatch(*(np.empty(sum(counts)) for _ in range(4)),
+                            counts, _gram(g, params))
 
-    s2a = math.sqrt(2.0) * params.alpha
-    amp_x = np.array([s2a * math.cos(ph) for ph in CONSTELLATION_PHASES])
-    amp_p = np.array([s2a * math.sin(ph) for ph in CONSTELLATION_PHASES])
-
-    modulated = counts[ROLE_KEY] + counts[ROLE_DECOY]
+    first = 2 * int(params.n) - counts[ROLE_KEY]
+    stop = 2 * int(params.n) + counts[ROLE_DECOY]
     spans = [
-        (batch, params, seed, a, min(a + CHUNK_ROUNDS, modulated), amp_x,
-         amp_p)
-        for a in range(0, modulated, CHUNK_ROUNDS)
+        (batch, params, seed, a, min(a + CHUNK_ROUNDS, stop), first)
+        for a in range(first, stop, CHUNK_ROUNDS)
     ]
     run_parts(_fill_chunk, spans, workers)
     if counts[ROLE_GAUSSIAN]:

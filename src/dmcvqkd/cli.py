@@ -28,14 +28,16 @@ import numpy as np
 
 from . import validate as validate_mod
 from .channel import (
+    CHUNK_ROUNDS,
+    RECORD_NAMES,
     ROLE_DECOY,
     ROLE_KEY,
     ProtocolParams,
     apply_symmetrization,
     export_batch,
     heterodyne_energy,
-    interleave,
     quadrant_bits,
+    round_records,
     simulate_rounds,
     # unused here since the statistics come from the Wishart draw; the
     # traced `simulate` benchmark still wraps cli.split_pe_sets (ROADMAP
@@ -56,10 +58,14 @@ from .finitekey import (
     mle_entropy,
     universal_hash,
 )
+from .parallel import run_parts
 from .pe import calibrate_deltas, gamma_estimates, pe_decision
 from .reconciliation import (
     hash_length,
     leak_model,
+    repetition_bits,
+    # unused here since repetition_bits reduces the key blocks; the traced
+    # `simulate` benchmark still wraps both names on cli
     repetition_decode,
     repetition_reconcile,
     snr,
@@ -415,24 +421,61 @@ TRANSCRIPT_HEADER = ("seed", "n", "m", "k", "xi_nominal", "xi_actual",
                      "feasible", "exit_code")
 
 
+def _key_chunk_rounds(k_rep: int) -> int:
+    """Key rounds per chunk: as many whole repetition blocks as fit in
+    CHUNK_ROUNDS, and at least one.  A block of k_rep stream values spans
+    k_rep / gcd(k_rep, 2) modes."""
+    step = k_rep // math.gcd(k_rep, 2)
+    return max(step, CHUNK_ROUNDS // step * step)
+
+
+def _key_chunks(cfg: RunConfig) -> list:
+    """(start, stop) of the key-round chunks, each on a repetition-block
+    edge: 4n is a multiple of k_rep, so the last chunk ends on one too."""
+    size = _key_chunk_rounds(cfg.k_rep)
+    key_rounds = 2 * cfg.n
+    return [(a, min(a + size, key_rounds)) for a in range(0, key_rounds, size)]
+
+
 def _memory_error(cfg: RunConfig, batch_csv: bool) -> ConfigError:
     """The error of a `simulate` run too large for this process, naming the
     config fields that size it.
 
-    The run holds four float64 records, 32 bytes, per round: the 2(n + m)
-    key and decoy rounds, and the 2k gaussian rounds only for batch.csv.
-    That is a lower bound on what it allocates.
+    A plain run holds the 2m decoy rounds, four float64 records or 32
+    bytes each, Bob's and Alice's bit of each of the 4n/k_rep repetition
+    blocks, and one chunk of key rounds per thread.  With batch.csv it
+    holds all 2(n + m + k) rounds.  That is a lower bound on what it
+    allocates.
     """
-    fields = "'n', 'm', 'k'" if batch_csv else "'n', 'm'"
-    rounds = 2 * (cfg.n + cfg.m + (cfg.k if batch_csv else 0))
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     where = ("more than this process could allocate"
              if limit == resource.RLIM_INFINITY else
              f"above the address-space limit (RLIMIT_AS) of "
              f"{limit / 2**30:.3g} GiB")
-    return ConfigError(f"config field {fields}: simulate holds {rounds} "
-                       f"rounds, which need at least "
-                       f"{32 * rounds / 2**30:.3g} GiB, {where}")
+    if batch_csv:
+        rounds = 2 * (cfg.n + cfg.m + cfg.k)
+        return ConfigError(f"config field 'n', 'm', 'k': simulate holds "
+                           f"{rounds} rounds, which need at least "
+                           f"{32 * rounds / 2**30:.3g} GiB, {where}")
+    blocks = 4 * cfg.n // cfg.k_rep
+    chunk = min(_key_chunk_rounds(cfg.k_rep), 2 * cfg.n)
+    return ConfigError(
+        f"config field 'n', 'm': simulate holds {2 * cfg.m} decoy rounds "
+        f"and the bits of {blocks} blocks, which need at least "
+        f"{(64 * cfg.m + 2 * blocks) / 2**30:.3g} GiB, plus a chunk of "
+        f"{chunk} key rounds per thread, {where}")
+
+
+def _reduce_key_rounds(records, first: int, k_rep: int, bits_b,
+                       bits_a) -> np.ndarray:
+    """Reduce key rounds that start repetition block `first`: write their
+    blocks' bits into bits_b and bits_a, return their quadrant counts."""
+    ax, ap, bx, bp = records
+    b, a = repetition_bits((ax, ap), (bx, bp), k_rep)
+    blocks = slice(first, first + b.size)
+    bits_b[blocks] = b
+    bits_a[blocks] = a
+    return np.bincount(quadrant_bits(ax, ap), minlength=4)
 
 
 def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
@@ -449,8 +492,28 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
         )
     xi_true = cfg.xi if cfg.xi_actual is None else cfg.xi_actual
     params = _protocol_params(cfg)
-    batch = simulate_rounds(params.with_xi(xi_true), cfg.seed,
-                            workers=cfg.workers, rows=batch_csv)
+    true_params = params.with_xi(xi_true)
+    # Bob's and Alice's bit of every repetition block, allocated before
+    # any work so that a run too large fails first
+    blocks = 4 * cfg.n // cfg.k_rep
+    bits_b = np.empty(blocks, dtype=np.uint8)
+    bits_a = np.empty(blocks, dtype=np.uint8)
+    # the key rows are built only for batch.csv; otherwise every chunk of
+    # key rounds is generated, counted, reduced to its blocks' bits and
+    # dropped
+    batch = simulate_rounds(true_params, cfg.seed, workers=cfg.workers,
+                            rows=batch_csv, key_rows=batch_csv)
+    if batch_csv:
+        key = batch.role_indices(ROLE_KEY)
+        quad_counts = _reduce_key_rounds(
+            [getattr(batch, name)[key] for name in RECORD_NAMES],
+            0, cfg.k_rep, bits_b, bits_a)
+    else:
+        quad_counts = sum(run_parts(
+            lambda start, stop: _reduce_key_rounds(
+                round_records(true_params, cfg.seed, start, stop),
+                2 * start // cfg.k_rep, cfg.k_rep, bits_b, bits_a),
+            _key_chunks(cfg), cfg.workers))
 
     # parameter estimation reads only W = (||X||^2, ||Y||^2, <X, S Y>) of
     # the gaussian modes, drawn whether or not their rows are built (only
@@ -467,18 +530,13 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     region = pe_decision(gammas, params.v_a + 1.0, cfg.T, cfg.xi, deltas,
                          budget.eps_pe)
 
-    key = batch.role_indices(ROLE_KEY)
-    quad = quadrant_bits(batch.alice_x[key], batch.alice_p[key])
-    h_mle = mle_entropy(np.bincount(quad, minlength=4)) / 2.0
+    h_mle = mle_entropy(quad_counts) / 2.0
 
-    # reverse reconciliation on the interleaved key-quadrature stream
-    stream_b = interleave(batch.bob_x[key], batch.bob_p[key])
-    stream_a = interleave(batch.alice_x[key], batch.alice_p[key])
-    y_hard, side, disclosed = repetition_reconcile(stream_b, cfg.k_rep)
-    decoded = repetition_decode(stream_a, side, cfg.k_rep)
-    block_errors = int(np.count_nonzero(decoded != y_hard))
-    bits_b = (y_hard < 0).astype(np.uint8)
-    bits_a = (decoded < 0).astype(np.uint8)
+    # reverse reconciliation on the interleaved key-quadrature stream: Bob
+    # keeps one sign per block and discloses the (k_rep - 1) others
+    # relative to it
+    block_errors = int(np.count_nonzero(bits_a != bits_b))
+    disclosed = blocks * (cfg.k_rep - 1)
     verified = verify_hash(bits_a, bits_b, budget.eps_cor,
                            seed=(cfg.seed, 2))
     leak_ec = float(disclosed + hash_length(budget.eps_cor))
@@ -515,7 +573,7 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
         + deltas + (budget.eps_pe, region.verdict)
     ])
     _write_csv(out / "ec.csv", EC_HEADER, [(
-        stream_b.size, cfg.k_rep, y_hard.size, disclosed,
+        4 * cfg.n, cfg.k_rep, blocks, disclosed,
         hash_length(budget.eps_cor), block_errors, verified,
     )])
     # the thresholds may be ints from the config; %.17g prints them as floats

@@ -191,32 +191,50 @@ def universal_hash(bits, seed, out_len: int) -> np.ndarray:
     x = np.asarray(bits, dtype=np.uint8)
     if x.ndim != 1:
         raise DomainError(f"bits must be 1-d, got shape {x.shape}")
-    if np.any(x > 1):
-        raise DomainError("bits must be 0/1 valued")
-    n_in = x.size
+    return toeplitz_hasher(seed, x.size, out_len)(x)
+
+
+def toeplitz_hasher(seed, n_in: int, out_len: int):
+    """The function `universal_hash(bits, seed, out_len)` of n_in-bit strings.
+
+    The Toeplitz bits are drawn and their spectrum taken once, so hashing
+    two strings with one seed costs one transform of the seed, not two.
+    """
     if out_len < 0 or out_len > n_in:
         raise LengthError(
             f"out_len must be in [0, {n_in}], got {out_len!r}"
         )
-    if out_len == 0:
-        return np.zeros(0, dtype=np.uint8)
     t_len = n_in + out_len - 1
-    bg = np.random.Philox(key=seed)
-    words = bg.random_raw((t_len + 63) // 64)
-    tbits = np.unpackbits(words.astype(">u8").view(np.uint8))[:t_len]
-    # out[i] = parity of sum_j x[j] * t[n_in - 1 + i - j]: a Toeplitz form.
-    # These entries of x * t take no wrap-around in a cyclic convolution of
-    # any length >= t_len; a power of two keeps the FFT fast at every size
-    size = 1 << (t_len - 1).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(tbits, size), size)
-    seg = conv[n_in - 1 : n_in - 1 + out_len]
-    # every entry is an integer count; a residual near 0.5 would round to
-    # the wrong neighbour and flip its parity without a trace
-    rounded = np.rint(seg)
-    residual = float(np.max(np.abs(seg - rounded)))
-    if residual >= 0.25:
-        raise PrecisionLoss(
-            f"FFT convolution of {n_in} x {t_len} bits is off an integer "
-            f"by {residual:.3g}; its parities cannot be trusted"
-        )
-    return (rounded.astype(np.int64) & 1).astype(np.uint8)
+    size = 1 << max(t_len - 1, 0).bit_length()
+    if out_len > 0:
+        words = np.random.Philox(key=seed).random_raw((t_len + 63) // 64)
+        tbits = np.unpackbits(words.astype(">u8").view(np.uint8))[:t_len]
+        t_spectrum = np.fft.rfft(tbits, size)
+
+    def hash_bits(bits) -> np.ndarray:
+        x = np.asarray(bits, dtype=np.uint8)
+        if x.shape != (n_in,):
+            raise LengthError(f"bits have shape {x.shape}, expected "
+                              f"({n_in},)")
+        if np.any(x > 1):
+            raise DomainError("bits must be 0/1 valued")
+        if out_len == 0:
+            return np.zeros(0, dtype=np.uint8)
+        # out[i] = parity of sum_j x[j] * t[n_in - 1 + i - j]: a Toeplitz
+        # form.  These entries of x * t take no wrap-around in a cyclic
+        # convolution of any length >= t_len; a power of two keeps the FFT
+        # fast at every size
+        conv = np.fft.irfft(np.fft.rfft(x, size) * t_spectrum, size)
+        seg = conv[n_in - 1 : n_in - 1 + out_len]
+        # every entry is an integer count; a residual near 0.5 would round
+        # to the wrong neighbour and flip its parity without a trace
+        rounded = np.rint(seg)
+        residual = float(np.max(np.abs(seg - rounded)))
+        if residual >= 0.25:
+            raise PrecisionLoss(
+                f"FFT convolution of {n_in} x {t_len} bits is off an "
+                f"integer by {residual:.3g}; its parities cannot be trusted"
+            )
+        return (rounded.astype(np.int64) & 1).astype(np.uint8)
+
+    return hash_bits

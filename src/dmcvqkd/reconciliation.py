@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, LengthError
-from .finitekey import universal_hash
+from .finitekey import toeplitz_hasher
 
 # Trapezoid nodes for an expectation over Z ~ N(0, 1): step 0.1 on
 # [-40, 40], with the Gaussian weights normalised to sum to 1
@@ -160,6 +160,35 @@ def repetition_decode(x, side_info: RepetitionSideInfo, k_rep: int) -> np.ndarra
     return _signs(stat)
 
 
+def repetition_bits(x, y, k_rep: int) -> tuple:
+    """(bits_b, bits_a): Bob's and Alice's bit of every repetition block.
+
+    x = (x_even, x_odd) and y = (y_even, y_odd) are Alice's and Bob's
+    streams x_even[0], x_odd[0], x_even[1], ... given by their two halves,
+    so neither stream is built.  A bit is 1 where the sign is negative.
+    These are the bits (y_hard < 0) and (decoded < 0) of
+    `repetition_reconcile` and `repetition_decode`, bit for bit, reduced in
+    one pass without the side information.
+
+    Bob's bit is the sign of the block's first value y_0.  Alice's matched
+    filter sum_j (x_j s_0 s_j) |y_j| is s_0 sum_j fl(x_j y_j): every sign
+    product is exact, and the pairwise row sum is the same for a common
+    sign.  Only the sign of a zero term may differ, and a zero total counts
+    positive either way.
+    """
+    (x_even, x_odd), (y_even, y_odd) = x, y
+    products = np.empty((x_even.size, 2))
+    np.multiply(x_even, y_even, out=products[:, 0])
+    np.multiply(x_odd, y_odd, out=products[:, 1])
+    sums = np.sum(products.reshape(-1, k_rep), axis=1)
+    first = np.arange(0, 2 * x_even.size, k_rep)
+    y_first = np.where(first % 2 == 0, y_even[first // 2], y_odd[first // 2])
+    # `not >= 0` is _signs' tie-break: zeros count positive
+    bits_b = ~(y_first >= 0.0)
+    bits_a = ~(np.where(bits_b, -sums, sums) >= 0.0)
+    return bits_b.view(np.uint8), bits_a.view(np.uint8)
+
+
 def verify_hash(string_a, string_b, eps_cor: float, seed=0) -> bool:
     """Compare two-universal hashes of both strings.
 
@@ -171,7 +200,8 @@ def verify_hash(string_a, string_b, eps_cor: float, seed=0) -> bool:
     b = np.asarray(string_b, dtype=np.uint8)
     if a.shape != b.shape:
         raise LengthError(f"length mismatch {a.shape} vs {b.shape}")
-    out_len = min(hash_length(eps_cor), a.size)
-    ha = universal_hash(a, seed, out_len)
-    hb = universal_hash(b, seed, out_len)
-    return bool(np.array_equal(ha, hb))
+    if a.ndim != 1:
+        raise DomainError(f"bits must be 1-d, got shape {a.shape}")
+    hash_bits = toeplitz_hasher(seed, a.size,
+                                min(hash_length(eps_cor), a.size))
+    return bool(np.array_equal(hash_bits(a), hash_bits(b)))

@@ -21,6 +21,7 @@ from dmcvqkd.channel import (
     export_batch,
     heterodyne_energy,
     quadrant_bits,
+    round_records,
     simulate_rounds,
     split_pe_sets,
 )
@@ -84,6 +85,27 @@ def test_deterministic_across_workers_and_reruns():
     assert a.counts == b.counts == c.counts == (800, 600, 1000)
     d = simulate_rounds(PARAMS, seed=8)
     assert not np.array_equal(a.bob_x, d.bob_x)
+
+
+def test_round_records_are_the_batch_rows_for_any_split():
+    # 2n = 10000 key and 2m = 6000 decoy rounds: simulate_rounds fills two
+    # chunks, the first across the key/decoy edge
+    params = replace(PARAMS, n=5000, m=3000)
+    batch = simulate_rounds(params, seed=17, rows=False)
+    edges = (0, 1, 128, 4097, 9999, 10001, 14000, 16000)
+    for start, stop in zip(edges, edges[1:]):
+        for name, values in zip(RECORDS,
+                                round_records(params, 17, start, stop)):
+            np.testing.assert_array_equal(values,
+                                          getattr(batch, name)[start:stop])
+    # without the key rows the decoy rounds keep their counter windows
+    decoys = simulate_rounds(params, seed=17, rows=False, key_rows=False)
+    assert decoys.counts == (0, 6000, 0)
+    assert decoys.gram == batch.gram
+    block = batch.role_indices(ROLE_DECOY)
+    for name in RECORDS:
+        np.testing.assert_array_equal(getattr(decoys, name),
+                                      getattr(batch, name)[block])
 
 
 def test_counts_override():

@@ -33,7 +33,7 @@ from dmcvqkd.channel import (
 from dmcvqkd.definetti import truncation_epsilon
 from dmcvqkd.errors import ConfigError
 from dmcvqkd.pe import gamma_estimates
-from dmcvqkd.reconciliation import repetition_reconcile
+from dmcvqkd.reconciliation import repetition_decode, repetition_reconcile
 from dmcvqkd.rotations import OrthogonalTransform
 from oracles import import_batch, role_codes, toeplitz_hash_direct
 
@@ -492,8 +492,9 @@ def test_simulate_writes_all_files_and_is_deterministic(tmp_path):
 
 
 def test_simulate_without_batch_csv_is_the_same_for_any_workers(tmp_path):
-    # the default config's 2(n + m) = 34768 key and decoy rounds fill five
-    # chunks, which two threads share; W is drawn on the calling thread
+    # the default config's 2n = 32768 key rounds stream in four chunks and
+    # its 2m = 2000 decoy rounds fill a fifth, which two threads share; W
+    # is drawn on the calling thread
     outs = []
     for workers in (1, 2):
         path = tmp_path / f"w{workers}.json"
@@ -506,6 +507,52 @@ def test_simulate_without_batch_csv_is_the_same_for_any_workers(tmp_path):
     for name in names:
         assert (outs[0] / name).read_bytes() == \
             (outs[1] / name).read_bytes(), name
+
+
+def test_streamed_key_blocks_are_the_same_for_any_workers_and_the_rows(
+        tmp_path, monkeypatch):
+    # k_rep = 24: a block spans 12 modes, which does not divide
+    # CHUNK_ROUNDS, so the 2n = 16392 key rounds stream in three chunks
+    # that end on block edges
+    config = dict(SIM_BASE, n=8196, k_rep=24)
+    cfg = config_from_dict(config)
+    assert cli._key_chunks(cfg) == [(0, 8184), (8184, 16368), (16368, 16392)]
+    hashed = []
+    real = cli.verify_hash
+
+    def capture(bits_a, bits_b, *args, **kwargs):
+        hashed.append((bits_a.copy(), bits_b.copy()))
+        return real(bits_a, bits_b, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_hash", capture)
+    outs = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"w{workers}.json"
+        path.write_text(json.dumps(dict(config, workers=workers)))
+        outs.append(tmp_path / f"out-w{workers}")
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(outs[-1])]) == EXIT_NO_KEY
+    # the batch.csv run reduces the materialized key rows instead
+    outs.append(tmp_path / "rows")
+    assert cli.main(["simulate", "--config", str(tmp_path / "w2.json"),
+                     "--out", str(outs[-1]), "--batch-csv"]) == EXIT_NO_KEY
+    names = sorted(set(SIM_FILES) - {"batch.csv"})
+    for out in outs[1:]:
+        for name in names:
+            assert (out / name).read_bytes() == \
+                (outs[0] / name).read_bytes(), (out.name, name)
+    # every run hashed the bits of the side-information path on the rows
+    batch = simulate_rounds(cli._protocol_params(cfg), cfg.seed)
+    key = batch.role_indices(ROLE_KEY)
+    y_hard, side, _ = repetition_reconcile(
+        interleave(batch.bob_x[key], batch.bob_p[key]), cfg.k_rep)
+    decoded = repetition_decode(
+        interleave(batch.alice_x[key], batch.alice_p[key]), side, cfg.k_rep)
+    assert len(hashed) == 4
+    for bits_a, bits_b in hashed:
+        np.testing.assert_array_equal(bits_b, y_hard < 0)
+        np.testing.assert_array_equal(bits_a, decoded < 0)
+    assert 0 < np.count_nonzero(bits_a != bits_b) < bits_b.size
 
 
 def test_batch_csv_is_the_same_for_any_blas_thread_count(tmp_path):
@@ -619,17 +666,22 @@ def test_batch_csv_gaussian_rows_reproduce_the_pe_totals(tmp_path, config):
             float(row[f"sigma_hat_{name}"]), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("flags, fields", [([], "'n', 'm'"),
-                                           (["--batch-csv"], "'n', 'm', 'k'")],
-                         ids=["plain", "batch-csv"])
+# the README's benign config holds 2(n + m + k) = 4.2e9 rounds with
+# --batch-csv, 125 GiB; a plain run streams its key rounds and fits, so the
+# plain case takes m = 1e8 decoy rounds, which a plain run holds: 6 GiB.
+# With n = 1e12 the per-block bits alone need 29 GiB
+@pytest.mark.parametrize("config, flags, fields",
+                         [(dict(BENIGN, m=100_000_000), [], "'n', 'm'"),
+                          (BENIGN, ["--batch-csv"], "'n', 'm', 'k'"),
+                          (dict(BENIGN, n=10**12), [], "'n', 'm'")],
+                         ids=["plain", "batch-csv", "plain-blocks"])
 def test_simulate_beyond_the_address_space_limit_exits_1_by_name(
-        tmp_path, flags, fields):
-    # the README's benign config holds 2(n + m) = 2e8 key and decoy rounds,
-    # 6 GiB of records; with RLIMIT_AS at 2 GB, set in the child only, the
-    # first record allocation fails before it touches memory, and simulate
-    # exits 1 by name without writing anything
-    path = tmp_path / "benign.json"
-    path.write_text(json.dumps(BENIGN))
+        tmp_path, config, flags, fields):
+    # with RLIMIT_AS at 2 GB, set in the child only, the first record
+    # allocation fails before it touches memory, and simulate exits 1 by
+    # name without writing anything
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     code = ("import resource, sys, time; "
             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
             "resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, hard)); "

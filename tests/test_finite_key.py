@@ -16,9 +16,10 @@ from dmcvqkd.finitekey import (
     delta_ent,
     key_length,
     mle_entropy,
+    toeplitz_hasher,
     universal_hash,
 )
-from dmcvqkd.reconciliation import leak_model, snr
+from dmcvqkd.reconciliation import leak_model, snr, verify_hash
 
 from oracles import audit_key_length, toeplitz_bits, toeplitz_hash_direct
 
@@ -195,6 +196,26 @@ def test_universal_hash_direct_and_fft_paths_agree():
     for out_len in (1300, 1500):                    # 3.9e6 and 4.5e6
         np.testing.assert_array_equal(universal_hash(bits, 5, out_len),
                                       toeplitz_hash_direct(bits, 5, out_len))
+
+
+def test_toeplitz_hasher_transforms_the_seed_once(monkeypatch):
+    # one hasher hashes both strings of verify_hash with the bits of
+    # universal_hash, and takes three FFTs, not four: the seed's once
+    rng = np.random.default_rng(24)
+    a, b = rng.integers(0, 2, size=(2, 3000)).astype(np.uint8)
+    rfft = np.fft.rfft
+    calls = []
+    monkeypatch.setattr(np.fft, "rfft",
+                        lambda *args: calls.append(1) or rfft(*args))
+    hash_bits = toeplitz_hasher(5, 3000, 1500)
+    for bits in (a, b):
+        np.testing.assert_array_equal(hash_bits(bits),
+                                      toeplitz_hash_direct(bits, 5, 1500))
+    assert len(calls) == 3
+    calls.clear()
+    assert not verify_hash(a, b, 1e-10, seed=5)
+    assert verify_hash(a, a.copy(), 1e-10, seed=5)
+    assert len(calls) == 6
 
 
 def test_universal_hash_fft_precision_loss_is_loud(monkeypatch):

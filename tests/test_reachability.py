@@ -26,6 +26,11 @@ ALLOWED = {
     # simulate draws its PE totals as one Wishart matrix; only perfbench's
     # pe-trials workload still splits rows (ROADMAP item 10 unpins it)
     "split_pe_sets",
+    # simulate reduces its key blocks with repetition_bits; these two are
+    # the reference the tests hold it to, and perfbench's traced simulate
+    # workload still wraps both names on cli
+    "repetition_reconcile",
+    "repetition_decode",
     "config_to_json",  # the resolved config of a per-run record to come
     "truncation_epsilon",  # the cutoff's failure term, for reduction.csv
     "error",  # cli's argparse override; argparse calls it on a usage error

@@ -10,6 +10,7 @@ from dmcvqkd.reconciliation import (
     biawgn_capacity,
     hash_length,
     leak_model,
+    repetition_bits,
     repetition_decode,
     repetition_reconcile,
     snr,
@@ -164,6 +165,56 @@ def test_repetition_decode_error_rate_matches_oracle():
     se = math.sqrt(predicted * (1.0 - predicted) / blocks)
     assert abs(observed - predicted) <= 3.0 * se
     assert predicted == pytest.approx(0.04025811897775182, rel=1e-10)
+
+
+def reference_bits(x, y, k_rep):
+    """(bits_b, bits_a) of the interleaved streams through the side-info
+    path: Bob's block signs and Alice's matched-filter decisions."""
+    y_hard, side, _ = repetition_reconcile(y, k_rep)
+    decoded = repetition_decode(x, side, k_rep)
+    return (y_hard < 0).astype(np.uint8), (decoded < 0).astype(np.uint8)
+
+
+def fused_bits(x, y, k_rep):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return repetition_bits((x[0::2], x[1::2]), (y[0::2], y[1::2]), k_rep)
+
+
+@pytest.mark.parametrize("k_rep", [1, 2, 3, 7, 24, 256, 1024])
+def test_repetition_bits_are_the_reference_bits(k_rep):
+    # 2000 blocks of a weakly correlated pair whose magnitudes span 16
+    # decades, so the block sums round and some land near zero; an odd
+    # k_rep starts every other block on a p entry
+    rng = np.random.default_rng(40 + k_rep)
+    size = 2000 * k_rep
+    y = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 8, size)
+    x = 0.05 * y + rng.normal(size=size) * 10.0 ** rng.uniform(-8, 8, size)
+    bits_b, bits_a = fused_bits(x, y, k_rep)
+    want_b, want_a = reference_bits(x, y, k_rep)
+    assert bits_b.dtype == bits_a.dtype == np.uint8
+    np.testing.assert_array_equal(bits_b, want_b)
+    np.testing.assert_array_equal(bits_a, want_a)
+    # both decisions occur: the bits agree on some blocks, not on all
+    assert 0 < np.count_nonzero(bits_a != bits_b) < bits_b.size
+
+
+def test_repetition_bits_on_signed_zeros_and_p_entry_blocks():
+    # k_rep = 3: blocks 1, 3 and 5 start on a p entry.  Block 0 starts on
+    # -0.0, which counts positive; block 2 is all zeros and block 5's
+    # products cancel exactly, so both statistics are zeros, which count
+    # positive.  Block 4's sign depends on the order of its sum: numpy's
+    # (-1 + 1e16) - 1e16 is 0, summed the other way round it is -1
+    y = [-0.0, 1.0, -2.0, -1.0, 0.0, 3.0, 0.0, -0.0, -0.0, -0.5, 2.0, -2.0,
+         1.0, 1.0, 1.0, -2.0, 3.0, -0.5]
+    x = [1.0, -1.0, 0.5, 2.0, -3.0, 0.0, -0.0, 5.0, -5.0, 4.0, 1.0, 1.0,
+         -1.0, 1e16, -1e16, 0.5, 1.0, 4.0]
+    bits_b, bits_a = fused_bits(x, y, 3)
+    assert bits_b.tolist() == [0, 1, 0, 1, 0, 1]
+    assert bits_a.tolist() == [1, 0, 0, 0, 0, 0]
+    for k_rep in (1, 2, 3, 6, 9, 18):
+        for got, want in zip(fused_bits(x, y, k_rep),
+                             reference_bits(x, y, k_rep)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_verify_hash():
