@@ -317,24 +317,22 @@ def _fill_gaussian(batch: QuadratureBatch, g: np.random.Generator) -> None:
 
 def simulate_rounds(params: ProtocolParams, seed,
                     workers: Optional[int] = None,
-                    rows: bool = True,
-                    key_rows: bool = True) -> QuadratureBatch:
+                    rows: bool = True) -> QuadratureBatch:
     """Simulate one protocol run and return its quadrature record.
 
-    The batch holds the 2m decoy modes of `params`, its 2n key modes when
-    `key_rows` is true and its 2k gaussian modes when `rows` is true, laid
-    out in the block order key, decoy, gaussian.  One "round" of the batch
-    is one mode: two quadratures per side.  Its `gram` is the gaussian
-    modes' W, the same bits with or without their rows; the decoy rounds
-    are the same bits with or without the key rounds, which `simulate`
-    streams through `round_records` instead.
+    The batch holds the 2m decoy modes of `params` and, when `rows` is
+    true, its 2n key modes and 2k gaussian modes, laid out in the block
+    order key, decoy, gaussian.  One "round" of the batch is one mode: two
+    quadratures per side.  Its `gram` is the gaussian modes' W and its
+    decoy rounds are the same bits with or without the other rows;
+    `simulate` streams the key rounds through `round_records` instead.
 
     The output is a deterministic function of (params, seed): each chunk
     of CHUNK_ROUNDS key and decoy rounds reads its own counter window and
     the gaussian block is drawn on the calling thread, so `workers`
     (threads; None means every usable core) only affects wall-clock time.
     """
-    counts = (2 * int(params.n) if key_rows else 0, 2 * int(params.m),
+    counts = (2 * int(params.n) if rows else 0, 2 * int(params.m),
               2 * int(params.k) if rows else 0)
     g = np.random.Generator(np.random.Philox(key=(seed, 3)))
     batch = QuadratureBatch(*(np.empty(sum(counts)) for _ in range(4)),

@@ -29,9 +29,7 @@ import numpy as np
 from . import validate as validate_mod
 from .channel import (
     CHUNK_ROUNDS,
-    RECORD_NAMES,
     ROLE_DECOY,
-    ROLE_KEY,
     ProtocolParams,
     apply_symmetrization,
     export_batch,
@@ -498,22 +496,16 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     blocks = 4 * cfg.n // cfg.k_rep
     bits_b = np.empty(blocks, dtype=np.uint8)
     bits_a = np.empty(blocks, dtype=np.uint8)
-    # the key rows are built only for batch.csv; otherwise every chunk of
-    # key rounds is generated, counted, reduced to its blocks' bits and
+    # the key and gaussian rows are built only for batch.csv; every chunk
+    # of key rounds is generated, counted, reduced to its blocks' bits and
     # dropped
     batch = simulate_rounds(true_params, cfg.seed, workers=cfg.workers,
-                            rows=batch_csv, key_rows=batch_csv)
-    if batch_csv:
-        key = batch.role_indices(ROLE_KEY)
-        quad_counts = _reduce_key_rounds(
-            [getattr(batch, name)[key] for name in RECORD_NAMES],
-            0, cfg.k_rep, bits_b, bits_a)
-    else:
-        quad_counts = sum(run_parts(
-            lambda start, stop: _reduce_key_rounds(
-                round_records(true_params, cfg.seed, start, stop),
-                2 * start // cfg.k_rep, cfg.k_rep, bits_b, bits_a),
-            _key_chunks(cfg), cfg.workers))
+                            rows=batch_csv)
+    quad_counts = sum(run_parts(
+        lambda start, stop: _reduce_key_rounds(
+            round_records(true_params, cfg.seed, start, stop),
+            2 * start // cfg.k_rep, cfg.k_rep, bits_b, bits_a),
+        _key_chunks(cfg), cfg.workers))
 
     # parameter estimation reads only W = (||X||^2, ||Y||^2, <X, S Y>) of
     # the gaussian modes, drawn whether or not their rows are built (only

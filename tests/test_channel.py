@@ -91,7 +91,7 @@ def test_round_records_are_the_batch_rows_for_any_split():
     # 2n = 10000 key and 2m = 6000 decoy rounds: simulate_rounds fills two
     # chunks, the first across the key/decoy edge
     params = replace(PARAMS, n=5000, m=3000)
-    batch = simulate_rounds(params, seed=17, rows=False)
+    batch = simulate_rounds(params, seed=17)
     edges = (0, 1, 128, 4097, 9999, 10001, 14000, 16000)
     for start, stop in zip(edges, edges[1:]):
         for name, values in zip(RECORDS,
@@ -99,7 +99,7 @@ def test_round_records_are_the_batch_rows_for_any_split():
             np.testing.assert_array_equal(values,
                                           getattr(batch, name)[start:stop])
     # without the key rows the decoy rounds keep their counter windows
-    decoys = simulate_rounds(params, seed=17, rows=False, key_rows=False)
+    decoys = simulate_rounds(params, seed=17, rows=False)
     assert decoys.counts == (0, 6000, 0)
     assert decoys.gram == batch.gram
     block = batch.role_indices(ROLE_DECOY)
@@ -212,19 +212,20 @@ def test_gram_norm_x_has_an_exact_chi2_tail():
 @pytest.mark.parametrize("xi_actual", [None, 0.5], ids=["default", "xi0.5"])
 def test_gaussian_rows_reproduce_the_gram(xi_actual):
     # the Q R rows give back W to rounding; building them changes neither
-    # W nor the key and decoy rounds, and no worker count changes them
+    # W nor the decoy rounds, and no worker count changes them
     cfg = cli.RunConfig(xi_actual=xi_actual)
     xi_true = cfg.xi if xi_actual is None else xi_actual
     params = cli._protocol_params(cfg).with_xi(xi_true)
     plain = simulate_rounds(params, cfg.seed, workers=1, rows=False)
     full = simulate_rounds(params, cfg.seed, workers=2)
-    assert plain.counts == (2 * cfg.n, 2 * cfg.m, 0)
+    assert plain.counts == (0, 2 * cfg.m, 0)
     assert full.counts == (2 * cfg.n, 2 * cfg.m, 2 * cfg.k)
     assert plain.gram == full.gram
     assert all(type(total) is float for total in plain.gram)
+    decoys = full.role_indices(ROLE_DECOY)
     for name in RECORDS:
-        modulated = getattr(full, name)[: plain.n_rounds]
-        assert getattr(plain, name).tobytes() == modulated.tobytes()
+        assert (getattr(plain, name).tobytes()
+                == getattr(full, name)[decoys].tobytes())
     totals = pe_statistics(split_pe_sets(full, cfg.k))
     for got, want in zip(totals, full.gram):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -532,7 +532,8 @@ def test_streamed_key_blocks_are_the_same_for_any_workers_and_the_rows(
         outs.append(tmp_path / f"out-w{workers}")
         assert cli.main(["simulate", "--config", str(path),
                          "--out", str(outs[-1])]) == EXIT_NO_KEY
-    # the batch.csv run reduces the materialized key rows instead
+    # a batch.csv run, which also builds the key rows, writes the same
+    # files besides batch.csv
     outs.append(tmp_path / "rows")
     assert cli.main(["simulate", "--config", str(tmp_path / "w2.json"),
                      "--out", str(outs[-1]), "--batch-csv"]) == EXIT_NO_KEY
