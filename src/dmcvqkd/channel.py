@@ -34,10 +34,11 @@ rows have the i.i.d. law and their totals are W to rounding.
 
 Key and decoy rounds: `round_records` is the one generator of their
 records, for any range of rounds.  `simulate_rounds` writes its chunks into
-a batch; `simulate` without batch.csv asks it for the decoy block only and
-streams the key rounds through `round_records` chunk by chunk, reducing
-each chunk to its repetition blocks' bits and dropping it, so a run holds
-2 bytes per block instead of 32 per key round.
+a batch.  `simulate` takes W from `gaussian_gram` and only the k_test
+decoy rounds its energy test reads from `round_records`, and streams the
+key rounds through `round_records` chunk by chunk, reducing each chunk to
+its repetition blocks' bits and dropping it, so a run holds 2 bytes per
+block instead of 32 per key round; only batch.csv needs the whole batch.
 
 Randomness: counter-based generators (Philox) keyed by the seed.  Each key
 or decoy round owns a fixed window of 4 64-bit words regardless of chunking
@@ -272,13 +273,16 @@ def round_records(params: ProtocolParams, seed, start: int,
 
 
 def _fill_chunk(batch: QuadratureBatch, params: ProtocolParams, seed,
-                start: int, stop: int, first: int) -> None:
-    """Write rounds [start, stop) into the batch, whose row 0 is round
-    `first`."""
-    rows = slice(start - first, stop - first)
+                start: int, stop: int) -> None:
+    """Write rounds [start, stop) into the batch."""
     for name, values in zip(RECORD_NAMES,
                             round_records(params, seed, start, stop)):
-        getattr(batch, name)[rows] = values
+        getattr(batch, name)[start:stop] = values
+
+
+def _gaussian_generator(seed) -> np.random.Generator:
+    """The gaussian block's own generator, keyed (seed, 3)."""
+    return np.random.Generator(np.random.Philox(key=(seed, 3)))
 
 
 def _gram(g: np.random.Generator, params: ProtocolParams) -> tuple:
@@ -288,6 +292,12 @@ def _gram(g: np.random.Generator, params: ProtocolParams) -> tuple:
     sx, sy, r = gaussian_record_law(params.alpha, params.T, params.xi)
     return tuple(float(t) for t in wishart2(g, 4 * int(params.k), None,
                                             sx, sy, r))
+
+
+def gaussian_gram(params: ProtocolParams, seed) -> tuple:
+    """The `gram` of `simulate_rounds(params, seed)`, drawn without the
+    rounds: W comes first from the gaussian block's generator."""
+    return _gram(_gaussian_generator(seed), params)
 
 
 def _fill_gaussian(batch: QuadratureBatch, g: np.random.Generator) -> None:
@@ -316,34 +326,27 @@ def _fill_gaussian(batch: QuadratureBatch, g: np.random.Generator) -> None:
 
 
 def simulate_rounds(params: ProtocolParams, seed,
-                    workers: Optional[int] = None,
-                    rows: bool = True) -> QuadratureBatch:
+                    workers: Optional[int] = None) -> QuadratureBatch:
     """Simulate one protocol run and return its quadrature record.
 
-    The batch holds the 2m decoy modes of `params` and, when `rows` is
-    true, its 2n key modes and 2k gaussian modes, laid out in the block
-    order key, decoy, gaussian.  One "round" of the batch is one mode: two
-    quadratures per side.  Its `gram` is the gaussian modes' W and its
-    decoy rounds are the same bits with or without the other rows;
-    `simulate` streams the key rounds through `round_records` instead.
+    The batch holds the 2n key, 2m decoy and 2k gaussian modes of
+    `params`, laid out in that block order.  One "round" of the batch is
+    one mode: two quadratures per side.  Its `gram` is the gaussian modes'
+    W, the same draw as `gaussian_gram(params, seed)`.
 
     The output is a deterministic function of (params, seed): each chunk
     of CHUNK_ROUNDS key and decoy rounds reads its own counter window and
     the gaussian block is drawn on the calling thread, so `workers`
     (threads; None means every usable core) only affects wall-clock time.
     """
-    counts = (2 * int(params.n) if rows else 0, 2 * int(params.m),
-              2 * int(params.k) if rows else 0)
-    g = np.random.Generator(np.random.Philox(key=(seed, 3)))
+    counts = (2 * int(params.n), 2 * int(params.m), 2 * int(params.k))
+    g = _gaussian_generator(seed)
     batch = QuadratureBatch(*(np.empty(sum(counts)) for _ in range(4)),
                             counts, _gram(g, params))
 
-    first = 2 * int(params.n) - counts[ROLE_KEY]
-    stop = 2 * int(params.n) + counts[ROLE_DECOY]
-    spans = [
-        (batch, params, seed, a, min(a + CHUNK_ROUNDS, stop), first)
-        for a in range(first, stop, CHUNK_ROUNDS)
-    ]
+    stop = counts[ROLE_KEY] + counts[ROLE_DECOY]
+    spans = [(batch, params, seed, a, min(a + CHUNK_ROUNDS, stop))
+             for a in range(0, stop, CHUNK_ROUNDS)]
     run_parts(_fill_chunk, spans, workers)
     if counts[ROLE_GAUSSIAN]:
         _fill_gaussian(batch, g)

@@ -13,11 +13,12 @@ documented in `--help`.  Exit codes: 0 = feasible key / all bounds ok,
 from __future__ import annotations
 
 import argparse
-import csv
+import copy
 import dataclasses
 import functools
 import json
 import math
+import operator
 import resource
 import sys
 from dataclasses import dataclass
@@ -29,10 +30,10 @@ import numpy as np
 from . import validate as validate_mod
 from .channel import (
     CHUNK_ROUNDS,
-    ROLE_DECOY,
     ProtocolParams,
     apply_symmetrization,
     export_batch,
+    gaussian_gram,
     heterodyne_energy,
     quadrant_bits,
     round_records,
@@ -127,6 +128,9 @@ _INT_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
 _FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
                       if f.type in ("float", "Optional[float]"))
 _EPS_COMPONENTS = ("eps_pe", "eps_sm", "eps_ent", "eps_cor")
+# the fields the epsilon-sum check reads, and those resolve_budget reads
+_EPS_FIELDS = ("eps_total",) + _EPS_COMPONENTS
+_BUDGET_FIELDS = _EPS_FIELDS + ("p_ec", "eps_rob")
 # Lower limit of the amplitude.  The closed-form lambda_2 and lambda_3
 # cancel at small alpha: against 50-digit arithmetic every weight is within
 # 4.2e-9 relative error from 0.05 on, lambda_3 is off by 1.8e-8 at 0.04 and
@@ -168,13 +172,6 @@ def config_to_json(cfg: RunConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
 
 
-def _require(cond: bool, field: str, message: str, *args) -> None:
-    """Raise ConfigError naming `field`; `message.format(*args)` is built
-    only when the check fails, since most calls pass."""
-    if not cond:
-        raise ConfigError(f"config field {field!r}: {message.format(*args)}")
-
-
 def _is_finite_number(val) -> bool:
     """True for an int or float that is finite as a float; False for bools."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -185,58 +182,78 @@ def _is_finite_number(val) -> bool:
         return False
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """Domain-check every field, naming the offender in the message."""
-    for name in _FLOAT_FIELDS:
+def _or_unset(name: str, test):
+    """`test`, passing None too where the field may be left unset."""
+    if name in _OPTIONAL_FIELDS:
+        return lambda val: val is None or test(val)
+    return test
+
+
+# Every per-field check, as (field, test of the value, message), in the
+# order validate_config applies them: a config with several bad fields is
+# refused by the first failing check.  A message is formatted with the
+# value only when its check fails.
+_CHECKS = (
+    *((name, _or_unset(name, _is_finite_number),
+       "must be a finite number, got {!r}") for name in _FLOAT_FIELDS),
+    ("alpha", lambda v: ALPHA_MIN <= v <= ALPHA_MAX,
+     f"must lie in [{ALPHA_MIN:g}, {ALPHA_MAX:g}], got {{!r}}"),
+    ("T", lambda v: 0 < v <= 1, "must lie in (0, 1], got {!r}"),
+    ("xi", lambda v: 0 <= v <= XI_MAX,
+     f"must lie in [0, {XI_MAX:g}], got {{!r}}"),
+    ("beta", lambda v: 0 < v <= 1, "must lie in (0, 1], got {!r}"),
+    *((name, _or_unset(name, lambda v: isinstance(v, int)
+                       and not isinstance(v, bool)),
+       "must be an integer, got {!r}") for name in _INT_FIELDS),
+    *((name, lambda v: v >= 1, "must be >= 1")
+      for name in ("n", "m", "k", "k_test", "k_rep")),
+    ("workers", _or_unset("workers", lambda v: 1 <= v <= WORKERS_MAX),
+     f"must lie in [1, {WORKERS_MAX}], got {{!r}}"),
+    ("trials", lambda v: v >= 1, "must be >= 1"),
+    ("seed", lambda v: v >= 0, "must be a non-negative integer"),
+    *((name, _or_unset(name, lambda v: 0 < v < 1),
+       "must lie in (0, 1), got {!r}")
+      for name in _EPS_FIELDS),
+    ("p_ec", lambda v: 0 < v <= 1, "must lie in (0, 1], got {!r}"),
+    ("eps_rob", lambda v: 0 < v < 1, "must lie in (0, 1), got {!r}"),
+    ("xi_actual", _or_unset("xi_actual", lambda v: 0 <= v <= XI_MAX),
+     f"must lie in [0, {XI_MAX:g}], got {{!r}}"),
+    ("delta_ent_mode", lambda v: v == "derived",
+     "must be 'derived', got {!r}"),
+    ("out", lambda v: isinstance(v, str) and v != "",
+     "must be a non-empty path string"),
+)
+
+
+def _field_checks(names) -> tuple:
+    """The checks of the fields `names`, in validate_config's order."""
+    return tuple(check for check in _CHECKS if check[0] in names)
+
+
+def _run_checks(cfg: RunConfig, checks) -> None:
+    for name, test, message in checks:
         val = getattr(cfg, name)
-        if val is None and name in _OPTIONAL_FIELDS:
-            continue
-        _require(_is_finite_number(val), name,
-                 "must be a finite number, got {!r}", val)
-    _require(ALPHA_MIN <= cfg.alpha <= ALPHA_MAX, "alpha",
-             "must lie in [{:g}, {:g}], got {!r}",
-             ALPHA_MIN, ALPHA_MAX, cfg.alpha)
-    _require(0 < cfg.T <= 1, "T", "must lie in (0, 1], got {!r}", cfg.T)
-    _require(0 <= cfg.xi <= XI_MAX, "xi",
-             "must lie in [0, {:g}], got {!r}", XI_MAX, cfg.xi)
-    _require(0 < cfg.beta <= 1, "beta",
-             "must lie in (0, 1], got {!r}", cfg.beta)
-    for name in _INT_FIELDS:
-        val = getattr(cfg, name)
-        if val is None and name in _OPTIONAL_FIELDS:
-            continue
-        _require(isinstance(val, int) and not isinstance(val, bool),
-                 name, "must be an integer, got {!r}", val)
-    for name in ("n", "m", "k", "k_test", "k_rep"):
-        _require(getattr(cfg, name) >= 1, name, "must be >= 1")
-    if cfg.workers is not None:
-        _require(1 <= cfg.workers <= WORKERS_MAX, "workers",
-                 "must lie in [1, {}], got {!r}", WORKERS_MAX, cfg.workers)
-    _require(cfg.trials >= 1, "trials", "must be >= 1")
-    _require(cfg.seed >= 0, "seed", "must be a non-negative integer")
-    for name in ("eps_total",) + _EPS_COMPONENTS:
-        val = getattr(cfg, name)
-        if val is not None:
-            _require(0 < val < 1, name, "must lie in (0, 1), got {!r}", val)
-    _require(0 < cfg.p_ec <= 1, "p_ec", "must lie in (0, 1], got {!r}",
-             cfg.p_ec)
-    _require(0 < cfg.eps_rob < 1, "eps_rob",
-             "must lie in (0, 1), got {!r}", cfg.eps_rob)
-    if cfg.xi_actual is not None:
-        _require(0 <= cfg.xi_actual <= XI_MAX, "xi_actual",
-                 "must lie in [0, {:g}], got {!r}", XI_MAX, cfg.xi_actual)
-    _require(cfg.delta_ent_mode == "derived", "delta_ent_mode",
-             "must be 'derived', got {!r}", cfg.delta_ent_mode)
-    _require(isinstance(cfg.out, str) and cfg.out != "", "out",
-             "must be a non-empty path string")
-    # SecurityBudget.eps_total; an unset component is eps_total/4, so only
-    # set ones can push the sum to 1
+        if not test(val):
+            raise ConfigError(f"config field {name!r}: "
+                              f"{message.format(val)}")
+
+
+def _check_epsilon_sum(cfg: RunConfig) -> None:
+    """SecurityBudget.eps_total must stay below 1; an unset component is
+    eps_total/4, so only set ones can push the sum to 1.  It runs after
+    every per-field check."""
     parts = {name: getattr(cfg, name) for name in _EPS_COMPONENTS}
     total = sum(cfg.eps_total / 4 if v is None else v for v in parts.values())
     if not total < 1:
         named = ", ".join(repr(n) for n, v in parts.items() if v is not None)
         raise ConfigError(f"config field {named}: the epsilon components "
                           f"sum to {total!r}, which must be below 1")
+
+
+def validate_config(cfg: RunConfig) -> None:
+    """Domain-check every field, naming the offender in the message."""
+    _run_checks(cfg, _CHECKS)
+    _check_epsilon_sum(cfg)
 
 
 def resolve_budget(cfg: RunConfig) -> SecurityBudget:
@@ -317,26 +334,42 @@ def _reduction(cfg: RunConfig, budget: SecurityBudget) -> ReductionReport:
                           f"energy test's regime ({exc})") from None
 
 
-def _cell(value):
-    """A CSV cell: floats as %.17g (they read back exactly), bools as 0/1."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return value
+@functools.cache
+def _line_format(types: tuple) -> str:
+    """The %-format of a CSV line whose cells have these types: floats as
+    %.17g (they read back exactly), bools as 0/1, anything else as its
+    str()."""
+    return ",".join("%.17g" if issubclass(t, float) else
+                    "%d" if t is bool else "%s" for t in types) + "\n"
+
+
+def _csv_line(row) -> str:
+    """One CSV line, rendered by one %-format of the whole row."""
+    row = tuple(row)
+    return _line_format(tuple(map(type, row))) % row
+
+
+@functools.cache
+def _fields_getter(cls):
+    """A getter of the field values of report class `cls`, in field order."""
+    return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
 
 
 def _row(report) -> tuple:
     """The field values of an all-scalar report, in field order (a shallow
     `astuple`)."""
-    return tuple(getattr(report, f.name) for f in dataclasses.fields(report))
+    return _fields_getter(type(report))(report)
 
 
 def _write_csv(path, header, rows) -> None:
+    """Write the header and one line per row, each ending in a bare newline.
+
+    Every line is what `csv.writer(fh, lineterminator="\\n")` writes for
+    it: the text cells are plain words (axis names, verdicts, lemma
+    names), which need no quoting.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        fh.write(",".join(header) + "\n" + "".join(map(_csv_line, rows)))
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -379,19 +412,29 @@ def run_sweep(cfg: RunConfig, axis: str, grid: list) -> int:
             f"axis {axis!r} is not a numeric config field; "
             f"choose one of {SWEEP_AXES}"
         )
+    # cfg is valid, so a point can break only the checks that read its
+    # axis, and they report it as keyrate would
+    checks = _field_checks((axis,))
+    check_sum = axis in _EPS_FIELDS
+    integer = axis in _INT_FIELDS
+    budget = None if axis in _BUDGET_FIELDS else resolve_budget(cfg)
+    point = copy.copy(cfg)
     rows = []
     any_feasible = False
     for value in grid:
-        if axis in _INT_FIELDS:
+        if integer:
             if not value.is_integer():
                 raise ConfigError(
                     f"axis {axis!r} needs integer grid points, got {value!r}"
                 )
             value = int(value)
-        point = dataclasses.replace(cfg, **{axis: value})
-        validate_config(point)
+        setattr(point, axis, value)
+        _run_checks(point, checks)
+        if check_sum:
+            _check_epsilon_sum(point)
         try:
-            _, _, report = _keyrate_chain(point, resolve_budget(point))
+            _, _, report = _keyrate_chain(point,
+                                          budget or resolve_budget(point))
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"axis {axis!r} at {float(value)!r}: "
                               f"{type(exc).__name__}: {exc}") from None
@@ -439,11 +482,11 @@ def _memory_error(cfg: RunConfig, batch_csv: bool) -> ConfigError:
     """The error of a `simulate` run too large for this process, naming the
     config fields that size it.
 
-    A plain run holds the 2m decoy rounds, four float64 records or 32
-    bytes each, Bob's and Alice's bit of each of the 4n/k_rep repetition
-    blocks, and one chunk of key rounds per thread.  With batch.csv it
-    holds all 2(n + m + k) rounds.  That is a lower bound on what it
-    allocates.
+    A plain run holds the k_test decoy rounds its energy test reads,
+    four float64 records or 32 bytes each, Bob's and Alice's bit of each
+    of the 4n/k_rep repetition blocks, and one chunk of key rounds per
+    thread.  With batch.csv it holds all 2(n + m + k) rounds.  That is a
+    lower bound on what it allocates.
     """
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     where = ("more than this process could allocate"
@@ -458,9 +501,9 @@ def _memory_error(cfg: RunConfig, batch_csv: bool) -> ConfigError:
     blocks = 4 * cfg.n // cfg.k_rep
     chunk = min(_key_chunk_rounds(cfg.k_rep), 2 * cfg.n)
     return ConfigError(
-        f"config field 'n', 'm': simulate holds {2 * cfg.m} decoy rounds "
-        f"and the bits of {blocks} blocks, which need at least "
-        f"{(64 * cfg.m + 2 * blocks) / 2**30:.3g} GiB, plus a chunk of "
+        f"config field 'n', 'k_test', 'k_rep': simulate holds {cfg.k_test} "
+        f"decoy rounds and the bits of {blocks} blocks, which need at least "
+        f"{(32 * cfg.k_test + 2 * blocks) / 2**30:.3g} GiB, plus a chunk of "
         f"{chunk} key rounds per thread, {where}")
 
 
@@ -491,16 +534,19 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     xi_true = cfg.xi if cfg.xi_actual is None else cfg.xi_actual
     params = _protocol_params(cfg)
     true_params = params.with_xi(xi_true)
-    # Bob's and Alice's bit of every repetition block, allocated before
-    # any work so that a run too large fails first
+    # what the run holds, made before any other work so that a run too
+    # large fails first: Bob's and Alice's bit of every repetition block,
+    # the whole batch for batch.csv alone, and the first k_test <= 2m
+    # decoy rounds, the energy test's, each from its own Philox window
     blocks = 4 * cfg.n // cfg.k_rep
     bits_b = np.empty(blocks, dtype=np.uint8)
     bits_a = np.empty(blocks, dtype=np.uint8)
-    # the key and gaussian rows are built only for batch.csv; every chunk
-    # of key rounds is generated, counted, reduced to its blocks' bits and
-    # dropped
-    batch = simulate_rounds(true_params, cfg.seed, workers=cfg.workers,
-                            rows=batch_csv)
+    batch = (simulate_rounds(true_params, cfg.seed, workers=cfg.workers)
+             if batch_csv else None)
+    test_ax, test_ap, test_bx, test_bp = round_records(
+        true_params, cfg.seed, 2 * cfg.n, 2 * cfg.n + cfg.k_test)
+    # every chunk of key rounds is generated, counted, reduced to its
+    # blocks' bits and dropped
     quad_counts = sum(run_parts(
         lambda start, stop: _reduce_key_rounds(
             round_records(true_params, cfg.seed, start, stop),
@@ -508,10 +554,10 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
         _key_chunks(cfg), cfg.workers))
 
     # parameter estimation reads only W = (||X||^2, ||Y||^2, <X, S Y>) of
-    # the gaussian modes, drawn whether or not their rows are built (only
-    # for batch.csv, whose symmetrization leaves W unchanged).  sigma_hat
-    # are the same totals per gaussian mode.
-    totals = batch.gram
+    # the gaussian modes, drawn without their rows (batch.gram is the same
+    # draw, and its symmetrization leaves W unchanged).  sigma_hat are the
+    # same totals per gaussian mode.
+    totals = gaussian_gram(true_params, cfg.seed)
     sigma_hat = tuple(total / (2 * cfg.k) for total in totals)
     try:
         gammas = gamma_estimates(*totals, cfg.k, budget.eps_pe)
@@ -533,12 +579,10 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
                            seed=(cfg.seed, 2))
     leak_ec = float(disclosed + hash_length(budget.eps_cor))
 
-    # energy test on the first k_test <= 2m decoy modes; Alice's record is
-    # the sent amplitude, so its power is already a state-energy estimate
-    first = batch.role_indices(ROLE_DECOY).start
-    test = slice(first, first + cfg.k_test)
-    energy_a = 0.5 * (batch.alice_x[test] ** 2 + batch.alice_p[test] ** 2)
-    energy_b = heterodyne_energy(batch.bob_x[test], batch.bob_p[test])
+    # energy test on the first k_test decoy modes; Alice's record is the
+    # sent amplitude, so its power is already a state-energy estimate
+    energy_a = 0.5 * (test_ax ** 2 + test_ap ** 2)
+    energy_b = heterodyne_energy(test_bx, test_bp)
     etc = _energy_config(cfg, budget)
     energy_ok = energy_test(energy_a, energy_b, etc)
 
@@ -678,6 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """cfg with the flags' values; cfg is valid, so only the fields the
+    flags set are checked."""
     overrides = {}
     for name in ("seed", "out", "trials"):
         value = getattr(args, name, None)
@@ -685,7 +731,7 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             overrides[name] = value
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    validate_config(cfg)
+        _run_checks(cfg, _field_checks(overrides))
     return cfg
 
 

@@ -110,7 +110,12 @@ def photon_cutoff(n: int, k: int, d_a: float, d_b: float, eps: float) -> int:
 def general_attack_epsilon(eps_collective: float, K: int) -> float:
     """Security parameter against general attacks: (2 + K^4/6) eps.
 
-    The bound is vacuous when the result is >= 1.
+    This is the whole composition the package implements:
+    eps_general = (2 + K^4/6) eps_collective, with K the photon cutoff of
+    the energy test.  Neither the energy test's own failure probability
+    (`EnergyTestConfig.eps_test`) nor `truncation_epsilon` is added.  The
+    bound is vacuous when the result is >= 1, that is once
+    K > (6/eps_collective)^(1/4), about 280 at eps_collective = 1e-9.
     """
     if not 0.0 < eps_collective < 1.0:
         raise DomainError(

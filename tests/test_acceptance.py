@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dmcvqkd import cli
-from dmcvqkd.channel import ProtocolParams, simulate_rounds
+from dmcvqkd.channel import ProtocolParams, gaussian_gram, simulate_rounds
 from dmcvqkd.definetti import (
     general_attack_epsilon,
     photon_cutoff,
@@ -123,8 +123,8 @@ def test_criterion_04_pe_robustness_and_soundness():
     deltas = calibrate_deltas(0.5, 0.6, 0.05, k, 1e-2, 1e-2)
 
     def one_run(seed, xi_true):
-        batch = simulate_rounds(params.with_xi(xi_true), seed, rows=False)
-        gammas = gamma_estimates(*batch.gram, k, 1e-2)
+        gammas = gamma_estimates(*gaussian_gram(params.with_xi(xi_true), seed),
+                                 k, 1e-2)
         return pe_decision(gammas, 1.5, 0.6, 0.05, deltas, 1e-2).passed
 
     runs = 1000

@@ -19,6 +19,7 @@ from dmcvqkd.channel import (
     _round_uniforms,
     apply_symmetrization,
     export_batch,
+    gaussian_gram,
     heterodyne_energy,
     quadrant_bits,
     round_records,
@@ -98,14 +99,8 @@ def test_round_records_are_the_batch_rows_for_any_split():
                                 round_records(params, 17, start, stop)):
             np.testing.assert_array_equal(values,
                                           getattr(batch, name)[start:stop])
-    # without the key rows the decoy rounds keep their counter windows
-    decoys = simulate_rounds(params, seed=17, rows=False)
-    assert decoys.counts == (0, 6000, 0)
-    assert decoys.gram == batch.gram
-    block = batch.role_indices(ROLE_DECOY)
-    for name in RECORDS:
-        np.testing.assert_array_equal(getattr(decoys, name),
-                                      getattr(batch, name)[block])
+    # W drawn without the rounds is the batch's
+    assert gaussian_gram(params, 17) == batch.gram
 
 
 def test_counts_override():
@@ -168,9 +163,7 @@ def _record_moments(alpha, T, xi):
 
 def _gram_draws(params, seeds) -> np.ndarray:
     """The W of one run per seed, one row each."""
-    gaussian_only = replace(params, n=0, m=0)
-    return np.array([simulate_rounds(gaussian_only, seed, rows=False).gram
-                     for seed in seeds])
+    return np.array([gaussian_gram(params, seed) for seed in seeds])
 
 
 @pytest.mark.parametrize("xi_actual", [None, 0.5], ids=["default", "xi0.5"])
@@ -216,16 +209,15 @@ def test_gaussian_rows_reproduce_the_gram(xi_actual):
     cfg = cli.RunConfig(xi_actual=xi_actual)
     xi_true = cfg.xi if xi_actual is None else xi_actual
     params = cli._protocol_params(cfg).with_xi(xi_true)
-    plain = simulate_rounds(params, cfg.seed, workers=1, rows=False)
+    gram = gaussian_gram(params, cfg.seed)
     full = simulate_rounds(params, cfg.seed, workers=2)
-    assert plain.counts == (0, 2 * cfg.m, 0)
     assert full.counts == (2 * cfg.n, 2 * cfg.m, 2 * cfg.k)
-    assert plain.gram == full.gram
-    assert all(type(total) is float for total in plain.gram)
+    assert gram == full.gram
+    assert all(type(total) is float for total in gram)
     decoys = full.role_indices(ROLE_DECOY)
-    for name in RECORDS:
-        assert (getattr(plain, name).tobytes()
-                == getattr(full, name)[decoys].tobytes())
+    for name, values in zip(RECORDS, round_records(
+            params, cfg.seed, decoys.start, decoys.stop)):
+        assert values.tobytes() == getattr(full, name)[decoys].tobytes()
     totals = pe_statistics(split_pe_sets(full, cfg.k))
     for got, want in zip(totals, full.gram):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -366,6 +367,37 @@ def test_key_csv_rows_from_tolist_match_per_bit_tuples(tmp_path, size):
     assert got.count(b"\n") == size + 1
 
 
+def _csv_module_bytes(header, rows):
+    """What csv.writer wrote for these rows when each cell was converted
+    on its own: floats as %.17g, bools as 0/1, anything else as is."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([int(v) if isinstance(v, bool)
+                      else f"{v:.17g}" if isinstance(v, float) else v
+                      for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0.1, np.float64(0.1), 1, True, "pass")],
+    [(-0.0, np.float64(-0.0), 0, False, "abort"),
+     (math.inf, np.float64(-math.inf), -7, True, "regime-error"),
+     (math.nan, np.float64(math.nan), 10 ** 30, False, "T"),
+     (1325284.039480323, np.float64(5e-324), 2 ** 53 + 1, True, "eps_pe"),
+     (1e300, np.float64(2.5e-10), 4_000_000_000, False, "lemma1-upper")],
+    [[1, 0.5, 0, 1e-9, "ok"], (2, 3.0, False, np.float64(1), "violated")],
+], ids=["empty", "one", "extremes", "lists"])
+def test_write_csv_bytes_are_the_csv_module_bytes(tmp_path, rows):
+    # every cell type the CLI passes: Python and numpy floats, ints, bools
+    # and plain-word strings
+    header = ("a", "b", "c", "d", "e")
+    cli._write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == \
+        _csv_module_bytes(header, rows)
+
+
 def test_resolve_budget_quarter_split():
     b = resolve_budget(RunConfig(eps_total=4e-10))
     assert b.eps_pe == b.eps_sm == b.eps_ent == b.eps_cor == 1e-10
@@ -450,6 +482,80 @@ def test_sweep_single_point_matches_keyrate(tmp_path):
     assert len(sweep_rows) == 1
     assert sweep_rows[0][0] == "T"
     assert sweep_rows[0][2:] == key_rows[0]
+
+
+def _base_value(axis):
+    """The SIM_BASE value of a sweep axis, resolved where it is derived."""
+    cfg = RunConfig(**SIM_BASE)
+    value = getattr(cfg, axis)
+    return getattr(resolve_budget(cfg), axis) if value is None else value
+
+
+@pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+def test_sweep_rows_are_the_keyrate_rows(tmp_path, axis):
+    # each point's cells after axis,value are the bytes keyrate writes
+    # for the config that sets the axis to that value
+    base = _base_value(axis)
+    points = [int(base * f) if axis in cli._INT_FIELDS else base * f
+              for f in (0.8, 0.9, 1.0)]
+    cfg = write_config(tmp_path, "c.json")
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--axis", axis, "--grid",
+                     ",".join(repr(v) for v in points)]) != EXIT_ERROR
+    lines = (tmp_path / "s" / "sweep.csv").read_bytes().splitlines()[1:]
+    assert len(lines) == len(points)
+    for i, (value, line) in enumerate(zip(points, lines)):
+        out = tmp_path / f"k{i}"
+        cli.main(["keyrate", "--config",
+                  write_config(tmp_path, f"k{i}.json", **{axis: value}),
+                  "--out", str(out)])
+        keyrate_line = (out / "keyrate.csv").read_bytes().splitlines()[1]
+        assert line.split(b",", 2) == [axis.encode(), b"%.17g" % value,
+                                       keyrate_line]
+
+
+def test_sweep_leaves_its_config_unchanged(tmp_path):
+    cfg = RunConfig(**SIM_BASE, out=str(tmp_path))
+    cli.run_sweep(cfg, "eps_pe", [1e-10, 1e-9])
+    assert cfg == RunConfig(**SIM_BASE, out=str(tmp_path))
+
+
+# (axis, value, config overrides): one value outside each axis's domain,
+# and epsilon components that sum to 1 or more
+SWEEP_BAD_VALUES = [
+    ("alpha", 0.01, {}),
+    ("alpha", math.nan, {}),
+    ("T", 0.0, {}),
+    ("xi", -1.0, {}),
+    ("beta", 1.5, {}),
+    ("n", 0, {}),
+    ("k", 0, {}),
+    ("eps_total", 1.0, {}),
+    ("eps_total", 1e-3, {"eps_sm": 0.5, "eps_ent": 0.4999}),
+    ("eps_pe", 0.0, {}),
+    ("eps_pe", 0.5, {"eps_sm": 0.5}),
+    ("eps_sm", math.inf, {}),
+    ("eps_ent", 1.5, {}),
+    ("eps_cor", 0.7, {"eps_pe": 0.4}),
+    ("p_ec", 0.0, {}),
+    ("eps_rob", 1.0, {}),
+]
+
+
+@pytest.mark.parametrize("axis, value, config", SWEEP_BAD_VALUES)
+def test_sweep_reports_a_bad_value_as_keyrate_does(tmp_path, capsys, axis,
+                                                   value, config):
+    assert {a for a, _, _ in SWEEP_BAD_VALUES} == set(cli.SWEEP_AXES)
+    cfg = write_config(tmp_path, "c.json", **config)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--axis", axis, "--grid", repr(value)]) == EXIT_ERROR
+    swept = capsys.readouterr().err
+    point = write_config(tmp_path, "k.json", **config, **{axis: value})
+    assert cli.main(["keyrate", "--config", point,
+                     "--out", str(tmp_path / "k")]) == EXIT_ERROR
+    assert swept == capsys.readouterr().err
+    assert swept.startswith("error: config field "), swept
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_unknown_axis(tmp_path, capsys):
@@ -630,7 +736,7 @@ def test_sigma_hat_are_the_pe_statistics_per_mode(tmp_path, config):
     row = dict(zip(header, rows[0]))
     cfg = config_from_dict(config)
     params = cli._protocol_params(cfg).with_xi(float(row["xi_actual"]))
-    totals = simulate_rounds(params, cfg.seed, rows=False).gram
+    totals = simulate_rounds(params, cfg.seed).gram
     for name, total in zip("abc", totals):
         assert float(row[f"sigma_hat_{name}"]) == total / (2 * cfg.k)
     header, rows = read_csv(tmp_path / "pe.csv")
@@ -659,7 +765,7 @@ def test_batch_csv_gaussian_rows_reproduce_the_pe_totals(tmp_path, config):
     header, rows = read_csv(tmp_path / "transcript.csv")
     row = dict(zip(header, rows[0]))
     params = cli._protocol_params(cfg).with_xi(float(row["xi_actual"]))
-    gram = simulate_rounds(params, cfg.seed, rows=False).gram
+    gram = simulate_rounds(params, cfg.seed).gram
     assert ax.size == 2 * cfg.k
     for name, got, want in zip("abc", exported, gram):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -668,14 +774,17 @@ def test_batch_csv_gaussian_rows_reproduce_the_pe_totals(tmp_path, config):
 
 
 # the README's benign config holds 2(n + m + k) = 4.2e9 rounds with
-# --batch-csv, 125 GiB; a plain run streams its key rounds and fits, so the
-# plain case takes m = 1e8 decoy rounds, which a plain run holds: 6 GiB.
-# With n = 1e12 the per-block bits alone need 29 GiB
+# --batch-csv, 125 GiB; a plain run streams its key rounds and holds only
+# the k_test decoy rounds of its energy test, so the plain case takes
+# k_test = 2m = 2e8 of them: 6 GiB.  With n = 1e12 the per-block bits
+# alone need 29 GiB
 @pytest.mark.parametrize("config, flags, fields",
-                         [(dict(BENIGN, m=100_000_000), [], "'n', 'm'"),
+                         [(dict(BENIGN, m=100_000_000, k_test=200_000_000),
+                           [], "'n', 'k_test', 'k_rep'"),
                           (BENIGN, ["--batch-csv"], "'n', 'm', 'k'"),
-                          (dict(BENIGN, n=10**12), [], "'n', 'm'")],
-                         ids=["plain", "batch-csv", "plain-blocks"])
+                          (dict(BENIGN, n=10**12), [],
+                           "'n', 'k_test', 'k_rep'")],
+                         ids=["plain-decoys", "batch-csv", "plain-blocks"])
 def test_simulate_beyond_the_address_space_limit_exits_1_by_name(
         tmp_path, config, flags, fields):
     # with RLIMIT_AS at 2 GB, set in the child only, the first record

@@ -19,7 +19,7 @@ TRIALS = 4000
 
 def _cells(row):
     """A row as bounds.csv prints it (nan cells compare equal as text)."""
-    return [cli._cell(v) for v in astuple(row)]
+    return cli._csv_line(astuple(row)).rstrip("\n").split(",")
 
 
 def _pe_theorem_scaling(alpha=0.5, T=0.6, xi=0.05):
