@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -76,10 +75,6 @@ RECORD_NAMES = ("alice_x", "alice_p", "bob_x", "bob_p")
 WORDS_PER_ROUND = 4
 #: rounds generated per chunk (fixed; independent of worker count)
 CHUNK_ROUNDS = 8192
-
-CSV_HEADER = ("round", "role", "ax", "ap", "bx", "bp")
-#: one batch.csv line; export_batch renders a whole chunk of them per call
-_CSV_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 @dataclass(frozen=True)
@@ -223,18 +218,6 @@ def wishart2(g: np.random.Generator, dof: int, size, sx: float, sy: float,
     t = r * c1 + s * z
     return (sx * sx * c1sq, sy * sy * (t * t + s * s * c2sq),
             sx * sy * c1 * t)
-
-
-def _role_slices(batch: QuadratureBatch, start: int, stop: int):
-    """(role, rows of the chunk, rows of the batch) for each role present.
-
-    Each role's block meets the chunk [start, stop) in one slice.
-    """
-    for role in (ROLE_KEY, ROLE_DECOY, ROLE_GAUSSIAN):
-        block = batch.role_indices(role)
-        first, end = max(block.start, start), min(block.stop, stop)
-        if first < end:
-            yield role, slice(first - start, end - start), slice(first, end)
 
 
 def round_records(params: ProtocolParams, seed, start: int,
@@ -443,31 +426,3 @@ def heterodyne_energy(x, p) -> np.ndarray:
         raise DimensionMismatch(f"shape mismatch {x.shape} vs {p.shape}")
     return (x * x + p * p) / 2.0 - 1.0
 
-
-def export_batch(batch: QuadratureBatch, path) -> None:
-    """Write the batch as CSV with header round,role,ax,ap,bx,bp.
-
-    Floats are printed with %.17g, so they read back exactly, and every
-    line ends with CRLF, the line end of the csv module's default dialect.
-    The rows are rendered CHUNK_ROUNDS at a time with one format call per
-    chunk, so memory beyond the batch arrays stays bounded by the chunk.
-    """
-    total = batch.n_rounds
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        for start in range(0, total, CHUNK_ROUNDS):
-            stop = min(start + CHUNK_ROUNDS, total)
-            names = chain.from_iterable(
-                repeat(ROLE_NAMES[role], part.stop - part.start)
-                for role, part, _ in _role_slices(batch, start, stop)
-            )
-            rows = zip(
-                range(start, stop),
-                names,
-                batch.alice_x[start:stop].tolist(),
-                batch.alice_p[start:stop].tolist(),
-                batch.bob_x[start:stop].tolist(),
-                batch.bob_p[start:stop].tolist(),
-            )
-            values = tuple(chain.from_iterable(rows))
-            fh.write(_CSV_ROW * (stop - start) % values)

@@ -22,6 +22,7 @@ import operator
 import resource
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -30,9 +31,13 @@ import numpy as np
 from . import validate as validate_mod
 from .channel import (
     CHUNK_ROUNDS,
+    RECORD_NAMES,
+    ROLE_NAMES,
     ProtocolParams,
+    QuadratureBatch,
+    # unused here since batch.csv holds the rounds as drawn; perfbench's
+    # pe-trials workload runs it and its traced `simulate` wraps it on cli
     apply_symmetrization,
-    export_batch,
     gaussian_gram,
     heterodyne_energy,
     quadrant_bits,
@@ -70,7 +75,6 @@ from .reconciliation import (
     snr,
     verify_hash,
 )
-from .rotations import OrthogonalTransform
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -372,6 +376,30 @@ def _write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n" + "".join(map(_csv_line, rows)))
 
 
+BATCH_HEADER = ("round", "role", "ax", "ap", "bx", "bp")
+
+
+def export_batch(batch: QuadratureBatch, path) -> None:
+    """Write batch.csv: the header, then one line per round in round order,
+    as `_write_csv` writes its lines.
+
+    Each role's block is rendered CHUNK_ROUNDS lines per format call, so
+    memory beyond the batch arrays stays bounded by the chunk.
+    """
+    line = _line_format((int, str, float, float, float, float))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(BATCH_HEADER) + "\n")
+        for role, name in enumerate(ROLE_NAMES):
+            block = batch.role_indices(role)
+            for start in range(block.start, block.stop, CHUNK_ROUNDS):
+                stop = min(start + CHUNK_ROUNDS, block.stop)
+                rows = zip(range(start, stop), repeat(name),
+                           *(getattr(batch, record)[start:stop].tolist()
+                             for record in RECORD_NAMES))
+                fh.write(line * (stop - start)
+                         % tuple(chain.from_iterable(rows)))
+
+
 def _outdir(cfg: RunConfig) -> Path:
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
@@ -432,9 +460,11 @@ def run_sweep(cfg: RunConfig, axis: str, grid: list) -> int:
         _run_checks(point, checks)
         if check_sum:
             _check_epsilon_sum(point)
+        point_budget = budget or resolve_budget(point)
         try:
-            _, _, report = _keyrate_chain(point,
-                                          budget or resolve_budget(point))
+            _, _, report = _keyrate_chain(point, point_budget)
+        except RegimeError as exc:
+            raise _regime_error(point, point_budget, exc) from None
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"axis {axis!r} at {float(value)!r}: "
                               f"{type(exc).__name__}: {exc}") from None
@@ -555,8 +585,7 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
 
     # parameter estimation reads only W = (||X||^2, ||Y||^2, <X, S Y>) of
     # the gaussian modes, drawn without their rows (batch.gram is the same
-    # draw, and its symmetrization leaves W unchanged).  sigma_hat are the
-    # same totals per gaussian mode.
+    # draw).  sigma_hat are the same totals per gaussian mode.
     totals = gaussian_gram(true_params, cfg.seed)
     sigma_hat = tuple(total / (2 * cfg.k) for total in totals)
     try:
@@ -599,10 +628,6 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
 
     out = _outdir(cfg)
     if batch_csv:
-        transform = OrthogonalTransform.random(4 * cfg.k, (cfg.seed, 1),
-                                               cfg.workers)
-        batch = apply_symmetrization(batch, transform, "alice")
-        batch = apply_symmetrization(batch, transform, "bob")
         export_batch(batch, out / "batch.csv")
     _write_csv(out / "pe.csv", PE_HEADER, [
         gammas + (region.sigma_a_max, region.sigma_b_max, region.sigma_c_min)
@@ -657,8 +682,7 @@ def _csv_docs() -> str:
         ("keyrate.csv", KeyLengthReport.CSV_HEADER),
         ("reduction.csv", ReductionReport.CSV_HEADER),
         ("sweep.csv", ("axis", "value") + KeyLengthReport.CSV_HEADER),
-        ("batch.csv (simulate --batch-csv only)",
-         ("round", "role", "ax", "ap", "bx", "bp")),
+        ("batch.csv (simulate --batch-csv only)", BATCH_HEADER),
         ("pe.csv", PE_HEADER),
         ("ec.csv", EC_HEADER),
         ("energy.csv", ENERGY_HEADER),

@@ -39,8 +39,9 @@ def symplectic_eigenvalues(cov) -> SymplecticSpectrum:
 
     Closed form: with Delta = x^2 + y^2 - 2 z^2 and det = (x*y - z^2)^2,
 
-        nu_{1,2}^2 = (Delta +/- sqrt(Delta^2 - 4 det)) / 2
-        nu_3       = x - z^2 / (1 + y)
+        nu_1^2 = (Delta + sqrt(Delta^2 - 4 det)) / 2
+        nu_2   = |x*y - z^2| / nu_1
+        nu_3   = x - z^2 / (1 + y)
 
     Eigenvalues below 1 by more than NU_CLAMP_TOL raise
     NonPhysicalCovariance; smaller dips are clamped to exactly 1.
@@ -55,16 +56,14 @@ def symplectic_eigenvalues(cov) -> SymplecticSpectrum:
         )
     root = math.sqrt(max(disc, 0.0))
     nu1_sq = 0.5 * (delta + root)
-    nu2_sq = 0.5 * (delta - root)
-    if nu2_sq < 0.0:
-        if nu2_sq < -_DISC_TOL:
-            raise NonPhysicalCovariance(
-                f"negative squared eigenvalue {nu2_sq!r} for"
-                f" (x, y, z)=({x}, {y}, {z})"
-            )
-        nu2_sq = 0.0
+    if nu1_sq < (1.0 - NU_CLAMP_TOL) ** 2:
+        raise NonPhysicalCovariance(
+            f"nu1^2={nu1_sq!r} below 1 for (x, y, z)=({x}, {y}, {z})"
+        )
     nu1 = math.sqrt(nu1_sq)
-    nu2 = math.sqrt(nu2_sq)
+    # nu1 * nu2 = sqrt(det): the quotient keeps nu2 accurate where
+    # (Delta - sqrt(disc)) / 2 cancels, as when y dwarfs x or x dwarfs y
+    nu2 = abs(x * y - z * z) / nu1
     nu3 = x - z * z / (1.0 + y)
 
     out = []

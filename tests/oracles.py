@@ -49,6 +49,26 @@ def dense_conditional_nu(x: float, y: float, z: float) -> float:
     return float(math.sqrt(np.linalg.det(cond)))
 
 
+def holevo_f_mp(x: float, y: float, z: float, dps: int = 50) -> float:
+    """g(nu1) + g(nu2) - g(nu3) of an (x, y, z) covariance in dps-digit
+    arithmetic, from nu_{1,2}^2 = (Delta +/- sqrt(Delta^2 - 4 det)) / 2 and
+    nu3 = x - z^2 / (1 + y); at 50 digits the difference of the two roots
+    keeps more digits than a float holds."""
+    import mpmath as mp
+
+    def g(nu):
+        plus, minus = (nu + 1) / 2, (nu - 1) / 2
+        return plus * mp.log(plus, 2) - (minus * mp.log(minus, 2)
+                                         if minus > 0 else 0)
+
+    with mp.workdps(dps):
+        x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
+        delta = x * x + y * y - 2 * z * z
+        root = mp.sqrt(delta * delta - 4 * (x * y - z * z) ** 2)
+        nu1, nu2 = (mp.sqrt((delta + sign * root) / 2) for sign in (1, -1))
+        return float(g(nu1) + g(nu2) - g(x - z * z / (1 + y)))
+
+
 def fock_coherent(amplitude: complex, n_max: int) -> np.ndarray:
     """Coherent-state coefficients in the photon-number basis."""
     ns = np.arange(n_max + 1)
@@ -309,14 +329,13 @@ def role_codes(counts) -> np.ndarray:
 def export_batch_rows(batch, path) -> None:
     """batch.csv written one csv-module row at a time.
 
-    This is the simulator's original writer, kept as the byte-level
-    reference for `channel.export_batch`: the csv module's default dialect
-    (comma, minimal quoting, CRLF line ends) and numpy-scalar f-strings.
-    Each row's role comes from the batch's block lengths.
+    The byte-level reference for `cli.export_batch`: the csv module's
+    dialect with LF line ends (comma, minimal quoting) and numpy-scalar
+    f-strings.  Each row's role comes from the batch's block lengths.
     """
     roles = role_codes(batch.counts)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(BATCH_HEADER)
         for i in range(batch.n_rounds):
             w.writerow(

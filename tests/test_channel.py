@@ -18,7 +18,6 @@ from dmcvqkd.channel import (
     QuadratureBatch,
     _round_uniforms,
     apply_symmetrization,
-    export_batch,
     gaussian_gram,
     heterodyne_energy,
     quadrant_bits,
@@ -37,8 +36,6 @@ from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
 from dmcvqkd.rotations import OrthogonalTransform, _philox_uniforms
 from oracles import (
     box_muller_gaussian_totals,
-    export_batch_rows,
-    import_batch,
     pe_statistics,
     role_codes,
 )
@@ -380,53 +377,6 @@ def test_uniforms_match_the_uint64_conversion(seed, start, count):
     assert got.tobytes() == want.tobytes()
     assert _philox_uniforms(seed, raw.size).tobytes() == \
         ((raw >> np.uint64(11)) * 2.0 ** -53).tobytes()
-
-
-def test_export_import_round_trip(tmp_path):
-    batch = simulate_rounds(replace(PARAMS, n=20, m=10, k=30), seed=15)
-    path = tmp_path / "batch.csv"
-    export_batch(batch, path)
-    back = import_batch(path)
-    for name in RECORDS:
-        np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
-    np.testing.assert_array_equal(back.roles, role_codes(batch.counts))
-
-
-def assert_export_matches_reference(batch, tmp_path):
-    export_batch(batch, tmp_path / "chunked.csv")
-    export_batch_rows(batch, tmp_path / "rows.csv")
-    got = (tmp_path / "chunked.csv").read_bytes()
-    assert got == (tmp_path / "rows.csv").read_bytes()
-    return got
-
-
-def test_export_bytes_match_reference_across_chunks(tmp_path):
-    batch = simulate_rounds(replace(PARAMS, n=5000, m=1000, k=3000), seed=16)
-    assert batch.n_rounds > CHUNK_ROUNDS
-    assert batch.n_rounds % CHUNK_ROUNDS != 0
-    assert_export_matches_reference(batch, tmp_path)
-
-
-def test_export_bytes_match_reference_on_extreme_values(tmp_path):
-    big = 1.7976931348623157e308
-    values = np.array([-0.0, 5e-324, big, -big, math.nan, math.inf, -math.inf,
-                       0.1, 1.0 / 3.0, -2.0 / 3.0, 123456789.01234567, 1e-300])
-    n = values.size
-    batch = QuadratureBatch(values, values[::-1].copy(), np.roll(values, 3),
-                            np.roll(values, 7), (4, 3, 5))
-    text = assert_export_matches_reference(batch, tmp_path).decode()
-    assert text.count("\r\n") == n + 1
-    assert "\r\n0,key,-0,1e-300,-0.66666666666666663,inf\r\n" in text
-    assert "\r\n4,decoy,nan," in text and "\r\n11,gaussian,1e-300," in text
-    assert "4.9406564584124654e-324" in text and ",nan" in text
-    assert "-1.7976931348623157e+308" in text
-
-
-def test_export_of_empty_batch_is_header_only(tmp_path):
-    empty = np.zeros(0)
-    batch = QuadratureBatch(empty, empty, empty, empty, (0, 0, 0))
-    got = assert_export_matches_reference(batch, tmp_path)
-    assert got == b"round,role,ax,ap,bx,bp\r\n"
 
 
 def test_batch_shape_validation():

@@ -26,8 +26,10 @@ from dmcvqkd.cli import (
     validate_config,
 )
 from dmcvqkd.channel import (
+    CHUNK_ROUNDS,
     ROLE_KEY,
-    apply_symmetrization,
+    ProtocolParams,
+    QuadratureBatch,
     interleave,
     simulate_rounds,
 )
@@ -35,8 +37,12 @@ from dmcvqkd.definetti import truncation_epsilon
 from dmcvqkd.errors import ConfigError
 from dmcvqkd.pe import gamma_estimates
 from dmcvqkd.reconciliation import repetition_decode, repetition_reconcile
-from dmcvqkd.rotations import OrthogonalTransform
-from oracles import import_batch, role_codes, toeplitz_hash_direct
+from oracles import (
+    export_batch_rows,
+    import_batch,
+    role_codes,
+    toeplitz_hash_direct,
+)
 
 SIM_BASE = {
     "alpha": 0.5, "T": 0.6, "xi": 0.05,
@@ -521,7 +527,8 @@ def test_sweep_leaves_its_config_unchanged(tmp_path):
 
 
 # (axis, value, config overrides): one value outside each axis's domain,
-# and epsilon components that sum to 1 or more
+# epsilon components that sum to 1 or more, and a k and an eps_pe outside
+# the estimator regime
 SWEEP_BAD_VALUES = [
     ("alpha", 0.01, {}),
     ("alpha", math.nan, {}),
@@ -539,6 +546,8 @@ SWEEP_BAD_VALUES = [
     ("eps_cor", 0.7, {"eps_pe": 0.4}),
     ("p_ec", 0.0, {}),
     ("eps_rob", 1.0, {}),
+    ("k", 100, {}),
+    ("eps_pe", 1e-300, {}),
 ]
 
 
@@ -683,6 +692,57 @@ def test_batch_csv_is_the_same_for_any_blas_thread_count(tmp_path):
         (outs[1] / "batch.csv").read_bytes()
 
 
+def test_export_import_round_trip(tmp_path):
+    batch = simulate_rounds(
+        ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=20, m=10, k=30), seed=15)
+    path = tmp_path / "batch.csv"
+    cli.export_batch(batch, path)
+    back = import_batch(path)
+    for name in ("alice_x", "alice_p", "bob_x", "bob_p"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
+    np.testing.assert_array_equal(back.roles, role_codes(batch.counts))
+
+
+def assert_export_matches_reference(batch, tmp_path):
+    cli.export_batch(batch, tmp_path / "chunked.csv")
+    export_batch_rows(batch, tmp_path / "rows.csv")
+    got = (tmp_path / "chunked.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    return got
+
+
+def test_export_bytes_match_reference_across_chunks(tmp_path):
+    batch = simulate_rounds(
+        ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=5000, m=1000, k=3000),
+        seed=16)
+    # every block ends inside a chunk, and the key block spans two
+    assert all(c % CHUNK_ROUNDS for c in batch.counts)
+    assert batch.counts[ROLE_KEY] > CHUNK_ROUNDS
+    assert_export_matches_reference(batch, tmp_path)
+
+
+def test_export_bytes_match_reference_on_extreme_values(tmp_path):
+    big = 1.7976931348623157e308
+    values = np.array([-0.0, 5e-324, big, -big, math.nan, math.inf, -math.inf,
+                       0.1, 1.0 / 3.0, -2.0 / 3.0, 123456789.01234567, 1e-300])
+    n = values.size
+    batch = QuadratureBatch(values, values[::-1].copy(), np.roll(values, 3),
+                            np.roll(values, 7), (4, 3, 5))
+    text = assert_export_matches_reference(batch, tmp_path).decode()
+    assert text.count("\n") == n + 1 and "\r" not in text
+    assert "\n0,key,-0,1e-300,-0.66666666666666663,inf\n" in text
+    assert "\n4,decoy,nan," in text and "\n11,gaussian,1e-300," in text
+    assert "4.9406564584124654e-324" in text and ",nan" in text
+    assert "-1.7976931348623157e+308" in text
+
+
+def test_export_of_empty_batch_is_header_only(tmp_path):
+    empty = np.zeros(0)
+    batch = QuadratureBatch(empty, empty, empty, empty, (0, 0, 0))
+    got = assert_export_matches_reference(batch, tmp_path)
+    assert got == b"round,role,ax,ap,bx,bp\n"
+
+
 def test_batch_csv_is_written_only_on_request(tmp_path):
     cfg = write_config(tmp_path, "c.json")
     for name, extra in (("default", []), ("flag", ["--batch-csv"])):
@@ -692,16 +752,13 @@ def test_batch_csv_is_written_only_on_request(tmp_path):
     assert sorted(p.name for p in (tmp_path / "default").iterdir()) == others
     assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == \
         sorted(SIM_FILES)
-    # the rotation that batch.csv shows moves no other output
+    # writing batch.csv moves no other output
     for out in others:
         want = (tmp_path / "default" / out).read_bytes()
         assert (tmp_path / "flag" / out).read_bytes() == want, out
-    # batch.csv holds the symmetrized gaussian records
-    seed = SIM_BASE["seed"]
-    batch = simulate_rounds(cli._protocol_params(RunConfig(**SIM_BASE)), seed)
-    rot = OrthogonalTransform.random(4 * SIM_BASE["k"], (seed, 1))
-    want = apply_symmetrization(apply_symmetrization(batch, rot, "alice"),
-                                rot, "bob")
+    # batch.csv holds the rounds as simulate_rounds draws them
+    want = simulate_rounds(cli._protocol_params(RunConfig(**SIM_BASE)),
+                           SIM_BASE["seed"])
     back = import_batch(tmp_path / "flag" / "batch.csv")
     for name in ("alice_x", "alice_p", "bob_x", "bob_p"):
         np.testing.assert_array_equal(getattr(back, name), getattr(want, name))

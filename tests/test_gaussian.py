@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from dmcvqkd.errors import DomainError, NonPhysicalCovariance
 from dmcvqkd.gaussian import g_entropy, holevo_f, symplectic_eigenvalues
+from dmcvqkd.modulation import honest_covariance
 from dmcvqkd.pe import ConfidenceRegion
 
-from oracles import dense_conditional_nu, dense_symplectic_pair
+from oracles import dense_conditional_nu, dense_symplectic_pair, holevo_f_mp
 
 
 def sample_covariance(rng, u=0.98):
@@ -82,6 +83,19 @@ def test_uncorrelated_covariance_decouples():
     # to the adversary, f = g(y), the maximum over z
     assert holevo_f((2.0, 3.0, 0.0)) == pytest.approx(g_entropy(3.0), rel=1e-12)
     assert holevo_f((2.0, 3.0, 1.0)) < holevo_f((2.0, 3.0, 0.0))
+
+
+def test_holevo_f_matches_50_digit_arithmetic_on_honest_configs():
+    # log-uniform honest configs over alpha in [0.05, 1e3], T in [1e-6, 1]
+    # and xi in [1e-6, 1e6], and a point where nu2 = sqrt((Delta -
+    # sqrt(disc)) / 2) cancelled to an error of 3e-4 bits per mode
+    rng = np.random.default_rng(2024)
+    lo, hi = np.log([0.05, 1e-6, 1e-6]), np.log([1e3, 1.0, 1e6])
+    configs = [(945.0, 4e-5, 0.01)] + np.exp(
+        rng.uniform(lo, hi, size=(300, 3))).tolist()
+    for alpha, T, xi in configs:
+        cov = honest_covariance(alpha, T, xi)
+        assert abs(holevo_f(cov) - holevo_f_mp(*cov)) <= 1e-8, (alpha, T, xi)
 
 
 def test_nonphysical_covariance_rejected():

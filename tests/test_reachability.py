@@ -26,6 +26,10 @@ ALLOWED = {
     # simulate draws its PE totals as one Wishart matrix; only perfbench's
     # pe-trials workload still splits rows (ROADMAP item 10 unpins it)
     "split_pe_sets",
+    # batch.csv holds the rounds as drawn; perfbench's pe-trials workload
+    # still symmetrizes its rows, and its traced simulate wraps the name on
+    # cli
+    "apply_symmetrization",
     # simulate reduces its key blocks with repetition_bits; these two are
     # the reference the tests hold it to, and perfbench's traced simulate
     # workload still wraps both names on cli
