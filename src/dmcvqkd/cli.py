@@ -741,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="comma-separated grid values")
     subs["simulate"].add_argument(
         "--batch-csv", action="store_true",
-        help="also write the symmetrized rounds to batch.csv")
+        help="also write every round, as drawn, to batch.csv")
     return parser
 
 

@@ -20,11 +20,12 @@ standard errors.  Sampling models:
   the pe-theorem row draws the honest channel's whole-vector W with the
   entry law `simulate` uses (`channel.gaussian_record_law`).
 
-All draws are chunked with counter-based substreams keyed by
-(seed, row index, chunk index), so results are reproducible for a given
-seed regardless of scheduling: `run_all` runs the row families on several
-threads, and the integer counts they return do not depend on which thread
-ran them or when.
+Each row family draws from one SFC64 stream keyed by (seed, row index),
+in chunks of `_CHUNK` trials taken from it in order; the three lemma1 rows
+count their thresholds on the same chi-square draws.  `run_all` runs the
+families on several threads, each family whole on one thread, so no stream
+is shared and the integer counts do not depend on which thread ran a
+family or when.
 """
 from __future__ import annotations
 
@@ -67,32 +68,28 @@ def _row(lemma: str, k: int, param: float, claimed: float, count: int,
     return BoundRow(lemma, k, param, claimed, observed, trials, verdict)
 
 
-def _rng(seed, row: int, chunk: int) -> np.random.Generator:
-    word = ((row & 0xFFFFFFFF) << 32) | (chunk & 0xFFFFFFFF)
-    return np.random.Generator(
-        np.random.Philox(key=(int(seed) & (2**64 - 1), word))
-    )
+def _rng(seed, row: int) -> np.random.Generator:
+    """Row `row`'s stream; as a spawn key, no (seed, row) aliases another."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        int(seed) & (2**64 - 1), spawn_key=(row,))))
 
 
 def _chunks(trials: int):
-    done = 0
-    idx = 0
-    while done < trials:
-        size = min(_CHUNK, trials - done)
-        yield idx, size
-        done += size
-        idx += 1
+    for done in range(0, trials, _CHUNK):
+        yield min(_CHUNK, trials - done)
 
 
-def lemma1_violations(seed, row: int, k: int, x: float, trials: int) -> tuple:
-    """Observed upper/lower tail violation counts for chi-square(k)."""
-    up_thr, lo_thr = pe.chi2_tail_thresholds(k, x)
-    up = lo = 0
-    for ci, size in _chunks(trials):
-        u = _rng(seed, row, ci).chisquare(k, size)
-        up += int(np.count_nonzero(u - k >= up_thr))
-        lo += int(np.count_nonzero(k - u >= lo_thr))
-    return up, lo
+def lemma1_violations(seed, row: int, k: int, xs, trials: int) -> list:
+    """Chi-square(k) upper/lower tail violation counts, one pair per x."""
+    thresholds = [pe.chi2_tail_thresholds(k, x) for x in xs]
+    counts = [[0, 0] for _ in xs]
+    g = _rng(seed, row)
+    for size in _chunks(trials):
+        dev = g.chisquare(k, size) - k
+        for c, (up_thr, lo_thr) in zip(counts, thresholds):
+            c[0] += int(np.count_nonzero(dev >= up_thr))
+            c[1] += int(np.count_nonzero(dev <= -lo_thr))
+    return [tuple(c) for c in counts]
 
 
 def lemma2_violations(seed, row: int, k: int, epsilon: float,
@@ -105,8 +102,8 @@ def lemma2_violations(seed, row: int, k: int, epsilon: float,
     norm_x2 = 2.0 * 2.0 * k  # a fixed reference norm (value irrelevant)
     lower, upper = pe.projection_bounds(norm_x2, k, epsilon)
     bad = 0
-    for ci, size in _chunks(trials):
-        g = _rng(seed, row, ci)
+    g = _rng(seed, row)
+    for size in _chunks(trials):
         u = g.chisquare(2 * k, size)
         v = g.chisquare(2 * k, size)
         half = norm_x2 * u / (u + v)
@@ -121,8 +118,8 @@ def lemma3_violations(seed, row: int, k: int, x: float, trials: int,
     Vectors hold 2k modes (4k entries); halves are k modes each.
     """
     two = one = 0
-    for ci, size in _chunks(trials):
-        g = _rng(seed, row, ci)
+    g = _rng(seed, row)
+    for size in _chunks(trials):
         nx1, ny1, ip1 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
         nx2, ny2, ip2 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
         b = pe.inner_product_bounds(nx1 + nx2, ny1 + ny2, ip1 + ip2, k, x)
@@ -135,8 +132,8 @@ def lemma4_violations(seed, row: int, k: int, epsilon: float, trials: int,
                       r: float = 0.6) -> tuple:
     """(upper, lower, ip) violation counts for the cross-half bounds."""
     up = lo = ipv = 0
-    for ci, size in _chunks(trials):
-        g = _rng(seed, row, ci)
+    g = _rng(seed, row)
+    for size in _chunks(trials):
         nx1, ny1, ip1 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
         nx2, _, ip2 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
         b = pe.cross_half_bounds(nx1, ip1, k, epsilon, ny1)
@@ -159,8 +156,8 @@ def pe_theorem_violations(seed, row: int, k: int, eps_pe: float,
     v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
     sx, sy, r = gaussian_record_law(alpha, T, xi)
     bad = 0
-    for ci, size in _chunks(trials):
-        g = _rng(seed, row, ci)
+    g = _rng(seed, row)
+    for size in _chunks(trials):
         nx, ny, ip = wishart2(g, 4 * k, size, sx, sy, r)
         g_a, g_b, g_c = pe.gamma_estimates(nx, ny, ip, k, eps_pe)
         bad += int(
@@ -177,20 +174,21 @@ def run_all(seed, trials: int, workers=None) -> list:
     order.
     """
     pe_trials = min(trials, 20000)
-    # (family, seed, row index, k, x or epsilon, trials); row index 6 is
-    # the validity-edge probe, which draws nothing
+    xs = (1.0, 2.0, 4.0)
+    # (family, seed, row index, k, x or epsilon, trials); the lemma1 call
+    # counts all three exponents on row 0's draws
     calls = [
         (lemma3_violations, seed, 4, 200, 2.0, trials),
         (lemma4_violations, seed, 5, 500, 0.05, trials),
         (pe_theorem_violations, seed, 7, 500, 1e-3, pe_trials),
         (lemma2_violations, seed, 3, 100, 0.05, trials),
-    ] + [(lemma1_violations, seed, row, 100, x, trials)
-         for row, x in enumerate((1.0, 2.0, 4.0))]
-    (two, one), (up4, lo4, ipv), bad_pe, bad2, *lemma1 = run_parts(
+        (lemma1_violations, seed, 0, 100, xs, trials),
+    ]
+    (two, one), (up4, lo4, ipv), bad_pe, bad2, lemma1 = run_parts(
         lambda family, *args: family(*args), calls, workers)
 
     rows = []
-    for x, (up, lo) in zip((1.0, 2.0, 4.0), lemma1):
+    for x, (up, lo) in zip(xs, lemma1):
         claimed = math.exp(-x)
         rows += [_row("lemma1-upper", 100, x, claimed, up, trials),
                  _row("lemma1-lower", 100, x, claimed, lo, trials)]

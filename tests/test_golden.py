@@ -70,6 +70,13 @@ def versions() -> dict:
             "numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def simd() -> list:
+    # numpy picks its log1p and power kernels by CPU feature at run time,
+    # and without AVX-512 some results differ in the last bit; recorded,
+    # not gated on, so that a mismatch names the CPU it came from
+    return np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+
+
 def run(name: str, workers: int, tmp: Path) -> dict:
     """One canonical run: its exit code, stdout and file digests."""
     args, config = RUNS[name]
@@ -103,7 +110,9 @@ def test_run_matches_the_manifest(name, workers, tmp_path):
     assert manifest["versions"] == versions(), (
         f"golden.json was made with {manifest['versions']}, this is "
         f"{versions()}; rewrite it only after checking every change")
-    assert run(name, workers, tmp_path) == manifest["runs"][name]
+    assert run(name, workers, tmp_path) == manifest["runs"][name], (
+        f"golden.json was made on a CPU with SIMD extensions "
+        f"{manifest['simd']}, this one has {simd()}")
 
 
 if __name__ == "__main__":
@@ -111,5 +120,6 @@ if __name__ == "__main__":
     for name in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             runs[name] = run(name, 1, Path(tmp))
-    MANIFEST.write_text(json.dumps({"versions": versions(), "runs": runs},
+    MANIFEST.write_text(json.dumps({"versions": versions(), "simd": simd(),
+                                    "runs": runs},
                                    indent=1, sort_keys=True) + "\n")

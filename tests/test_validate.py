@@ -10,7 +10,8 @@ from scipy import stats
 from dmcvqkd import cli, pe
 from dmcvqkd.channel import wishart2
 from dmcvqkd.modulation import honest_covariance
-from dmcvqkd.validate import BoundRow, _rng, run_all
+from dmcvqkd.validate import (BoundRow, _rng, lemma1_violations,
+                               lemma2_violations, run_all)
 
 from oracles import draw_pair, pair_statistics
 
@@ -36,8 +37,8 @@ def _pe_theorem_scaling(alpha=0.5, T=0.6, xi=0.05):
                          ids=["unit", "pe-theorem"])
 def test_wishart2_matches_full_vector_sampler(sx, sy, r):
     dof, size = 100, 4000
-    nx, ny, ip = wishart2(_rng(11, 0, 0), dof, size, sx, sy, r)
-    vx, vy = draw_pair(_rng(12, 0, 0), dof, size, r)
+    nx, ny, ip = wishart2(_rng(11, 0), dof, size, sx, sy, r)
+    vx, vy = draw_pair(_rng(12, 0), dof, size, r)
     reference = pair_statistics(sx * vx, sy * vy)
     for drawn, ref in zip((nx, ny, ip), reference):
         assert stats.ks_2samp(drawn, ref).pvalue > 1e-3
@@ -150,11 +151,52 @@ def test_run_all_deterministic():
 
 
 def test_run_all_does_not_depend_on_workers():
-    # every chunk draws from its own (seed, row, chunk) substream and
+    # each family draws its own (seed, row) stream whole on one thread and
     # returns integer counts, so any thread count gives the same rows
     rows = {w: [_cells(r) for r in run_all(seed=5, trials=2000, workers=w)]
             for w in (1, 2, 4)}
     assert rows[1] == rows[2] == rows[4]
+
+
+def test_row_streams_do_not_alias_across_seeds():
+    # as plain entropy [seed, row], seed a + 3 * 2**32 at row 0 would read
+    # the stream of seed a at row 3
+    a = 5
+    firsts = {int(_rng(seed, row).integers(2**63))
+              for seed, row in ((a + 3 * 2**32, 0), (a, 3), (a, 0))}
+    assert len(firsts) == 3
+
+
+def test_lemma1_counts_each_x_as_a_call_of_its_own():
+    # the exponents share one draw; each must keep its own thresholds
+    xs = (1.0, 2.0, 4.0)
+    alone = [pair for x in xs
+             for pair in lemma1_violations(3, 0, 100, (x,), 5000)]
+    assert lemma1_violations(3, 0, 100, xs, 5000) == alone
+    assert len(set(alone)) == 3
+
+
+def test_lemma1_and_lemma2_rows_have_their_exact_law():
+    # chi2(k) tails at the lemma1 thresholds, and the Beta(k, k) tails of
+    # the norm fraction at the lemma2 interval, within 5 binomial SE
+    trials, k = 50_000, 100
+
+    def check(count, p):
+        se = math.sqrt(p * (1.0 - p) / trials)
+        assert abs(count / trials - p) < 5.0 * se, (count / trials, p)
+
+    xs = (1.0, 2.0, 4.0)
+    for x, (up, lo) in zip(xs, lemma1_violations(20260, 0, k, xs, trials)):
+        root = 2.0 * math.sqrt(k * x)
+        check(up, stats.chi2.sf(k + root + 2.0 * x, k))
+        check(lo, stats.chi2.cdf(k - root, k))
+    # the shipped eps = 0.05 has a tail near 2e-10, so any violation fails
+    # it; eps = 0.9 widens the tail to 3.2e-3, where Beta(1.1k, 1.1k) shows
+    for eps in (0.05, 0.9):
+        g = math.sqrt(math.log(2.0 / eps) / k)
+        check(lemma2_violations(20260, 3, k, eps, trials),
+              stats.beta.cdf(0.5 * (1.0 - 2.2 * g), k, k)
+              + stats.beta.sf(0.5 * (1.0 + 2.5 * g), k, k))
 
 
 def test_validity_edge_row():
