@@ -5,7 +5,7 @@ The public surface re-exports the main types and entry points of each
 layer; the submodules stay importable for the full APIs.
 """
 
-from .channel import ProtocolParams, QuadratureBatch, simulate_rounds
+from .channel import ProtocolParams
 from .finitekey import KeyLengthReport, SecurityBudget, key_length
 from .gaussian import g_entropy, holevo_f, symplectic_eigenvalues
 from .modulation import honest_covariance, lambda_weights
@@ -20,7 +20,6 @@ __all__ = [
     "KeyLengthReport",
     "OrthogonalTransform",
     "ProtocolParams",
-    "QuadratureBatch",
     "SecurityBudget",
     "__version__",
     "biawgn_capacity",
@@ -32,6 +31,5 @@ __all__ = [
     "key_length",
     "lambda_weights",
     "pe_decision",
-    "simulate_rounds",
     "symplectic_eigenvalues",
 ]

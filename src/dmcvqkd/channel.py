@@ -33,12 +33,14 @@ frame, independent of R: that is the conditional law of the rows given W
 rows have the i.i.d. law and their totals are W to rounding.
 
 Key and decoy rounds: `round_records` is the one generator of their
-records, for any range of rounds.  `simulate_rounds` writes its chunks into
-a batch.  `simulate` takes W from `gaussian_gram` and only the k_test
-decoy rounds its energy test reads from `round_records`, and streams the
-key rounds through `round_records` chunk by chunk, reducing each chunk to
-its repetition blocks' bits and dropping it, so a run holds 2 bytes per
-block instead of 32 per key round; only batch.csv needs the whole batch.
+records, for any range of rounds.  `simulate` takes W from `gaussian_gram`
+and only the k_test decoy rounds its energy test reads from
+`round_records`, and streams the key rounds through it chunk by chunk,
+reducing each chunk to its repetition blocks' bits and dropping it, so a
+run holds 2 bytes per block instead of 32 per key round.  batch.csv is
+written from the same two generators, a chunk of rounds at a time, with
+the gaussian rows of `gaussian_rows`; `simulate_rounds` joins them into
+one batch.
 
 Randomness: counter-based generators (Philox) keyed by the seed.  Each key
 or decoy round owns a fixed window of 4 64-bit words regardless of chunking
@@ -61,7 +63,6 @@ from .errors import (
     InsufficientRounds,
 )
 from .modulation import CONSTELLATION_PHASES, honest_covariance
-from .parallel import run_parts
 from .rotations import OrthogonalTransform, _philox_uniforms
 
 ROLE_KEY = 0
@@ -227,8 +228,8 @@ def round_records(params: ProtocolParams, seed, start: int,
     Rounds [0, 2n) are key rounds and [2n, 2n + 2m) decoy rounds; round r
     reads its own Philox window, so any split of a range into chunks gives
     the same values.  This is the package's one generator of those records:
-    `simulate_rounds` writes its chunks into a batch, and `simulate`
-    streams the key rounds through it without keeping them.
+    `simulate` streams the key rounds through it without keeping them, and
+    batch.csv and `simulate_rounds` take their key and decoy rounds from it.
     """
     u = _round_uniforms(seed, start, stop - start)
     sqrt_t = math.sqrt(params.T)
@@ -242,7 +243,7 @@ def round_records(params: ProtocolParams, seed, start: int,
         key = u[:split]
         q = np.minimum((4.0 * key[:, 0]).astype(np.int64), 3)
         parts.append((amp_x[q], amp_p[q]) + _box_muller(key[:, 1], key[:, 2]))
-    if split < stop - start:
+    if split < stop - start or not parts:  # decoys, or an empty range
         s_mod = math.sqrt(params.v_a / 2.0)
         decoy = u[split:]
         a1, a2 = _box_muller(decoy[:, 0], decoy[:, 1])
@@ -253,14 +254,6 @@ def round_records(params: ProtocolParams, seed, start: int,
     else:  # the one chunk that holds the last key and first decoy rounds
         ax, ap, g1, g2 = (np.concatenate(pair) for pair in zip(*parts))
     return ax, ap, sqrt_t * ax + sigma * g1, sqrt_t * ap + sigma * g2
-
-
-def _fill_chunk(batch: QuadratureBatch, params: ProtocolParams, seed,
-                start: int, stop: int) -> None:
-    """Write rounds [start, stop) into the batch."""
-    for name, values in zip(RECORD_NAMES,
-                            round_records(params, seed, start, stop)):
-        getattr(batch, name)[start:stop] = values
 
 
 def _gaussian_generator(seed) -> np.random.Generator:
@@ -278,22 +271,28 @@ def _gram(g: np.random.Generator, params: ProtocolParams) -> tuple:
 
 
 def gaussian_gram(params: ProtocolParams, seed) -> tuple:
-    """The `gram` of `simulate_rounds(params, seed)`, drawn without the
-    rounds: W comes first from the gaussian block's generator."""
+    """W of the run's gaussian modes, drawn without their rows: the W of
+    `gaussian_rows(params, seed)`, which comes first from the gaussian
+    block's generator."""
     return _gram(_gaussian_generator(seed), params)
 
 
-def _fill_gaussian(batch: QuadratureBatch, g: np.random.Generator) -> None:
-    """Write the gaussian block as [X, S Y] = Q R (see the module docstring).
+def gaussian_rows(params: ProtocolParams, seed) -> tuple:
+    """(W, (ax, ap, bx, bp)): W and the records of the 2k gaussian rounds.
 
-    Q is the Gram-Schmidt frame of two standard normal 4k-vectors, uniform
-    on the orthonormal frames; R = [[r11, r12], [0, r22]] with R^T R = W.
+    The rows are [X, S Y] = Q R (see the module docstring): Q is the
+    Gram-Schmidt frame of two standard normal 4k-vectors, uniform on the
+    orthonormal frames, and R = [[r11, r12], [0, r22]] with R^T R = W.
     """
-    w_xx, w_yy, w_xy = batch.gram
+    g = _gaussian_generator(seed)
+    gram = _gram(g, params)
+    if params.k == 0:
+        return gram, tuple(np.empty(0) for _ in RECORD_NAMES)
+    w_xx, w_yy, w_xy = gram
     r11 = math.sqrt(w_xx)
     r12 = w_xy / r11
     r22 = math.sqrt(w_yy - r12 * r12)
-    q1, q2 = g.standard_normal((2, 2 * batch.counts[ROLE_GAUSSIAN]))
+    q1, q2 = g.standard_normal((2, 4 * int(params.k)))
     # np.sum, not `@`: a BLAS dot may split a long vector across threads,
     # and its rounding would then depend on the thread count
     q1 /= math.sqrt(np.sum(q1 * q1))
@@ -301,39 +300,23 @@ def _fill_gaussian(batch: QuadratureBatch, g: np.random.Generator) -> None:
     q2 /= math.sqrt(np.sum(q2 * q2))
     x = r11 * q1
     s_y = r12 * q1 + r22 * q2
-    block = batch.role_indices(ROLE_GAUSSIAN)
-    batch.alice_x[block] = x[0::2]
-    batch.alice_p[block] = x[1::2]
-    batch.bob_x[block] = s_y[0::2]
-    batch.bob_p[block] = -s_y[1::2]
+    return gram, (x[0::2], x[1::2], s_y[0::2], -s_y[1::2])
 
 
-def simulate_rounds(params: ProtocolParams, seed,
-                    workers: Optional[int] = None) -> QuadratureBatch:
+def simulate_rounds(params: ProtocolParams, seed) -> QuadratureBatch:
     """Simulate one protocol run and return its quadrature record.
 
     The batch holds the 2n key, 2m decoy and 2k gaussian modes of
-    `params`, laid out in that block order.  One "round" of the batch is
-    one mode: two quadratures per side.  Its `gram` is the gaussian modes'
-    W, the same draw as `gaussian_gram(params, seed)`.
-
-    The output is a deterministic function of (params, seed): each chunk
-    of CHUNK_ROUNDS key and decoy rounds reads its own counter window and
-    the gaussian block is drawn on the calling thread, so `workers`
-    (threads; None means every usable core) only affects wall-clock time.
+    `params`, laid out in that block order: the rounds of `round_records`
+    followed by those of `gaussian_rows`, so its `gram` is the same draw as
+    `gaussian_gram(params, seed)`.  One "round" of the batch is one mode:
+    two quadratures per side.
     """
-    counts = (2 * int(params.n), 2 * int(params.m), 2 * int(params.k))
-    g = _gaussian_generator(seed)
-    batch = QuadratureBatch(*(np.empty(sum(counts)) for _ in range(4)),
-                            counts, _gram(g, params))
-
-    stop = counts[ROLE_KEY] + counts[ROLE_DECOY]
-    spans = [(batch, params, seed, a, min(a + CHUNK_ROUNDS, stop))
-             for a in range(0, stop, CHUNK_ROUNDS)]
-    run_parts(_fill_chunk, spans, workers)
-    if counts[ROLE_GAUSSIAN]:
-        _fill_gaussian(batch, g)
-    return batch
+    gram, gaussian = gaussian_rows(params, seed)
+    records = round_records(params, seed, 0, 2 * int(params.n + params.m))
+    return QuadratureBatch(
+        *(np.concatenate(pair) for pair in zip(records, gaussian)),
+        (2 * int(params.n), 2 * int(params.m), 2 * int(params.k)), gram)
 
 
 def quadrant_bits(x, p) -> np.ndarray:

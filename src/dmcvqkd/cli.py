@@ -31,18 +31,17 @@ import numpy as np
 from . import validate as validate_mod
 from .channel import (
     CHUNK_ROUNDS,
-    RECORD_NAMES,
     ROLE_NAMES,
     ProtocolParams,
-    QuadratureBatch,
     # unused here since batch.csv holds the rounds as drawn; perfbench's
     # pe-trials workload runs it and its traced `simulate` wraps it on cli
     apply_symmetrization,
     gaussian_gram,
+    gaussian_rows,
     heterodyne_energy,
     quadrant_bits,
     round_records,
-    simulate_rounds,
+    simulate_rounds,  # unused; the traced `simulate` benchmark wraps it
     # unused here since the statistics come from the Wishart draw; the
     # traced `simulate` benchmark still wraps cli.split_pe_sets (ROADMAP
     # item 10)
@@ -379,25 +378,37 @@ def _write_csv(path, header, rows) -> None:
 BATCH_HEADER = ("round", "role", "ax", "ap", "bx", "bp")
 
 
-def export_batch(batch: QuadratureBatch, path) -> None:
+def _batch_chunks(params: ProtocolParams, seed, gaussian):
+    """(role name, first round, records) of each chunk of batch.csv, in
+    round order: the key and decoy rounds from `round_records`, then the
+    gaussian rows, CHUNK_ROUNDS rounds at a time."""
+    edges = (0, 2 * params.n, 2 * (params.n + params.m))
+    for name, start, stop in zip(ROLE_NAMES, edges, edges[1:]):
+        for a in range(start, stop, CHUNK_ROUNDS):
+            yield name, a, round_records(params, seed, a,
+                                         min(a + CHUNK_ROUNDS, stop))
+    for a in range(0, gaussian[0].size, CHUNK_ROUNDS):
+        yield (ROLE_NAMES[-1], edges[-1] + a,
+               tuple(values[a:a + CHUNK_ROUNDS] for values in gaussian))
+
+
+def export_batch(params: ProtocolParams, path, seed, gaussian) -> None:
     """Write batch.csv: the header, then one line per round in round order,
     as `_write_csv` writes its lines.
 
-    Each role's block is rendered CHUNK_ROUNDS lines per format call, so
-    memory beyond the batch arrays stays bounded by the chunk.
+    The key and decoy rounds are drawn and written a chunk at a time; the
+    gaussian rounds are the rows (ax, ap, bx, bp) of `gaussian_rows`.  Each
+    chunk is rendered by one format call, so memory beyond the gaussian
+    rows stays bounded by the chunk.
     """
     line = _line_format((int, str, float, float, float, float))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(BATCH_HEADER) + "\n")
-        for role, name in enumerate(ROLE_NAMES):
-            block = batch.role_indices(role)
-            for start in range(block.start, block.stop, CHUNK_ROUNDS):
-                stop = min(start + CHUNK_ROUNDS, block.stop)
-                rows = zip(range(start, stop), repeat(name),
-                           *(getattr(batch, record)[start:stop].tolist()
-                             for record in RECORD_NAMES))
-                fh.write(line * (stop - start)
-                         % tuple(chain.from_iterable(rows)))
+        for name, start, records in _batch_chunks(params, seed, gaussian):
+            count = records[0].size
+            rows = zip(range(start, start + count), repeat(name),
+                       *(values.tolist() for values in records))
+            fh.write(line * count % tuple(chain.from_iterable(rows)))
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -515,26 +526,28 @@ def _memory_error(cfg: RunConfig, batch_csv: bool) -> ConfigError:
     A plain run holds the k_test decoy rounds its energy test reads,
     four float64 records or 32 bytes each, Bob's and Alice's bit of each
     of the 4n/k_rep repetition blocks, and one chunk of key rounds per
-    thread.  With batch.csv it holds all 2(n + m + k) rounds.  That is a
-    lower bound on what it allocates.
+    thread.  With batch.csv it also holds the 2k gaussian rounds and their
+    4k x 2 frame Q, 64 bytes per round.  That is a lower bound on what it
+    allocates.
     """
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     where = ("more than this process could allocate"
              if limit == resource.RLIM_INFINITY else
              f"above the address-space limit (RLIMIT_AS) of "
              f"{limit / 2**30:.3g} GiB")
-    if batch_csv:
-        rounds = 2 * (cfg.n + cfg.m + cfg.k)
-        return ConfigError(f"config field 'n', 'm', 'k': simulate holds "
-                           f"{rounds} rounds, which need at least "
-                           f"{32 * rounds / 2**30:.3g} GiB, {where}")
     blocks = 4 * cfg.n // cfg.k_rep
     chunk = min(_key_chunk_rounds(cfg.k_rep), 2 * cfg.n)
+    fields, gaussian, size = "'n', 'k_test', 'k_rep'", "", 0
+    if batch_csv:
+        fields = "'n', 'k', 'k_test', 'k_rep'"
+        gaussian = f", {2 * cfg.k} gaussian rounds with their frame"
+        size = 64 * 2 * cfg.k
+    size += 32 * cfg.k_test + 2 * blocks
     return ConfigError(
-        f"config field 'n', 'k_test', 'k_rep': simulate holds {cfg.k_test} "
-        f"decoy rounds and the bits of {blocks} blocks, which need at least "
-        f"{(32 * cfg.k_test + 2 * blocks) / 2**30:.3g} GiB, plus a chunk of "
-        f"{chunk} key rounds per thread, {where}")
+        f"config field {fields}: simulate holds {cfg.k_test} decoy "
+        f"rounds{gaussian} and the bits of {blocks} blocks, which need at "
+        f"least {size / 2**30:.3g} GiB, plus a chunk of {chunk} key rounds "
+        f"per thread, {where}")
 
 
 def _reduce_key_rounds(records, first: int, k_rep: int, bits_b,
@@ -566,13 +579,12 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     true_params = params.with_xi(xi_true)
     # what the run holds, made before any other work so that a run too
     # large fails first: Bob's and Alice's bit of every repetition block,
-    # the whole batch for batch.csv alone, and the first k_test <= 2m
+    # the gaussian rows for batch.csv alone, and the first k_test <= 2m
     # decoy rounds, the energy test's, each from its own Philox window
     blocks = 4 * cfg.n // cfg.k_rep
     bits_b = np.empty(blocks, dtype=np.uint8)
     bits_a = np.empty(blocks, dtype=np.uint8)
-    batch = (simulate_rounds(true_params, cfg.seed, workers=cfg.workers)
-             if batch_csv else None)
+    gaussian = gaussian_rows(true_params, cfg.seed)[1] if batch_csv else None
     test_ax, test_ap, test_bx, test_bp = round_records(
         true_params, cfg.seed, 2 * cfg.n, 2 * cfg.n + cfg.k_test)
     # every chunk of key rounds is generated, counted, reduced to its
@@ -584,8 +596,8 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
         _key_chunks(cfg), cfg.workers))
 
     # parameter estimation reads only W = (||X||^2, ||Y||^2, <X, S Y>) of
-    # the gaussian modes, drawn without their rows (batch.gram is the same
-    # draw).  sigma_hat are the same totals per gaussian mode.
+    # the gaussian modes, drawn without their rows (gaussian_rows draws the
+    # same W).  sigma_hat are the same totals per gaussian mode.
     totals = gaussian_gram(true_params, cfg.seed)
     sigma_hat = tuple(total / (2 * cfg.k) for total in totals)
     try:
@@ -628,7 +640,7 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
 
     out = _outdir(cfg)
     if batch_csv:
-        export_batch(batch, out / "batch.csv")
+        export_batch(true_params, out / "batch.csv", cfg.seed, gaussian)
     _write_csv(out / "pe.csv", PE_HEADER, [
         gammas + (region.sigma_a_max, region.sigma_b_max, region.sigma_c_min)
         + deltas + (budget.eps_pe, region.verdict)

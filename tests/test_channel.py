@@ -19,6 +19,7 @@ from dmcvqkd.channel import (
     _round_uniforms,
     apply_symmetrization,
     gaussian_gram,
+    gaussian_rows,
     heterodyne_energy,
     quadrant_bits,
     round_records,
@@ -73,21 +74,19 @@ def test_key_modes_use_exact_symbol_amplitudes():
     assert set(np.unique(quads)) == {0, 1, 2, 3}
 
 
-def test_deterministic_across_workers_and_reruns():
-    a = simulate_rounds(PARAMS, seed=7, workers=1)
-    b = simulate_rounds(PARAMS, seed=7, workers=4)
-    c = simulate_rounds(PARAMS, seed=7, workers=1)
+def test_deterministic_across_reruns():
+    a = simulate_rounds(PARAMS, seed=7)
+    c = simulate_rounds(PARAMS, seed=7)
     for name in RECORDS:
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         np.testing.assert_array_equal(getattr(a, name), getattr(c, name))
-    assert a.counts == b.counts == c.counts == (800, 600, 1000)
+    assert a.counts == c.counts == (800, 600, 1000)
     d = simulate_rounds(PARAMS, seed=8)
     assert not np.array_equal(a.bob_x, d.bob_x)
 
 
 def test_round_records_are_the_batch_rows_for_any_split():
-    # 2n = 10000 key and 2m = 6000 decoy rounds: simulate_rounds fills two
-    # chunks, the first across the key/decoy edge
+    # 2n = 10000 key and 2m = 6000 decoy rounds, taken in ranges that
+    # cross the key/decoy edge and CHUNK_ROUNDS
     params = replace(PARAMS, n=5000, m=3000)
     batch = simulate_rounds(params, seed=17)
     edges = (0, 1, 128, 4097, 9999, 10001, 14000, 16000)
@@ -98,6 +97,19 @@ def test_round_records_are_the_batch_rows_for_any_split():
                                           getattr(batch, name)[start:stop])
     # W drawn without the rounds is the batch's
     assert gaussian_gram(params, 17) == batch.gram
+
+
+@pytest.mark.parametrize("params, start", [
+    (PARAMS, 3), (PARAMS, 800), (PARAMS, 1400),
+    (replace(PARAMS, n=0, m=0), 0),
+], ids=["key", "key-decoy-edge", "end", "no-key-or-decoy"])
+def test_round_records_of_an_empty_range_are_empty(params, start):
+    # an empty range, at any edge and when the run has no key or decoy
+    # rounds at all, gives four empty float64 records
+    records = round_records(params, 1, start, start)
+    assert len(records) == 4
+    for values in records:
+        assert values.dtype == np.float64 and values.shape == (0,)
 
 
 def test_counts_override():
@@ -202,19 +214,23 @@ def test_gram_norm_x_has_an_exact_chi2_tail():
 @pytest.mark.parametrize("xi_actual", [None, 0.5], ids=["default", "xi0.5"])
 def test_gaussian_rows_reproduce_the_gram(xi_actual):
     # the Q R rows give back W to rounding; building them changes neither
-    # W nor the decoy rounds, and no worker count changes them
+    # W nor the decoy rounds, and the batch holds them as drawn
     cfg = cli.RunConfig(xi_actual=xi_actual)
     xi_true = cfg.xi if xi_actual is None else xi_actual
     params = cli._protocol_params(cfg).with_xi(xi_true)
     gram = gaussian_gram(params, cfg.seed)
-    full = simulate_rounds(params, cfg.seed, workers=2)
+    rows_gram, rows = gaussian_rows(params, cfg.seed)
+    full = simulate_rounds(params, cfg.seed)
     assert full.counts == (2 * cfg.n, 2 * cfg.m, 2 * cfg.k)
-    assert gram == full.gram
+    assert gram == rows_gram == full.gram
     assert all(type(total) is float for total in gram)
     decoys = full.role_indices(ROLE_DECOY)
     for name, values in zip(RECORDS, round_records(
             params, cfg.seed, decoys.start, decoys.stop)):
         assert values.tobytes() == getattr(full, name)[decoys].tobytes()
+    gaussian = full.role_indices(ROLE_GAUSSIAN)
+    for name, values in zip(RECORDS, rows):
+        assert values.tobytes() == getattr(full, name)[gaussian].tobytes()
     totals = pe_statistics(split_pe_sets(full, cfg.k))
     for got, want in zip(totals, full.gram):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)

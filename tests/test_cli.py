@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from dmcvqkd.channel import (
     ROLE_KEY,
     ProtocolParams,
     QuadratureBatch,
+    gaussian_rows,
     interleave,
     simulate_rounds,
 )
@@ -693,42 +695,65 @@ def test_batch_csv_is_the_same_for_any_blas_thread_count(tmp_path):
 
 
 def test_export_import_round_trip(tmp_path):
-    batch = simulate_rounds(
-        ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=20, m=10, k=30), seed=15)
+    params = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=20, m=10, k=30)
     path = tmp_path / "batch.csv"
-    cli.export_batch(batch, path)
+    cli.export_batch(params, path, 15, gaussian_rows(params, 15)[1])
     back = import_batch(path)
+    batch = simulate_rounds(params, 15)
     for name in ("alice_x", "alice_p", "bob_x", "bob_p"):
         np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
     np.testing.assert_array_equal(back.roles, role_codes(batch.counts))
 
 
-def assert_export_matches_reference(batch, tmp_path):
-    cli.export_batch(batch, tmp_path / "chunked.csv")
+def assert_export_matches_reference(params, seed, tmp_path):
+    """export_batch, which streams the key and decoy rounds, writes the
+    bytes of the row-by-row reference on the whole batch."""
+    cli.export_batch(params, tmp_path / "streamed.csv", seed,
+                     gaussian_rows(params, seed)[1])
+    batch = simulate_rounds(params, seed)
     export_batch_rows(batch, tmp_path / "rows.csv")
-    got = (tmp_path / "chunked.csv").read_bytes()
+    got = (tmp_path / "streamed.csv").read_bytes()
     assert got == (tmp_path / "rows.csv").read_bytes()
-    return got
+    return batch
 
 
 def test_export_bytes_match_reference_across_chunks(tmp_path):
-    batch = simulate_rounds(
-        ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=5000, m=1000, k=3000),
-        seed=16)
+    params = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=5000, m=1000, k=3000)
+    batch = assert_export_matches_reference(params, 16, tmp_path)
     # every block ends inside a chunk, and the key block spans two
     assert all(c % CHUNK_ROUNDS for c in batch.counts)
     assert batch.counts[ROLE_KEY] > CHUNK_ROUNDS
-    assert_export_matches_reference(batch, tmp_path)
 
 
-def test_export_bytes_match_reference_on_extreme_values(tmp_path):
+@pytest.mark.parametrize("blocks", [dict(k=0), dict(n=0, m=0)],
+                         ids=["no-gaussian", "gaussian-only"])
+def test_export_bytes_match_reference_with_empty_blocks(tmp_path, blocks):
+    params = dataclasses.replace(
+        ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=40, m=30, k=50), **blocks)
+    batch = assert_export_matches_reference(params, 17, tmp_path)
+    assert 0 in batch.counts and batch.n_rounds > 0
+
+
+def test_export_bytes_match_reference_on_extreme_values(tmp_path,
+                                                        monkeypatch):
+    # 4 key, 2 decoy and 6 gaussian rounds: the key and decoy rounds come
+    # through cli.round_records, the gaussian ones through the argument
     big = 1.7976931348623157e308
     values = np.array([-0.0, 5e-324, big, -big, math.nan, math.inf, -math.inf,
                        0.1, 1.0 / 3.0, -2.0 / 3.0, 123456789.01234567, 1e-300])
     n = values.size
-    batch = QuadratureBatch(values, values[::-1].copy(), np.roll(values, 3),
-                            np.roll(values, 7), (4, 3, 5))
-    text = assert_export_matches_reference(batch, tmp_path).decode()
+    records = (values, values[::-1].copy(), np.roll(values, 3),
+               np.roll(values, 7))
+    monkeypatch.setattr(cli, "round_records", lambda params, seed, start,
+                        stop: tuple(r[start:stop] for r in records))
+    params = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=2, m=1, k=3)
+    cli.export_batch(params, tmp_path / "streamed.csv", 0,
+                     tuple(r[6:] for r in records))
+    export_batch_rows(QuadratureBatch(*records, (4, 2, 6)),
+                      tmp_path / "rows.csv")
+    got = (tmp_path / "streamed.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    text = got.decode()
     assert text.count("\n") == n + 1 and "\r" not in text
     assert "\n0,key,-0,1e-300,-0.66666666666666663,inf\n" in text
     assert "\n4,decoy,nan," in text and "\n11,gaussian,1e-300," in text
@@ -737,10 +762,28 @@ def test_export_bytes_match_reference_on_extreme_values(tmp_path):
 
 
 def test_export_of_empty_batch_is_header_only(tmp_path):
+    # no key or decoy rounds, and no gaussian rows passed in
+    params = ProtocolParams(alpha=0.5, T=0.5, xi=0.05, n=0, m=0, k=1)
     empty = np.zeros(0)
-    batch = QuadratureBatch(empty, empty, empty, empty, (0, 0, 0))
-    got = assert_export_matches_reference(batch, tmp_path)
-    assert got == b"round,role,ax,ap,bx,bp\n"
+    cli.export_batch(params, tmp_path / "batch.csv", 0, (empty,) * 4)
+    assert (tmp_path / "batch.csv").read_bytes() == \
+        b"round,role,ax,ap,bx,bp\n"
+
+
+def test_batch_csv_memory_does_not_grow_with_n(tmp_path):
+    # batch.csv takes the key rounds from round_records a chunk at a time:
+    # the traced peak of a run grows by less than 1 MiB from 2n = 8192 to
+    # 2n = 131072 key rounds (it grew by 3.7 MiB while the run held them)
+    peaks = []
+    for n in (4096, 65536):
+        cfg = RunConfig(n=n, out=str(tmp_path / f"n{n}"))
+        tracemalloc.start()
+        try:
+            assert cli.run_simulate(cfg, batch_csv=True) == EXIT_NO_KEY
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 def test_batch_csv_is_written_only_on_request(tmp_path):
@@ -830,15 +873,16 @@ def test_batch_csv_gaussian_rows_reproduce_the_pe_totals(tmp_path, config):
             float(row[f"sigma_hat_{name}"]), rel=1e-12, abs=0.0)
 
 
-# the README's benign config holds 2(n + m + k) = 4.2e9 rounds with
-# --batch-csv, 125 GiB; a plain run streams its key rounds and holds only
-# the k_test decoy rounds of its energy test, so the plain case takes
-# k_test = 2m = 2e8 of them: 6 GiB.  With n = 1e12 the per-block bits
-# alone need 29 GiB
+# a plain run streams its key rounds and holds only the k_test decoy rounds
+# of its energy test, so the plain case takes k_test = 2m = 2e8 of them:
+# 6 GiB.  With n = 1e12 the per-block bits alone need 29 GiB.  With
+# --batch-csv, the README's benign config also holds its 2k = 4e9 gaussian
+# rounds and their frame, 238 GiB
 @pytest.mark.parametrize("config, flags, fields",
                          [(dict(BENIGN, m=100_000_000, k_test=200_000_000),
                            [], "'n', 'k_test', 'k_rep'"),
-                          (BENIGN, ["--batch-csv"], "'n', 'm', 'k'"),
+                          (BENIGN, ["--batch-csv"],
+                           "'n', 'k', 'k_test', 'k_rep'"),
                           (dict(BENIGN, n=10**12), [],
                            "'n', 'k_test', 'k_rep'")],
                          ids=["plain-decoys", "batch-csv", "plain-blocks"])
@@ -875,12 +919,15 @@ def test_simulate_memory_error_exits_1_by_name(tmp_path, capsys,
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "simulate_rounds", no_memory)
+    monkeypatch.setattr(cli, "gaussian_rows", no_memory)
     rc = cli.main(["simulate", "--out", str(tmp_path), "--batch-csv"])
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error: config field 'n', 'm', 'k': simulate "
-                          "holds 54768 rounds")
+    assert err.startswith("error: config field 'n', 'k', 'k_test', 'k_rep': "
+                          "simulate holds 1000 decoy rounds, 20000 gaussian "
+                          "rounds with their frame and the bits of 256 "
+                          "blocks")
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_success_branch_writes_the_hashed_key(tmp_path,

@@ -35,6 +35,10 @@ ALLOWED = {
     # workload still wraps both names on cli
     "repetition_reconcile",
     "repetition_decode",
+    # batch.csv streams from round_records and gaussian_rows; perfbench's
+    # pe-trials workload still runs it and its traced simulate wraps the
+    # name on cli
+    "simulate_rounds",
     "config_to_json",  # the resolved config of a per-run record to come
     "truncation_epsilon",  # the cutoff's failure term, for reduction.csv
     "error",  # cli's argparse override; argparse calls it on a usage error
