@@ -42,10 +42,20 @@ written from the same two generators, a chunk of rounds at a time, with
 the gaussian rows of `gaussian_rows`; `simulate_rounds` joins them into
 one batch.
 
-Randomness: counter-based generators (Philox) keyed by the seed.  Each key
-or decoy round owns a fixed window of 4 64-bit words regardless of chunking
-or worker count, and the gaussian block draws from its own key (seed, 3),
-so results are reproducible bit-for-bit under any parallel schedule.
+Randomness: each role's key or decoy rounds are cut into chunks of
+CHUNK_ROUNDS, counted from the role's first round, and chunk c of role r
+draws from its own SFC64 streams, seeded by SeedSequence(seed) with spawn
+key (r, c, i) (`_stream`).  Stream i = 0 gives each key round's quadrant,
+the top two bits of one raw word; stream i = 1 gives the standard normals,
+round by round, from numpy's ziggurat sampler (Marsaglia & Tsang, J. Stat.
+Softw. 5(8), 2000), two per key round and four per decoy round.  A round's
+record therefore depends only on (seed, role, index in role), never on n,
+m, the range asked for or the thread count, and the first rounds of a
+chunk are the same draws whichever part of it is asked for.  The normals
+use only IEEE arithmetic and libm's exp/log in the ziggurat's rare
+branches, no vectorized transcendental kernel, so the records are the same
+bits whichever SIMD extensions numpy uses.  The gaussian block draws from
+its own Philox generator keyed (seed, 3).
 """
 from __future__ import annotations
 
@@ -63,7 +73,7 @@ from .errors import (
     InsufficientRounds,
 )
 from .modulation import CONSTELLATION_PHASES, honest_covariance
-from .rotations import OrthogonalTransform, _philox_uniforms
+from .rotations import OrthogonalTransform
 
 ROLE_KEY = 0
 ROLE_DECOY = 1
@@ -72,9 +82,9 @@ ROLE_NAMES = ("key", "decoy", "gaussian")
 #: the four record arrays of a QuadratureBatch, in round_records' order
 RECORD_NAMES = ("alice_x", "alice_p", "bob_x", "bob_p")
 
-#: 64-bit words of randomness reserved per key or decoy round
-WORDS_PER_ROUND = 4
-#: rounds generated per chunk (fixed; independent of worker count)
+#: rounds per chunk of a role.  It fixes the random layout: chunk c of a
+#: role has its own streams, so changing it changes every key and decoy
+#: record.  It does not depend on the worker count.
 CHUNK_ROUNDS = 8192
 
 
@@ -166,23 +176,11 @@ class PESplit(NamedTuple):
     y2: np.ndarray
 
 
-def _round_uniforms(seed, start: int, count: int) -> np.ndarray:
-    """Uniforms for rounds [start, start+count), shaped (count, 4).
-
-    Round r always maps to Philox counter words [4r, 4r+4), so any chunking
-    of the round range reproduces identical values.  Key rounds read words
-    0-2 of their window and decoy rounds words 0-3.
-    """
-    u = _philox_uniforms(seed, count * WORDS_PER_ROUND,
-                         start * WORDS_PER_ROUND)
-    return u.reshape(count, WORDS_PER_ROUND)
-
-
-def _box_muller(u1: np.ndarray, u2: np.ndarray):
-    """Two independent standard normals from two uniforms in [0, 1)."""
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    ang = (2.0 * math.pi) * u2
-    return r * np.cos(ang), r * np.sin(ang)
+def _stream(seed, *key) -> np.random.Generator:
+    """The SFC64 stream of `seed` and spawn key `key`; as spawn keys, no
+    two keys of one seed alias."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def gaussian_record_law(alpha: float, T: float, xi: float) -> tuple:
@@ -225,40 +223,66 @@ def round_records(params: ProtocolParams, seed, start: int,
                   stop: int) -> tuple:
     """(ax, ap, bx, bp): the records of key and decoy rounds [start, stop).
 
-    Rounds [0, 2n) are key rounds and [2n, 2n + 2m) decoy rounds; round r
-    reads its own Philox window, so any split of a range into chunks gives
-    the same values.  This is the package's one generator of those records:
-    `simulate` streams the key rounds through it without keeping them, and
-    batch.csv and `simulate_rounds` take their key and decoy rounds from it.
+    Rounds [0, 2n) are key rounds and [2n, 2n + 2m) decoy rounds.  Each
+    covered chunk (see the module docstring) is drawn only up to `stop`,
+    into an output allocated before any draw, so a range costs its own
+    rounds plus at most one chunk's prefix, and any split of a range gives
+    the same values.  This is the package's one generator of those
+    records: `simulate` streams the key rounds through it without keeping
+    them, and batch.csv and `simulate_rounds` take their key and decoy
+    rounds from it.
     """
-    u = _round_uniforms(seed, start, stop - start)
+    key_rounds = 2 * int(params.n)
+    role_edges = (0, key_rounds, key_rounds + 2 * int(params.m))
+    if not 0 <= start <= stop <= role_edges[-1]:
+        raise DomainError(f"rounds [{start}, {stop}) are not key or decoy "
+                          f"rounds of this run")
+    out = np.empty((4, stop - start))
+    s2a = math.sqrt(2.0) * params.alpha
+    amp_x = np.array([s2a * math.cos(ph) for ph in CONSTELLATION_PHASES])
+    amp_p = np.array([s2a * math.sin(ph) for ph in CONSTELLATION_PHASES])
+    s_mod = math.sqrt(params.v_a / 2.0)
     sqrt_t = math.sqrt(params.T)
     sigma = math.sqrt((2.0 + params.T * params.xi) / 2.0)
-    split = min(max(2 * int(params.n) - start, 0), stop - start)
-    parts = []
-    if split > 0:
-        s2a = math.sqrt(2.0) * params.alpha
-        amp_x = np.array([s2a * math.cos(ph) for ph in CONSTELLATION_PHASES])
-        amp_p = np.array([s2a * math.sin(ph) for ph in CONSTELLATION_PHASES])
-        key = u[:split]
-        q = np.minimum((4.0 * key[:, 0]).astype(np.int64), 3)
-        parts.append((amp_x[q], amp_p[q]) + _box_muller(key[:, 1], key[:, 2]))
-    if split < stop - start or not parts:  # decoys, or an empty range
-        s_mod = math.sqrt(params.v_a / 2.0)
-        decoy = u[split:]
-        a1, a2 = _box_muller(decoy[:, 0], decoy[:, 1])
-        parts.append((s_mod * a1, s_mod * a2)
-                     + _box_muller(decoy[:, 2], decoy[:, 3]))
-    if len(parts) == 1:
-        ax, ap, g1, g2 = parts[0]
-    else:  # the one chunk that holds the last key and first decoy rounds
-        ax, ap, g1, g2 = (np.concatenate(pair) for pair in zip(*parts))
-    return ax, ap, sqrt_t * ax + sigma * g1, sqrt_t * ap + sigma * g2
+    for role in (ROLE_KEY, ROLE_DECOY):
+        first = role_edges[role]
+        # the rounds [a, b) of the range, counted from the role's first
+        a = max(start, first) - first
+        b = min(stop, role_edges[role + 1]) - first
+        if a >= b:
+            continue
+        for edge in range(a - a % CHUNK_ROUNDS, b, CHUNK_ROUNDS):
+            chunk = edge // CHUNK_ROUNDS
+            lo, hi = max(a - edge, 0), min(b - edge, CHUNK_ROUNDS)
+            ax, ap, bx, bp = out[:, first + edge + lo - start:
+                                 first + edge + hi - start]
+            if role == ROLE_KEY:
+                words = _stream(seed, role, chunk, 0).bit_generator
+                q = (words.random_raw(hi)[lo:] >> np.uint64(62)).astype(int)
+                # q lies in [0, 4); "clip" writes out without a buffer
+                np.take(amp_x, q, out=ax, mode="clip")
+                np.take(amp_p, q, out=ap, mode="clip")
+                g = _stream(seed, role, chunk, 1).standard_normal((hi, 2))[lo:]
+            else:
+                g = _stream(seed, role, chunk, 1).standard_normal((hi, 4))[lo:]
+                np.multiply(s_mod, g[:, 0], out=ax)
+                np.multiply(s_mod, g[:, 1], out=ap)
+                g = g[:, 2:]
+            np.multiply(sigma, g[:, 0], out=bx)
+            np.multiply(sigma, g[:, 1], out=bp)
+            bx += sqrt_t * ax
+            bp += sqrt_t * ap
+    return tuple(out)
 
 
 def _gaussian_generator(seed) -> np.random.Generator:
-    """The gaussian block's own generator, keyed (seed, 3)."""
-    return np.random.Generator(np.random.Philox(key=(seed, 3)))
+    """The gaussian block's own generator, keyed (seed, 3).
+
+    The key is built as uint64 words: numpy would otherwise store a seed of
+    2**63 or more as a float64, and neighbouring seeds would share a key.
+    """
+    return np.random.Generator(np.random.Philox(
+        key=np.array((seed, 3), dtype=np.uint64)))
 
 
 def _gram(g: np.random.Generator, params: ProtocolParams) -> tuple:

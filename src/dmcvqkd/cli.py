@@ -214,6 +214,7 @@ _CHECKS = (
      f"must lie in [1, {WORKERS_MAX}], got {{!r}}"),
     ("trials", lambda v: v >= 1, "must be >= 1"),
     ("seed", lambda v: v >= 0, "must be a non-negative integer"),
+    ("seed", lambda v: v < 2**64, "must be below 2**64, got {!r}"),
     *((name, _or_unset(name, lambda v: 0 < v < 1),
        "must lie in (0, 1), got {!r}")
       for name in _EPS_FIELDS),
@@ -503,20 +504,23 @@ TRANSCRIPT_HEADER = ("seed", "n", "m", "k", "xi_nominal", "xi_actual",
                      "feasible", "exit_code")
 
 
-def _key_chunk_rounds(k_rep: int) -> int:
-    """Key rounds per chunk: as many whole repetition blocks as fit in
-    CHUNK_ROUNDS, and at least one.  A block of k_rep stream values spans
-    k_rep / gcd(k_rep, 2) modes."""
-    step = k_rep // math.gcd(k_rep, 2)
-    return max(step, CHUNK_ROUNDS // step * step)
+def _block_rounds(k_rep: int) -> int:
+    """Key rounds of the shortest run of whole repetition blocks: a block
+    of k_rep stream values spans k_rep / gcd(k_rep, 2) rounds."""
+    return k_rep // math.gcd(k_rep, 2)
 
 
 def _key_chunks(cfg: RunConfig) -> list:
-    """(start, stop) of the key-round chunks, each on a repetition-block
-    edge: 4n is a multiple of k_rep, so the last chunk ends on one too."""
-    size = _key_chunk_rounds(cfg.k_rep)
+    """(start, stop) of the key-round parts: each edge is the first
+    repetition-block edge at or after a CHUNK_ROUNDS edge, so a part draws
+    its random chunk whole and less than one block of the next.  4n is a
+    multiple of k_rep, so the last part ends on a block edge too."""
+    step = _block_rounds(cfg.k_rep)
     key_rounds = 2 * cfg.n
-    return [(a, min(a + size, key_rounds)) for a in range(0, key_rounds, size)]
+    edges = sorted({-(-a // step) * step
+                    for a in range(0, key_rounds, CHUNK_ROUNDS)}
+                   | {key_rounds})
+    return list(zip(edges, edges[1:]))
 
 
 def _memory_error(cfg: RunConfig, batch_csv: bool) -> ConfigError:
@@ -536,7 +540,9 @@ def _memory_error(cfg: RunConfig, batch_csv: bool) -> ConfigError:
              f"above the address-space limit (RLIMIT_AS) of "
              f"{limit / 2**30:.3g} GiB")
     blocks = 4 * cfg.n // cfg.k_rep
-    chunk = min(_key_chunk_rounds(cfg.k_rep), 2 * cfg.n)
+    # the longest part of _key_chunks, its first
+    step = _block_rounds(cfg.k_rep)
+    chunk = min(-(-CHUNK_ROUNDS // step) * step, 2 * cfg.n)
     fields, gaussian, size = "'n', 'k_test', 'k_rep'", "", 0
     if batch_csv:
         fields = "'n', 'k', 'k_test', 'k_rep'"
@@ -580,7 +586,7 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     # what the run holds, made before any other work so that a run too
     # large fails first: Bob's and Alice's bit of every repetition block,
     # the gaussian rows for batch.csv alone, and the first k_test <= 2m
-    # decoy rounds, the energy test's, each from its own Philox window
+    # decoy rounds, which the energy test reads
     blocks = 4 * cfg.n // cfg.k_rep
     bits_b = np.empty(blocks, dtype=np.uint8)
     bits_a = np.empty(blocks, dtype=np.uint8)

@@ -207,7 +207,9 @@ def toeplitz_hasher(seed, n_in: int, out_len: int):
     t_len = n_in + out_len - 1
     size = 1 << max(t_len - 1, 0).bit_length()
     if out_len > 0:
-        words = np.random.Philox(key=seed).random_raw((t_len + 63) // 64)
+        # uint64 words: a seed of 2**63 or more would become a float64
+        key = np.array(seed, dtype=np.uint64)
+        words = np.random.Philox(key=key).random_raw((t_len + 63) // 64)
         tbits = np.unpackbits(words.astype(">u8").view(np.uint8))[:t_len]
         t_spectrum = np.fft.rfft(tbits, size)
 

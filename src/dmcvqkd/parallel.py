@@ -2,13 +2,13 @@
 transform angles and the Monte Carlo row families.
 
 Each of these stages splits its work into parts whose random numbers
-depend only on the part (a round's 4 Philox words, an angle's word, a row
-family's own (seed, row) stream), and every part writes its own output
-slice or returns its own result.  The parts can therefore run on any
-number of threads: `run_parts` returns the results in part order, so the
-output is the same bits for every thread count.  numpy releases the GIL
-inside its generators and array loops, which is where the parts spend
-their time.
+depend only on the part (a chunk of rounds' own (seed, role, chunk)
+streams, an angle's word, a row family's own (seed, row) stream), and
+every part writes its own output slice or returns its own result.  The
+parts can therefore run on any number of threads: `run_parts` returns the
+results in part order, so the output is the same bits for every thread
+count.  numpy releases the GIL inside its generators and array loops,
+which is where the parts spend their time.
 """
 from __future__ import annotations
 

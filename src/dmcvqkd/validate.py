@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pe
-from .channel import gaussian_record_law, wishart2
+from .channel import _stream, gaussian_record_law, wishart2
 from .errors import ValidityRange
 from .modulation import honest_covariance
 from .parallel import run_parts
@@ -69,9 +69,9 @@ def _row(lemma: str, k: int, param: float, claimed: float, count: int,
 
 
 def _rng(seed, row: int) -> np.random.Generator:
-    """Row `row`'s stream; as a spawn key, no (seed, row) aliases another."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-        int(seed) & (2**64 - 1), spawn_key=(row,))))
+    """Row `row`'s stream, `channel._stream` with spawn key (row,); as a
+    spawn key, no (seed, row) aliases another."""
+    return _stream(seed, row)
 
 
 def _chunks(trials: int):

@@ -1,5 +1,6 @@
 """Protocol-round simulator: layout, statistics, determinism, round-trips."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -13,10 +14,9 @@ from dmcvqkd.channel import (
     ROLE_DECOY,
     ROLE_GAUSSIAN,
     ROLE_KEY,
-    WORDS_PER_ROUND,
     ProtocolParams,
     QuadratureBatch,
-    _round_uniforms,
+    _stream,
     apply_symmetrization,
     gaussian_gram,
     gaussian_rows,
@@ -34,7 +34,7 @@ from dmcvqkd.errors import (
 )
 from dmcvqkd.modulation import honest_covariance
 from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
-from dmcvqkd.rotations import OrthogonalTransform, _philox_uniforms
+from dmcvqkd.rotations import OrthogonalTransform
 from oracles import (
     box_muller_gaussian_totals,
     pe_statistics,
@@ -110,6 +110,97 @@ def test_round_records_of_an_empty_range_are_empty(params, start):
     assert len(records) == 4
     for values in records:
         assert values.dtype == np.float64 and values.shape == (0,)
+
+
+def test_a_round_does_not_depend_on_n_or_m():
+    # a round's record depends only on (seed, role, index in role): the
+    # first 20000 key rounds are the same for n = 10000 and n = 30000, and
+    # the first decoy rounds the same for any n and m
+    short, long_ = (replace(PARAMS, n=n, m=m)
+                    for n, m in ((10_000, 300), (30_000, 9000)))
+    for got, want in zip(round_records(short, 5, 0, 20_000),
+                         round_records(long_, 5, 0, 20_000)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(round_records(short, 5, 20_000, 20_600),
+                         round_records(long_, 5, 60_000, 60_600)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("edges", [
+    (0, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 20_000, 30_000),
+    (0, 1, 2, 2 * CHUNK_ROUNDS, 20_000, 20_001, 20_000 + CHUNK_ROUNDS,
+     30_000),
+    (3, 8191, 16385, 19999, 28193, 29999),
+], ids=["chunk-edges", "role-edges", "odd"])
+def test_every_split_of_a_range_gives_the_same_records(edges):
+    # 2n = 20000 key and 2m = 10000 decoy rounds: each part is drawn on its
+    # own, and the parts together are the records of the whole range
+    params = replace(PARAMS, n=10_000, m=5000)
+    whole = np.array(round_records(params, 9, edges[0], edges[-1]))
+    parts = np.concatenate([np.array(round_records(params, 9, a, b))
+                            for a, b in zip(edges, edges[1:])], axis=1)
+    assert whole.shape == (4, edges[-1] - edges[0])
+    assert whole.tobytes() == parts.tobytes()
+
+
+def test_round_records_refuse_rounds_outside_the_run():
+    for start, stop in ((-1, 3), (5, 4), (0, 1401), (1401, 1401)):
+        with pytest.raises(DomainError):
+            round_records(PARAMS, 1, start, stop)
+
+
+def test_streams_differ_by_seed_role_chunk_and_use():
+    # every (seed, role, chunk, stream) and every validate row (seed, row)
+    # starts a different sequence of words
+    keys = [(seed, role, chunk, use) for seed in (0, 1, 2**63, 2**64 - 1)
+            for role in (ROLE_KEY, ROLE_DECOY) for chunk in (0, 1, 2)
+            for use in (0, 1)]
+    keys += [(seed, row) for seed in (0, 1) for row in range(6)]
+    starts = {tuple(_stream(*key).bit_generator.random_raw(2)) for key in keys}
+    assert len(starts) == len(keys)
+    # neighbouring chunks of a role hold different normals
+    params = replace(PARAMS, n=CHUNK_ROUNDS, m=1)
+    bx = round_records(params, 3, 0, 2 * CHUNK_ROUNDS)[2]
+    assert not np.any(bx[:CHUNK_ROUNDS] == bx[CHUNK_ROUNDS:])
+
+
+def test_gaussian_block_keeps_seeds_near_2_to_the_64_apart():
+    # its Philox key (seed, 3) used to become a float64 array for a seed of
+    # 2**63 or more, so these seeds drew the same W
+    grams = {gaussian_gram(PARAMS, seed)
+             for seed in (2**63, 2**63 + 1024, 2**64 - 2, 2**64 - 1)}
+    assert len(grams) == 4
+
+
+def test_round_records_have_the_protocol_law():
+    # 2n = 120000 key rounds over 15 chunks and 2m = 60000 decoy rounds:
+    # quadrants uniform (chi-square test), Bob's noise (b - sqrt(T) a)/sigma
+    # with mean 0 and variance 1 within 5 SE, decoy Alice variance V_A/2
+    params = replace(PARAMS, n=60_000, m=30_000)
+    key, decoy = 2 * params.n, 2 * params.m
+    ax, ap, bx, bp = round_records(params, 2024, 0, key + decoy)
+    counts = np.bincount(quadrant_bits(ax[:key], ap[:key]), minlength=4)
+    assert stats.chisquare(counts).pvalue > 1e-3
+    sigma = math.sqrt((2.0 + params.T * params.xi) / 2.0)
+    rt = math.sqrt(params.T)
+    for a, b in ((ax, bx), (ap, bp)):
+        z = (b - rt * a) / sigma
+        assert abs(np.mean(z)) < 5 / math.sqrt(z.size)
+        # the variance of a unit normal's sample variance is 2/N
+        assert abs(np.var(z) - 1.0) < 5 * math.sqrt(2.0 / z.size)
+        alice = a[key:]
+        v = params.v_a / 2.0
+        assert abs(np.mean(alice * alice) - v) < 5 * v * math.sqrt(2.0 / decoy)
+
+
+def test_round_record_bytes_are_frozen():
+    # key rounds 8000-19999 cross the edge of the first two chunks, and
+    # decoy rounds 0-7999 follow; any change to the streams, their keys or
+    # the arithmetic changes these bytes
+    params = replace(PARAMS, n=10_000, m=5000)
+    records = np.array(round_records(params, 12345, 8000, 28_000))
+    assert hashlib.sha256(records.tobytes()).hexdigest() == \
+        "cd05afe03b8862e0b68ff9ed2543e0486267d8026e0e7c910ac18b874dd5a5c1"
 
 
 def test_counts_override():
@@ -372,27 +463,6 @@ def test_pe_statistics_do_not_need_the_symmetrization(xi_actual):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert verdict_drawn == verdict == verdict_after == (
         "pass" if xi_actual is None else "abort")
-
-
-@pytest.mark.parametrize("seed, start, count", [
-    (0, 0, 1), (12345, 0, CHUNK_ROUNDS), (12345, CHUNK_ROUNDS, 100),
-    (12345, 3 * CHUNK_ROUNDS + 17, 2 * CHUNK_ROUNDS - 5),
-    ((7, 1), 999, 4097), (2 ** 63, 5, 0),
-])
-def test_uniforms_match_the_uint64_conversion(seed, start, count):
-    # Generator.random gives the doubles of the plain uint64 formula, round
-    # r reads words [4r, 4r+4), and a round's uniforms do not depend on
-    # where its chunk starts
-    assert WORDS_PER_ROUND == 4
-    bg = np.random.Philox(key=seed)
-    raw = bg.random_raw((start + count) * 4)
-    want = (raw >> np.uint64(11)) * 2.0 ** -53
-    want = want.reshape(-1, 4)[start:]
-    got = _round_uniforms(seed, start, count)
-    assert got.dtype == want.dtype and got.shape == (count, 4)
-    assert got.tobytes() == want.tobytes()
-    assert _philox_uniforms(seed, raw.size).tobytes() == \
-        ((raw >> np.uint64(11)) * 2.0 ** -53).tobytes()
 
 
 def test_batch_shape_validation():

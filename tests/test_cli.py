@@ -626,14 +626,37 @@ def test_simulate_without_batch_csv_is_the_same_for_any_workers(tmp_path):
             (outs[1] / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("n, k_rep", [
+    (16384, 256), (12294, 24), (8193, 4), (8199, 3), (25000, 20000),
+    (15000, 60000), (3, 4),
+])
+def test_key_parts_start_on_the_first_block_edge_after_a_chunk_edge(n,
+                                                                   k_rep):
+    # the parts tile the 2n key rounds on repetition-block edges (a block
+    # spans k_rep / gcd(k_rep, 2) rounds); each chunk edge inside the key
+    # rounds is followed by a part edge less than a block later, and no
+    # part starts a block or more after its chunk's edge, so a part draws
+    # less than one block of a chunk that another part draws
+    step = k_rep // math.gcd(k_rep, 2)
+    parts = cli._key_chunks(config_from_dict({"n": n, "k_rep": k_rep}))
+    edges = [a for a, _ in parts] + [parts[-1][1]]
+    assert edges[0] == 0 and edges[-1] == 2 * n
+    assert [b for _, b in parts] == edges[1:]
+    assert all(a < b and a % step == 0 for a, b in parts)
+    for chunk_edge in range(CHUNK_ROUNDS, 2 * n, CHUNK_ROUNDS):
+        assert any(chunk_edge <= e < chunk_edge + step for e in edges)
+    assert all(a % CHUNK_ROUNDS < step for a, _ in parts)
+
+
 def test_streamed_key_blocks_are_the_same_for_any_workers_and_the_rows(
         tmp_path, monkeypatch):
     # k_rep = 24: a block spans 12 modes, which does not divide
-    # CHUNK_ROUNDS, so the 2n = 16392 key rounds stream in three chunks
-    # that end on block edges
-    config = dict(SIM_BASE, n=8196, k_rep=24)
+    # CHUNK_ROUNDS, so the 2n = 24588 key rounds stream in four parts whose
+    # edges are the first block edges at or after the chunk edges
+    config = dict(SIM_BASE, n=12294, k_rep=24)
     cfg = config_from_dict(config)
-    assert cli._key_chunks(cfg) == [(0, 8184), (8184, 16368), (16368, 16392)]
+    assert cli._key_chunks(cfg) == [(0, 8196), (8196, 16392), (16392, 24576),
+                                    (24576, 24588)]
     hashed = []
     real = cli.verify_hash
 
@@ -692,6 +715,50 @@ def test_batch_csv_is_the_same_for_any_blas_thread_count(tmp_path):
         assert proc.returncode == EXIT_NO_KEY, proc.stderr
     assert (outs[0] / "batch.csv").read_bytes() == \
         (outs[1] / "batch.csv").read_bytes()
+
+
+def test_simulate_does_not_depend_on_numpy_simd_kernels(tmp_path):
+    # numpy picks some float kernels (log1p, power, ...) by CPU feature at
+    # run time; with the AVX2 and AVX-512 groups disabled, every file of a
+    # --batch-csv run must be the same bytes.  numpy ignores a disabled
+    # feature that the CPU lacks, so this runs on any x86-64 machine.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "NPY_DISABLE_CPU_FEATURES"}
+    outs = []
+    for name, disabled in (
+            ("all", {}),
+            ("baseline", {"NPY_DISABLE_CPU_FEATURES":
+                          "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"})):
+        outs.append(tmp_path / name)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmcvqkd.cli", "simulate", "--batch-csv",
+             "--out", str(outs[-1])],
+            env={**env, **disabled, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == EXIT_NO_KEY, proc.stderr
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(SIM_FILES)
+    for name in names:
+        assert (outs[0] / name).read_bytes() == \
+            (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate-bounds"])
+def test_a_seed_of_2_to_the_64_is_refused_by_name(command, tmp_path,
+                                                   capsys):
+    # a seed is 64 bits: 2**64 used to overflow in simulate and to give
+    # validate-bounds the streams of seed 0
+    out = tmp_path / "out"
+    assert cli.main([command, "--seed", str(2**64), "--out",
+                     str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: config field 'seed': must be below 2**64, got "
+        "18446744073709551616\n")
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="'seed': must be below 2"):
+        config_from_dict({"seed": 2**70})
+    assert config_from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1
 
 
 def test_export_import_round_trip(tmp_path):

@@ -141,6 +141,16 @@ def test_universal_hash_deterministic_and_seed_sensitive():
     assert not np.array_equal(h1, h3)
 
 
+def test_universal_hash_keeps_seeds_near_2_to_the_64_apart():
+    # a seed of 2**63 or more used to reach Philox as a float64, so 2**64 - 1
+    # and 2**64 - 2 hashed with the same Toeplitz matrix
+    bits = np.random.default_rng(21).integers(0, 2, size=4096).astype(
+        np.uint8)
+    hashes = [universal_hash(bits, (seed, 4), 64).tobytes()
+              for seed in (2**64 - 1, 2**64 - 2, 2**63, 2**63 + 1024)]
+    assert len(set(hashes)) == 4
+
+
 def test_universal_hash_is_gf2_linear():
     # Toeplitz hashing is linear over GF(2): H(a xor b) = H(a) xor H(b)
     rng = np.random.default_rng(21)

@@ -71,8 +71,8 @@ def versions() -> dict:
 
 
 def simd() -> list:
-    # numpy picks its log1p and power kernels by CPU feature at run time,
-    # and without AVX-512 some results differ in the last bit; recorded,
+    # numpy picks its power kernel by CPU feature at run time, and without
+    # AVX-512 keyrate-benign-alpha0.59 differs in the last bit; recorded,
     # not gated on, so that a mismatch names the CPU it came from
     return np.show_config(mode="dicts")["SIMD Extensions"]["found"]
 
