@@ -42,20 +42,20 @@ written from the same two generators, a chunk of rounds at a time, with
 the gaussian rows of `gaussian_rows`; `simulate_rounds` joins them into
 one batch.
 
-Randomness: each role's key or decoy rounds are cut into chunks of
-CHUNK_ROUNDS, counted from the role's first round, and chunk c of role r
-draws from its own SFC64 streams, seeded by SeedSequence(seed) with spawn
-key (r, c, i) (`_stream`).  Stream i = 0 gives each key round's quadrant,
-the top two bits of one raw word; stream i = 1 gives the standard normals,
-round by round, from numpy's ziggurat sampler (Marsaglia & Tsang, J. Stat.
-Softw. 5(8), 2000), two per key round and four per decoy round.  A round's
-record therefore depends only on (seed, role, index in role), never on n,
-m, the range asked for or the thread count, and the first rounds of a
-chunk are the same draws whichever part of it is asked for.  The normals
-use only IEEE arithmetic and libm's exp/log in the ziggurat's rare
-branches, no vectorized transcendental kernel, so the records are the same
-bits whichever SIMD extensions numpy uses.  The gaussian block draws from
-its own Philox generator keyed (seed, 3).
+Randomness (spawn keys as in `parallel.stream`'s table): each role's key
+or decoy rounds are cut into chunks of CHUNK_ROUNDS, counted from the
+role's first round, and chunk c of role r draws from its own streams
+(r, c, i).  Stream i = 0 gives each key round's quadrant, the top two bits
+of one raw word; stream i = 1 gives the standard normals, round by round,
+from numpy's ziggurat sampler (Marsaglia & Tsang, J. Stat. Softw. 5(8),
+2000), two per key round and four per decoy round.  A round's record
+therefore depends only on (seed, role, index in role), never on n, m, the
+range asked for or the thread count, and the first rounds of a chunk are
+the same draws whichever part of it is asked for.  The normals use only
+IEEE arithmetic and libm's exp/log in the ziggurat's rare branches, no
+vectorized transcendental kernel, so the records are the same bits
+whichever SIMD extensions numpy uses.  The gaussian block draws from the
+stream (ROLE_GAUSSIAN,).
 """
 from __future__ import annotations
 
@@ -72,7 +72,8 @@ from .errors import (
     EmptySelection,
     InsufficientRounds,
 )
-from .modulation import CONSTELLATION_PHASES, honest_covariance
+from .modulation import CONSTELLATION_PHASES, record_covariance
+from .parallel import stream
 from .rotations import OrthogonalTransform
 
 ROLE_KEY = 0
@@ -176,26 +177,16 @@ class PESplit(NamedTuple):
     y2: np.ndarray
 
 
-def _stream(seed, *key) -> np.random.Generator:
-    """The SFC64 stream of `seed` and spawn key `key`; as spawn keys, no
-    two keys of one seed alias."""
-    return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed, spawn_key=key)))
-
-
 def gaussian_record_law(alpha: float, T: float, xi: float) -> tuple:
     """(sx, sy, r): the law of a gaussian round's entry pair (X_i, (S Y)_i).
 
     The x plane has covariance [[va, c], [c, vb]] and the p plane
-    [[va, -c], [-c, vb]], with va = (V + 1)/2, vb = (Sigma_b + 1)/2 and
-    c = Z_bar/2 from the honest covariance (V, Sigma_b, Z_bar); S negates
+    [[va, -c], [-c, vb]], with (va, vb, c) = `record_covariance`; S negates
     the p entries of Bob's records, so every pair has standard deviations
     sx = sqrt(va), sy = sqrt(vb) and correlation r = c/(sx sy).
     """
-    v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
-    va2 = (v + 1.0) / 2.0
-    vb2 = (sigma_b + 1.0) / 2.0
-    return math.sqrt(va2), math.sqrt(vb2), z_bar / 2.0 / math.sqrt(va2 * vb2)
+    va, vb, c = record_covariance(alpha, T, xi)
+    return math.sqrt(va), math.sqrt(vb), c / math.sqrt(va * vb)
 
 
 def wishart2(g: np.random.Generator, dof: int, size, sx: float, sy: float,
@@ -257,14 +248,14 @@ def round_records(params: ProtocolParams, seed, start: int,
             ax, ap, bx, bp = out[:, first + edge + lo - start:
                                  first + edge + hi - start]
             if role == ROLE_KEY:
-                words = _stream(seed, role, chunk, 0).bit_generator
+                words = stream(seed, role, chunk, 0).bit_generator
                 q = (words.random_raw(hi)[lo:] >> np.uint64(62)).astype(int)
                 # q lies in [0, 4); "clip" writes out without a buffer
                 np.take(amp_x, q, out=ax, mode="clip")
                 np.take(amp_p, q, out=ap, mode="clip")
-                g = _stream(seed, role, chunk, 1).standard_normal((hi, 2))[lo:]
+                g = stream(seed, role, chunk, 1).standard_normal((hi, 2))[lo:]
             else:
-                g = _stream(seed, role, chunk, 1).standard_normal((hi, 4))[lo:]
+                g = stream(seed, role, chunk, 1).standard_normal((hi, 4))[lo:]
                 np.multiply(s_mod, g[:, 0], out=ax)
                 np.multiply(s_mod, g[:, 1], out=ap)
                 g = g[:, 2:]
@@ -273,16 +264,6 @@ def round_records(params: ProtocolParams, seed, start: int,
             bx += sqrt_t * ax
             bp += sqrt_t * ap
     return tuple(out)
-
-
-def _gaussian_generator(seed) -> np.random.Generator:
-    """The gaussian block's own generator, keyed (seed, 3).
-
-    The key is built as uint64 words: numpy would otherwise store a seed of
-    2**63 or more as a float64, and neighbouring seeds would share a key.
-    """
-    return np.random.Generator(np.random.Philox(
-        key=np.array((seed, 3), dtype=np.uint64)))
 
 
 def _gram(g: np.random.Generator, params: ProtocolParams) -> tuple:
@@ -298,7 +279,7 @@ def gaussian_gram(params: ProtocolParams, seed) -> tuple:
     """W of the run's gaussian modes, drawn without their rows: the W of
     `gaussian_rows(params, seed)`, which comes first from the gaussian
     block's generator."""
-    return _gram(_gaussian_generator(seed), params)
+    return _gram(stream(seed, ROLE_GAUSSIAN), params)
 
 
 def gaussian_rows(params: ProtocolParams, seed) -> tuple:
@@ -308,7 +289,7 @@ def gaussian_rows(params: ProtocolParams, seed) -> tuple:
     Gram-Schmidt frame of two standard normal 4k-vectors, uniform on the
     orthonormal frames, and R = [[r11, r12], [0, r22]] with R^T R = W.
     """
-    g = _gaussian_generator(seed)
+    g = stream(seed, ROLE_GAUSSIAN)
     gram = _gram(g, params)
     if params.k == 0:
         return gram, tuple(np.empty(0) for _ in RECORD_NAMES)

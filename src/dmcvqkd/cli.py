@@ -623,7 +623,7 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     block_errors = int(np.count_nonzero(bits_a != bits_b))
     disclosed = blocks * (cfg.k_rep - 1)
     verified = verify_hash(bits_a, bits_b, budget.eps_cor,
-                           seed=(cfg.seed, 2))
+                           seed=(cfg.seed, 6))
     leak_ec = float(disclosed + hash_length(budget.eps_cor))
 
     # energy test on the first k_test decoy modes; Alice's record is the
@@ -639,7 +639,7 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
 
     success = (region.passed and verified and energy_ok and report.feasible)
     if success:
-        key_bits = universal_hash(bits_b, (cfg.seed, 4), int(report.l))
+        key_bits = universal_hash(bits_b, (cfg.seed, 8), int(report.l))
     else:
         key_bits = np.zeros(0, dtype=np.uint8)
     code = EXIT_OK if success else EXIT_NO_KEY

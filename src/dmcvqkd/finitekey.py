@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, LengthError, PrecisionLoss
 from .gaussian import holevo_f
+from .parallel import stream
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,9 @@ def key_length(
 def universal_hash(bits, seed, out_len: int) -> np.ndarray:
     """Two-universal (Toeplitz-family) hash of a bit string.
 
-    The Toeplitz diagonal is filled from a counter-based generator keyed by
-    `seed` (big-endian bit expansion of the 64-bit words, so output is
-    platform-independent).  Returns `out_len` bits as a uint8 array.
+    The Toeplitz diagonal is the big-endian bits of the raw words of
+    `parallel.stream(seed)`, so the output is platform-independent; `seed`
+    may be a key (seed, *s).  Returns `out_len` bits as a uint8 array.
     """
     x = np.asarray(bits, dtype=np.uint8)
     if x.ndim != 1:
@@ -207,9 +208,7 @@ def toeplitz_hasher(seed, n_in: int, out_len: int):
     t_len = n_in + out_len - 1
     size = 1 << max(t_len - 1, 0).bit_length()
     if out_len > 0:
-        # uint64 words: a seed of 2**63 or more would become a float64
-        key = np.array(seed, dtype=np.uint64)
-        words = np.random.Philox(key=key).random_raw((t_len + 63) // 64)
+        words = stream(seed).bit_generator.random_raw((t_len + 63) // 64)
         tbits = np.unpackbits(words.astype(">u8").view(np.uint8))[:t_len]
         t_spectrum = np.fft.rfft(tbits, size)
 

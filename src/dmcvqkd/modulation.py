@@ -79,3 +79,11 @@ def honest_covariance(alpha: float, T: float, xi: float) -> tuple:
     v_a = 2.0 * alpha * alpha
     return (v_a + 1.0, T * v_a + 1.0 + T * xi,
             math.sqrt(T) * v_a * lambda_ratio_sum_at(alpha))
+
+
+def record_covariance(alpha: float, T: float, xi: float) -> tuple:
+    """(va, vb, c) = ((V + 1)/2, (Sigma_b + 1)/2, Z_bar/2) of
+    `honest_covariance`: the per-entry variances of Alice's and Bob's
+    records of a gaussian mode, and their covariance in the x plane."""
+    v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
+    return (v + 1.0) / 2.0, (sigma_b + 1.0) / 2.0, z_bar / 2.0

@@ -1,10 +1,24 @@
-"""Threads for the seed-keyed stages: simulated key and decoy rounds,
-transform angles and the Monte Carlo row families.
+"""Seeded streams and threads for the seed-keyed stages.
 
-Each of these stages splits its work into parts whose random numbers
-depend only on the part (a chunk of rounds' own (seed, role, chunk)
-streams, an angle's word, a row family's own (seed, row) stream), and
-every part writes its own output slice or returns its own result.  The
+Every seeded draw in the package is `stream(seed, *spawn_key)`: SFC64 on
+SeedSequence(seed, spawn_key), which keeps every seed in [0, 2^64) and
+every spawn key apart.  No two draws share a spawn key:
+
+    (0, c, i)  key-round chunk c: i = 0 quadrants, 1 normals (channel)
+    (1, c, 1)  decoy-round chunk c: normals (channel)
+    (2,)       the gaussian block: W, then the rows' frame (channel)
+    (6,)       the error-correction verification hash (cli)
+    (8,)       the privacy-amplification hash (cli)
+    (r,)       validate's row family r, r in {0, 3, 4, 5, 7}
+    (*s, c)    angle chunk c of the transform keyed (seed, *s) (rotations);
+               the benchmark's pe-trials workload passes (seed, 1)
+
+A key (seed, *s), passed wherever a seed is taken, is that seed with s in
+front of the spawn key.
+
+Each seed-keyed stage (key and decoy rounds, transform angles, the Monte
+Carlo row families) splits its work into parts that draw from their own
+streams and write their own output slice or return their own result.  The
 parts can therefore run on any number of threads: `run_parts` returns the
 results in part order, so the output is the same bits for every thread
 count.  numpy releases the GIL inside its generators and array loops,
@@ -16,6 +30,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
+import numpy as np
+
 from .errors import ConfigError
 
 #: pool size -> executor, kept for the life of the process: a call starts
@@ -24,6 +40,15 @@ from .errors import ConfigError
 _EXECUTORS = {}
 # a forked child has none of its parent's threads
 os.register_at_fork(after_in_child=_EXECUTORS.clear)
+
+
+def stream(seed, *spawn_key) -> np.random.Generator:
+    """The SFC64 stream of `seed` and `spawn_key` (the table above); a
+    key (seed, *s) is seed with s put in front of `spawn_key`."""
+    if isinstance(seed, tuple):
+        seed, spawn_key = seed[0], seed[1:] + spawn_key
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 def thread_count(workers=None) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     RegimeError,
     ValidityRange,
 )
-from .modulation import honest_covariance, lambda_ratio_sum_at
+from .modulation import lambda_ratio_sum_at, record_covariance
 
 class InnerProductBounds(NamedTuple):
     """Split inner-product bounds: two-sided interval and one-sided floor."""
@@ -307,20 +307,17 @@ def calibrate_deltas(
     budget = epsilon_rob / 6.0
     infl, dc = _estimator_terms(k, epsilon_pe)
 
-    v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
+    # per-entry variances and covariance of the honest records
+    va2, vb2, rho = record_covariance(alpha, T, xi)
 
     dof = 4 * k
     q_hi = chdtri(dof, budget)  # upper-tail quantile of chi2(dof)
     # abort_a: gamma_a > v + delta_a; gamma_a = infl*(v+1)*U/dof - 1 with
-    # U ~ chi2(dof), so invert the quantile of U.
-    delta_a = infl * (v + 1.0) * q_hi / dof - (v + 1.0)
-    delta_b = infl * (sigma_b + 1.0) * q_hi / dof - (sigma_b + 1.0)
+    # U ~ chi2(dof), so invert the quantile of U.  2*va2 is v + 1 exactly.
+    delta_a = infl * (2.0 * va2) * q_hi / dof - 2.0 * va2
+    delta_b = infl * (2.0 * vb2) * q_hi / dof - 2.0 * vb2
 
-    # c branch: gamma_c = S/(2k) - dc * (Na + Nb); per-entry moments
-    # var_a = (v+1)/2, var_b = (sigma_b+1)/2, cross rho = z_bar/2.
-    va2 = (v + 1.0) / 2.0
-    vb2 = (sigma_b + 1.0) / 2.0
-    rho = z_bar / 2.0
+    # c branch: gamma_c = S/(2k) - dc * (Na + Nb)
     n_ent = float(dof)
     var_s = n_ent * (va2 * vb2 + rho * rho)
     var_na = n_ent * 2.0 * va2 * va2

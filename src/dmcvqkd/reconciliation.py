@@ -189,12 +189,13 @@ def repetition_bits(x, y, k_rep: int) -> tuple:
     return bits_b.view(np.uint8), bits_a.view(np.uint8)
 
 
-def verify_hash(string_a, string_b, eps_cor: float, seed=0) -> bool:
+def verify_hash(string_a, string_b, eps_cor: float, seed) -> bool:
     """Compare two-universal hashes of both strings.
 
-    Equal strings pass for every seed; unequal strings pass with
-    probability at most eps_cor over uniformly chosen seeds (hash length
-    ceil(log2(1/eps_cor))).
+    The hash is `finitekey.toeplitz_hasher(seed, ...)`, `seed` a seed or a
+    key (seed, *s).  Equal strings pass for every seed; unequal strings
+    pass with probability at most eps_cor over uniformly chosen seeds (hash
+    length ceil(log2(1/eps_cor))).
     """
     a = np.asarray(string_a, dtype=np.uint8)
     b = np.asarray(string_b, dtype=np.uint8)

@@ -6,11 +6,11 @@ the index space is padded virtually to the next power of two and rotations
 touching a padded slot are dropped, which keeps the map exactly orthogonal
 on the real d coordinates.
 
-Angles are drawn from a counter-based generator keyed by the seed, one
-64-bit word per kept pair, in layer-major / index-minor order, so a
-transform is reproducible from (dim, seed) alone.  Word w of that stream
-does not depend on where a reader starts, so the angles are built in
-parts on several threads with the same bits.
+Angles are listed one per kept pair, in layer-major / index-minor order,
+and drawn in chunks of _ANGLE_CHUNK: chunk c of the transform keyed `seed`
+draws its uniforms from `parallel.stream(seed, c)`.  A transform is
+therefore reproducible from (dim, seed) alone, and the chunks are built on
+any number of threads with the same bits.
 
 A layer with stride s = 2^l is applied on reshaped views of the vector:
 the first 2s * (d // 2s) entries, viewed as (blocks, 2, s), pair row 0 of
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .parallel import run_parts, thread_count
+from .parallel import run_parts, stream
 
 
 def kernel_name() -> str:
@@ -38,25 +38,18 @@ def kernel_name() -> str:
     return "numpy"
 
 
-def _philox_uniforms(seed, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms in [0, 1) from words [start, start+count) of a Philox stream.
-
-    The stream is keyed by `seed`; `start` must be a multiple of 4, the
-    words of one Philox block.  Generator.random turns each 64-bit word
-    into (word >> 11) * 2^-53.
-    """
-    bg = np.random.Philox(key=seed)
-    # advance() steps the 128-bit counter, 4 output words per step
-    bg.advance(start // 4)
-    return np.random.Generator(bg).random(count)
+#: angles per chunk; each chunk has its own stream, so changing it changes
+#: every transform.  It does not depend on the worker count.
+_ANGLE_CHUNK = 8192
 
 
-def _angles(seed, start: int, stop: int, cos: np.ndarray,
-            sin: np.ndarray) -> None:
-    """cos and sin of the angles of words [start, stop), written in place."""
-    theta = (2.0 * math.pi) * _philox_uniforms(seed, stop - start, start)
-    np.cos(theta, out=cos[start:stop])
-    np.sin(theta, out=sin[start:stop])
+def _angles(seed, chunk: int, cos: np.ndarray, sin: np.ndarray) -> None:
+    """cos and sin of chunk `chunk`'s angles, written in place."""
+    part = slice(chunk * _ANGLE_CHUNK, (chunk + 1) * _ANGLE_CHUNK)
+    cos, sin = cos[part], sin[part]
+    theta = (2.0 * math.pi) * stream(seed, chunk).random(cos.size)
+    np.cos(theta, out=cos)
+    np.sin(theta, out=sin)
 
 
 #: strides up to this one are rotated in column-major order (`_Layer.rotate`)
@@ -128,8 +121,9 @@ class OrthogonalTransform:
     def random(cls, dim: int, seed, workers=None) -> "OrthogonalTransform":
         """The transform of (dim, seed); `workers` threads build the angles.
 
-        None means every usable core; the result is the same for any
-        count.  The layers hold views of one cos and one sin array.
+        `seed` may be a key (seed, *s); workers=None means every usable
+        core, and the result is the same for any count.  The layers hold
+        views of one cos and one sin array.
         """
         if dim < 1:
             raise DomainError(f"dim must be >= 1, got {dim!r}")
@@ -140,10 +134,9 @@ class OrthogonalTransform:
             counts.append(blocks * stride + tail)
         total = sum(counts)
         cos, sin = np.empty(total), np.empty(total)
-        # one contiguous part per thread, each starting on a Philox block
-        size = 4 * max(1, -(-total // (4 * thread_count(workers))))
-        run_parts(_angles, [(seed, a, min(a + size, total), cos, sin)
-                            for a in range(0, total, size)], workers)
+        chunks = -(-total // _ANGLE_CHUNK)
+        run_parts(_angles, [(seed, c, cos, sin) for c in range(chunks)],
+                  workers)
         layers = []
         pos = 0
         for stride, count in zip(strides, counts):

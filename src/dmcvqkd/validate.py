@@ -20,7 +20,7 @@ standard errors.  Sampling models:
   the pe-theorem row draws the honest channel's whole-vector W with the
   entry law `simulate` uses (`channel.gaussian_record_law`).
 
-Each row family draws from one SFC64 stream keyed by (seed, row index),
+Each row family draws from one stream, `parallel.stream(seed, row)`,
 in chunks of `_CHUNK` trials taken from it in order; the three lemma1 rows
 count their thresholds on the same chi-square draws.  `run_all` runs the
 families on several threads, each family whole on one thread, so no stream
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pe
-from .channel import _stream, gaussian_record_law, wishart2
+from .channel import gaussian_record_law, wishart2
 from .errors import ValidityRange
 from .modulation import honest_covariance
-from .parallel import run_parts
+from .parallel import run_parts, stream
 
 _CHUNK = 4096
 
@@ -68,12 +68,6 @@ def _row(lemma: str, k: int, param: float, claimed: float, count: int,
     return BoundRow(lemma, k, param, claimed, observed, trials, verdict)
 
 
-def _rng(seed, row: int) -> np.random.Generator:
-    """Row `row`'s stream, `channel._stream` with spawn key (row,); as a
-    spawn key, no (seed, row) aliases another."""
-    return _stream(seed, row)
-
-
 def _chunks(trials: int):
     for done in range(0, trials, _CHUNK):
         yield min(_CHUNK, trials - done)
@@ -83,7 +77,7 @@ def lemma1_violations(seed, row: int, k: int, xs, trials: int) -> list:
     """Chi-square(k) upper/lower tail violation counts, one pair per x."""
     thresholds = [pe.chi2_tail_thresholds(k, x) for x in xs]
     counts = [[0, 0] for _ in xs]
-    g = _rng(seed, row)
+    g = stream(seed, row)
     for size in _chunks(trials):
         dev = g.chisquare(k, size) - k
         for c, (up_thr, lo_thr) in zip(counts, thresholds):
@@ -102,7 +96,7 @@ def lemma2_violations(seed, row: int, k: int, epsilon: float,
     norm_x2 = 2.0 * 2.0 * k  # a fixed reference norm (value irrelevant)
     lower, upper = pe.projection_bounds(norm_x2, k, epsilon)
     bad = 0
-    g = _rng(seed, row)
+    g = stream(seed, row)
     for size in _chunks(trials):
         u = g.chisquare(2 * k, size)
         v = g.chisquare(2 * k, size)
@@ -118,7 +112,7 @@ def lemma3_violations(seed, row: int, k: int, x: float, trials: int,
     Vectors hold 2k modes (4k entries); halves are k modes each.
     """
     two = one = 0
-    g = _rng(seed, row)
+    g = stream(seed, row)
     for size in _chunks(trials):
         nx1, ny1, ip1 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
         nx2, ny2, ip2 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
@@ -132,7 +126,7 @@ def lemma4_violations(seed, row: int, k: int, epsilon: float, trials: int,
                       r: float = 0.6) -> tuple:
     """(upper, lower, ip) violation counts for the cross-half bounds."""
     up = lo = ipv = 0
-    g = _rng(seed, row)
+    g = stream(seed, row)
     for size in _chunks(trials):
         nx1, ny1, ip1 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
         nx2, _, ip2 = wishart2(g, 2 * k, size, 1.0, 1.0, r)
@@ -156,7 +150,7 @@ def pe_theorem_violations(seed, row: int, k: int, eps_pe: float,
     v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
     sx, sy, r = gaussian_record_law(alpha, T, xi)
     bad = 0
-    g = _rng(seed, row)
+    g = stream(seed, row)
     for size in _chunks(trials):
         nx, ny, ip = wishart2(g, 4 * k, size, sx, sy, r)
         g_a, g_b, g_c = pe.gamma_estimates(nx, ny, ip, k, eps_pe)

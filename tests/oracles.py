@@ -352,8 +352,11 @@ def export_batch_rows(batch, path) -> None:
 
 def toeplitz_bits(seed, length: int) -> np.ndarray:
     """The Toeplitz diagonal of `finitekey.universal_hash`: the big-endian
-    bits of Philox words keyed by `seed`."""
-    words = np.random.Philox(key=seed).random_raw((length + 63) // 64)
+    bits of the raw words of SFC64 on SeedSequence(seed, spawn_key=s), for
+    a key (seed, *s) or a plain seed (no s)."""
+    seed, spawn = (seed[0], seed[1:]) if isinstance(seed, tuple) else (seed, ())
+    words = np.random.SFC64(np.random.SeedSequence(
+        seed, spawn_key=spawn)).random_raw((length + 63) // 64)
     return np.unpackbits(words.astype(">u8").view(np.uint8))[:length]
 
 

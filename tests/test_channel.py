@@ -1,6 +1,7 @@
 """Protocol-round simulator: layout, statistics, determinism, round-trips."""
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from dmcvqkd.channel import (
     ROLE_KEY,
     ProtocolParams,
     QuadratureBatch,
-    _stream,
     apply_symmetrization,
     gaussian_gram,
     gaussian_rows,
@@ -33,6 +33,7 @@ from dmcvqkd.errors import (
     InsufficientRounds,
 )
 from dmcvqkd.modulation import honest_covariance
+from dmcvqkd.parallel import stream
 from dmcvqkd.pe import calibrate_deltas, gamma_estimates, pe_decision
 from dmcvqkd.rotations import OrthogonalTransform
 from oracles import (
@@ -149,24 +150,66 @@ def test_round_records_refuse_rounds_outside_the_run():
             round_records(PARAMS, 1, start, stop)
 
 
+#: every spawn key a run draws from (the table of `parallel.stream`): key
+#: and decoy chunks, the gaussian block, the verification and
+#: privacy-amplification hashes, the chunks of a transform keyed (seed, 1)
+#: and the validate row families
+SPAWN_KEYS = (
+    [(role, chunk, use) for role in (ROLE_KEY, ROLE_DECOY)
+     for chunk in (0, 1, 2) for use in (0, 1)]
+    + [(ROLE_GAUSSIAN,), (6,), (8,)]
+    + [(1, chunk) for chunk in (0, 1, 2)]
+    + [(row,) for row in (0, 3, 4, 5, 7)]
+)
+
+
 def test_streams_differ_by_seed_role_chunk_and_use():
-    # every (seed, role, chunk, stream) and every validate row (seed, row)
-    # starts a different sequence of words
-    keys = [(seed, role, chunk, use) for seed in (0, 1, 2**63, 2**64 - 1)
-            for role in (ROLE_KEY, ROLE_DECOY) for chunk in (0, 1, 2)
-            for use in (0, 1)]
-    keys += [(seed, row) for seed in (0, 1) for row in range(6)]
-    starts = {tuple(_stream(*key).bit_generator.random_raw(2)) for key in keys}
+    # every spawn key of the package, at seeds from both ends of
+    # [0, 2^64), starts a different sequence of words
+    assert len(set(SPAWN_KEYS)) == len(SPAWN_KEYS)
+    keys = [(seed, *spawn) for seed in (0, 1, 2**63, 2**64 - 1)
+            for spawn in SPAWN_KEYS]
+    starts = {tuple(stream(*key).bit_generator.random_raw(2)) for key in keys}
     assert len(starts) == len(keys)
+    # a key given as a tuple (seed, *s) puts s in front of the spawn key
+    assert stream((5, 1), 2).random(3).tobytes() == \
+        stream(5, 1, 2).random(3).tobytes()
     # neighbouring chunks of a role hold different normals
     params = replace(PARAMS, n=CHUNK_ROUNDS, m=1)
     bx = round_records(params, 3, 0, 2 * CHUNK_ROUNDS)[2]
     assert not np.any(bx[:CHUNK_ROUNDS] == bx[CHUNK_ROUNDS:])
 
 
+def test_a_simulate_run_draws_only_the_listed_spawn_keys(tmp_path,
+                                                        monkeypatch):
+    # a run whose key and decoy rounds span two chunks each, with
+    # batch.csv, and a transform of two angle chunks keyed (seed, 1)
+    drawn = []
+    seed_sequence = np.random.SeedSequence
+
+    def recorded(seed, spawn_key=()):
+        drawn.append((seed, tuple(spawn_key)))
+        return seed_sequence(seed, spawn_key=spawn_key)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recorded)
+    cfg = {"n": CHUNK_ROUNDS, "m": CHUNK_ROUNDS, "k": 500,
+           "k_test": 2 * CHUNK_ROUNDS, "seed": 77}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--batch-csv", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_NO_KEY
+    OrthogonalTransform.random(2000, (77, 1))
+    assert {seed for seed, _ in drawn} == {77}
+    used = {spawn for _, spawn in drawn}
+    want = {(ROLE_KEY, chunk, use) for chunk in (0, 1) for use in (0, 1)}
+    want |= {(ROLE_DECOY, 0, 1), (ROLE_DECOY, 1, 1), (ROLE_GAUSSIAN,), (6,),
+             (1, 0), (1, 1)}
+    assert used == want
+    assert used <= set(SPAWN_KEYS)
+
+
 def test_gaussian_block_keeps_seeds_near_2_to_the_64_apart():
-    # its Philox key (seed, 3) used to become a float64 array for a seed of
-    # 2**63 or more, so these seeds drew the same W
+    # as float64 keys these seeds would collide in pairs and draw the same W
     grams = {gaussian_gram(PARAMS, seed)
              for seed in (2**63, 2**63 + 1024, 2**64 - 2, 2**64 - 1)}
     assert len(grams) == 4

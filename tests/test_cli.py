@@ -1020,7 +1020,7 @@ def test_simulate_success_branch_writes_the_hashed_key(tmp_path,
         interleave(batch.bob_x[key], batch.bob_p[key]), cfg.k_rep)
     bits_b = (y_hard < 0).astype(np.uint8)
     assert bits_b.size == 4 * cfg.n // cfg.k_rep == 256
-    want = toeplitz_hash_direct(bits_b, (cfg.seed, 4), 200)
+    want = toeplitz_hash_direct(bits_b, (cfg.seed, 8), 200)
     _, key_rows = read_csv(tmp_path / "key.csv")
     assert [int(bit) for bit, in key_rows] == want.tolist()
 

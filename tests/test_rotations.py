@@ -1,6 +1,7 @@
 """Seeded layered pair rotations: orthogonality, determinism, bit identity."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -132,19 +133,19 @@ def test_transform_bytes_are_frozen():
     rot = OrthogonalTransform.random(40000, (1, 1))
     v = np.random.default_rng(2024).normal(size=40000)
     assert _sha256(rot.apply(v)) == \
-        "e01339bfe56e6d54c6d3835303cb78c50c20f9ff71f1a92865aa73b345c93499"
+        "64246d0e321bdeab0077b488de9aa74c83b98eb781c666b9d20564ad24304736"
     assert _sha256(rot.apply_conjugate(v)) == \
-        "a175af5336e57493d1afadd0ce103eb64eabd44315aa50f04fb3bf68ca2ea6eb"
+        "ef3ce8ff2b9991b0f0493c2679238f9bd0b358a8bcf77417a7a6e87bcffea943"
 
 
 # (dim, seed) -> sha256 of apply(v) and apply_conjugate(v), v as above;
-# 40000 holds 298432 angles and 40001 holds 298437, so their angle words
-# split unevenly over 2 and 3 threads
+# 40000 holds 298432 angles and 40001 holds 298437, 37 chunks each, so
+# their chunks split unevenly over 2 and 3 threads
 TRANSFORM_PINS = {
-    40000: ("e01339bfe56e6d54c6d3835303cb78c50c20f9ff71f1a92865aa73b345c93499",
-            "a175af5336e57493d1afadd0ce103eb64eabd44315aa50f04fb3bf68ca2ea6eb"),
-    40001: ("4999c8f09f46d78559905cbf788995a24f0f3acc60cadf2205ba4705eb8668b2",
-            "40991c3ab96f9f24f2d7a44d96d4d4421bbe506da9b88d625b7c3bc03bb3187a"),
+    40000: ("64246d0e321bdeab0077b488de9aa74c83b98eb781c666b9d20564ad24304736",
+            "ef3ce8ff2b9991b0f0493c2679238f9bd0b358a8bcf77417a7a6e87bcffea943"),
+    40001: ("b43189abd5a9784bf6d02c352a798fe45b95eea6e1333ca0f30decc8ccda2041",
+            "5473b6a73d9dbe74eb4b69a5eb39115073a563a1bbfe46cff2e25587e0f22527"),
 }
 
 
@@ -152,8 +153,9 @@ TRANSFORM_PINS = {
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_transform_bytes_do_not_depend_on_workers(dim, workers):
     rot = OrthogonalTransform.random(dim, (1, 1), workers=workers)
-    assert sum(lay.cos.size for lay in rot.layers) % 8 == \
-        {40000: 0, 40001: 5}[dim]
+    # 36 whole chunks of 8192 angles and a partial one
+    assert sum(lay.cos.size for lay in rot.layers) - 36 * 8192 == \
+        {40000: 3520, 40001: 3525}[dim]
     v = np.random.default_rng(2024).normal(size=dim)
     assert (_sha256(rot.apply(v)), _sha256(rot.apply_conjugate(v))) == \
         TRANSFORM_PINS[dim]
@@ -161,14 +163,43 @@ def test_transform_bytes_do_not_depend_on_workers(dim, workers):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
 def test_small_transforms_do_not_depend_on_workers(dim):
-    # fewer angle words than threads: the parts start on Philox blocks of
-    # 4 words, so some threads get none
+    # one angle chunk, fewer than the threads: some threads get none
     one = OrthogonalTransform.random(dim, 8, workers=1)
     three = OrthogonalTransform.random(dim, 8, workers=3)
     assert len(one.layers) == len(three.layers)
     for a, b in zip(one.layers, three.layers):
         assert a.cos.tobytes() == b.cos.tobytes()
         assert a.sin.tobytes() == b.sin.tobytes()
+
+
+def test_angles_are_the_chunk_streams_uniforms():
+    # chunk c of the transform keyed (seed, *s) takes its angles 2 pi u from
+    # the uniforms of SFC64 on SeedSequence(seed, spawn_key=(*s, c)), in
+    # layer-major order; 40001 has 37 chunks, the last one partial
+    for seed, spawn in ((1, (1,)), (7, ())):
+        rot = OrthogonalTransform.random(40001, (seed, *spawn) if spawn
+                                         else seed)
+        cos = np.concatenate([lay.cos for lay in rot.layers])
+        sin = np.concatenate([lay.sin for lay in rot.layers])
+        u = np.concatenate([np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(*spawn, c)))).random(
+                min(8192, cos.size - 8192 * c))
+            for c in range(-(-cos.size // 8192))])
+        theta = 2.0 * np.pi * u
+        assert cos.tobytes() == np.cos(theta).tobytes()
+        assert sin.tobytes() == np.sin(theta).tobytes()
+
+
+def test_seeds_near_2_to_the_64_give_distinct_transforms():
+    # a seed of 2**63 or more must reach the stream as an integer: as a
+    # float64, 2**63 and 2**63 + 1024 would share their angles, and the
+    # cast of 2**64 - 2 warns
+    v = np.arange(64, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = {OrthogonalTransform.random(64, (seed, 1)).apply(v).tobytes()
+                for seed in (2**63, 2**63 + 1024, 2**64 - 2, 2**64 - 1)}
+    assert len(outs) == 4
 
 
 def test_kernel_name_reported():

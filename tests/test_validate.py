@@ -10,8 +10,9 @@ from scipy import stats
 from dmcvqkd import cli, pe
 from dmcvqkd.channel import wishart2
 from dmcvqkd.modulation import honest_covariance
-from dmcvqkd.validate import (BoundRow, _rng, lemma1_violations,
-                               lemma2_violations, run_all)
+from dmcvqkd.parallel import stream
+from dmcvqkd.validate import (BoundRow, lemma1_violations, lemma2_violations,
+                              run_all)
 
 from oracles import draw_pair, pair_statistics
 
@@ -37,8 +38,8 @@ def _pe_theorem_scaling(alpha=0.5, T=0.6, xi=0.05):
                          ids=["unit", "pe-theorem"])
 def test_wishart2_matches_full_vector_sampler(sx, sy, r):
     dof, size = 100, 4000
-    nx, ny, ip = wishart2(_rng(11, 0), dof, size, sx, sy, r)
-    vx, vy = draw_pair(_rng(12, 0), dof, size, r)
+    nx, ny, ip = wishart2(stream(11, 0), dof, size, sx, sy, r)
+    vx, vy = draw_pair(stream(12, 0), dof, size, r)
     reference = pair_statistics(sx * vx, sy * vy)
     for drawn, ref in zip((nx, ny, ip), reference):
         assert stats.ks_2samp(drawn, ref).pvalue > 1e-3
@@ -162,7 +163,7 @@ def test_row_streams_do_not_alias_across_seeds():
     # as plain entropy [seed, row], seed a + 3 * 2**32 at row 0 would read
     # the stream of seed a at row 3
     a = 5
-    firsts = {int(_rng(seed, row).integers(2**63))
+    firsts = {int(stream(seed, row).integers(2**63))
               for seed, row in ((a + 3 * 2**32, 0), (a, 3), (a, 0))}
     assert len(firsts) == 3
 
