@@ -10,7 +10,7 @@ key      : Alice records the complex modulation amplitude (as its two
            quadrature components), Bob records a heterodyne outcome of the
            channel output.
 decoy    : same channel, but Alice modulates with a centered Gaussian of the
-           same variance V_A (used for disclosure-style diagnostics).
+           same variance V_A; the energy test reads these rounds.
 gaussian : both records are drawn from the joint heterodyne distribution of
            the purified (entanglement-based) protocol state; these rounds
            feed parameter estimation.
@@ -34,10 +34,11 @@ rows have the i.i.d. law and their totals are W to rounding.
 
 Key and decoy rounds: `round_records` is the one generator of their
 records, for any range of rounds.  `simulate` takes W from `gaussian_gram`
-and only the k_test decoy rounds its energy test reads from
-`round_records`, and streams the key rounds through it chunk by chunk,
-reducing each chunk to its repetition blocks' bits and dropping it, so a
-run holds 2 bytes per block instead of 32 per key round.  batch.csv is
+(from `gaussian_rows` when it writes batch.csv) and only the k_test decoy
+rounds its energy test reads from `round_records`, and streams the key
+rounds through it chunk by chunk, reducing each chunk to its repetition
+blocks' bits and dropping it, so a run holds 2 bytes per block instead of
+32 per key round.  batch.csv is
 written from the same two generators, a chunk of rounds at a time, with
 the gaussian rows of `gaussian_rows`; `simulate_rounds` joins them into
 one batch.
@@ -61,17 +62,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    EmptySelection,
-    InsufficientRounds,
-)
+from .errors import ConfigError, DimensionMismatch, DomainError
 from .modulation import CONSTELLATION_PHASES, record_covariance
 from .parallel import stream
 from .rotations import OrthogonalTransform
@@ -129,9 +124,7 @@ class QuadratureBatch:
 
     The rounds form a key, a decoy and a gaussian block, in that order, of
     `counts` rounds; `role_indices` gives each block as a slice of the four
-    record arrays.  `gram` is W = (||X||^2, ||Y||^2, <X, S Y>) over the
-    run's 2k gaussian modes, which `simulate_rounds` draws whether or not
-    the gaussian block holds their rows (None for a batch made otherwise).
+    record arrays.
     """
 
     alice_x: np.ndarray
@@ -139,7 +132,6 @@ class QuadratureBatch:
     bob_x: np.ndarray
     bob_p: np.ndarray
     counts: tuple  # rounds per role, in ROLE_NAMES order
-    gram: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.counts) != 3 or min(self.counts) < 0:
@@ -313,15 +305,15 @@ def simulate_rounds(params: ProtocolParams, seed) -> QuadratureBatch:
 
     The batch holds the 2n key, 2m decoy and 2k gaussian modes of
     `params`, laid out in that block order: the rounds of `round_records`
-    followed by those of `gaussian_rows`, so its `gram` is the same draw as
+    followed by those of `gaussian_rows`, whose W is the draw of
     `gaussian_gram(params, seed)`.  One "round" of the batch is one mode:
     two quadratures per side.
     """
-    gram, gaussian = gaussian_rows(params, seed)
+    gaussian = gaussian_rows(params, seed)[1]
     records = round_records(params, seed, 0, 2 * int(params.n + params.m))
     return QuadratureBatch(
         *(np.concatenate(pair) for pair in zip(records, gaussian)),
-        (2 * int(params.n), 2 * int(params.m), 2 * int(params.k)), gram)
+        (2 * int(params.n), 2 * int(params.m), 2 * int(params.k)))
 
 
 def quadrant_bits(x, p) -> np.ndarray:
@@ -362,7 +354,7 @@ def apply_symmetrization(batch: QuadratureBatch,
     g = batch.role_indices(ROLE_GAUSSIAN)
     size = g.stop - g.start
     if size == 0:
-        raise EmptySelection("no gaussian-role rounds to symmetrize")
+        raise DimensionMismatch("no gaussian-role rounds to symmetrize")
     if transform.dim != 2 * size:
         raise DimensionMismatch(
             f"transform dim {transform.dim} != 2 * {size} gaussian modes"
@@ -383,7 +375,7 @@ def split_pe_sets(batch: QuadratureBatch, k: int) -> PESplit:
 
     Modes alternate between the halves (even ordinal -> half 1).  Each
     returned vector interleaves (x, p) and has 2k entries; X are Alice's,
-    Y Bob's.  Raises InsufficientRounds when fewer than 2k gaussian modes
+    Y Bob's.  Raises DimensionMismatch when fewer than 2k gaussian modes
     exist.
     """
     if k < 1:
@@ -391,7 +383,7 @@ def split_pe_sets(batch: QuadratureBatch, k: int) -> PESplit:
     g = batch.role_indices(ROLE_GAUSSIAN)
     have = g.stop - g.start
     if have < 2 * k:
-        raise InsufficientRounds(f"need 2k={2 * k} gaussian modes, have {have}")
+        raise DimensionMismatch(f"need 2k={2 * k} gaussian modes, have {have}")
     h1 = slice(g.start, g.start + 2 * k, 2)
     h2 = slice(g.start + 1, g.start + 2 * k, 2)
     return PESplit(

@@ -53,7 +53,7 @@ from .definetti import (
     energy_test,
     make_reduction_report,
 )
-from .errors import ConfigError, RegimeError, UnknownAxis
+from .errors import ConfigError, RegimeError
 from .finitekey import (
     KeyLengthReport,
     SecurityBudget,
@@ -258,6 +258,13 @@ def validate_config(cfg: RunConfig) -> None:
     """Domain-check every field, naming the offender in the message."""
     _run_checks(cfg, _CHECKS)
     _check_epsilon_sum(cfg)
+    # the energy test, which certifies every subcommand's reduction.csv,
+    # reads k_test of the 2m decoy modes; no sweep axis moves either field
+    if cfg.k_test > 2 * cfg.m:
+        raise ConfigError(
+            f"config field 'k_test': {cfg.k_test} exceeds the 2m = "
+            f"{2 * cfg.m} decoy modes"
+        )
 
 
 def resolve_budget(cfg: RunConfig) -> SecurityBudget:
@@ -448,7 +455,7 @@ def parse_grid(text: str) -> list:
 
 def run_sweep(cfg: RunConfig, axis: str, grid: list) -> int:
     if axis not in SWEEP_AXES:
-        raise UnknownAxis(
+        raise ConfigError(
             f"axis {axis!r} is not a numeric config field; "
             f"choose one of {SWEEP_AXES}"
         )
@@ -510,17 +517,22 @@ def _block_rounds(k_rep: int) -> int:
     return k_rep // math.gcd(k_rep, 2)
 
 
-def _key_chunks(cfg: RunConfig) -> list:
-    """(start, stop) of the key-round parts: each edge is the first
-    repetition-block edge at or after a CHUNK_ROUNDS edge, so a part draws
-    its random chunk whole and less than one block of the next.  4n is a
-    multiple of k_rep, so the last part ends on a block edge too."""
+def _key_chunks(cfg: RunConfig):
+    """(start, stop) of the key-round parts, in order: each edge is the
+    first repetition-block edge at or after a CHUNK_ROUNDS edge, so a part
+    draws its random chunk whole and less than one block of the next.  4n
+    is a multiple of k_rep, so the last part ends on a block edge too.
+    The first part is the longest: ceil((c+1)x) <= ceil(cx) + ceil(x).
+    The parts are made as they are asked for."""
     step = _block_rounds(cfg.k_rep)
     key_rounds = 2 * cfg.n
-    edges = sorted({-(-a // step) * step
-                    for a in range(0, key_rounds, CHUNK_ROUNDS)}
-                   | {key_rounds})
-    return list(zip(edges, edges[1:]))
+    start = 0
+    for a in chain(range(CHUNK_ROUNDS, key_rounds, CHUNK_ROUNDS),
+                   (key_rounds,)):
+        stop = -(-a // step) * step
+        if stop > start:
+            yield start, stop
+            start = stop
 
 
 def _memory_error(cfg: RunConfig, batch_csv: bool) -> ConfigError:
@@ -540,9 +552,8 @@ def _memory_error(cfg: RunConfig, batch_csv: bool) -> ConfigError:
              f"above the address-space limit (RLIMIT_AS) of "
              f"{limit / 2**30:.3g} GiB")
     blocks = 4 * cfg.n // cfg.k_rep
-    # the longest part of _key_chunks, its first
-    step = _block_rounds(cfg.k_rep)
-    chunk = min(-(-CHUNK_ROUNDS // step) * step, 2 * cfg.n)
+    start, stop = next(_key_chunks(cfg))
+    chunk = stop - start
     fields, gaussian, size = "'n', 'k_test', 'k_rep'", "", 0
     if batch_csv:
         fields = "'n', 'k', 'k_test', 'k_rep'"
@@ -575,22 +586,21 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
             f"config field 'n': 4n = {4 * cfg.n} raw values must be a "
             f"multiple of k_rep = {cfg.k_rep}"
         )
-    if cfg.k_test > 2 * cfg.m:
-        raise ConfigError(
-            f"config field 'k_test': {cfg.k_test} exceeds the 2m = "
-            f"{2 * cfg.m} decoy modes"
-        )
     xi_true = cfg.xi if cfg.xi_actual is None else cfg.xi_actual
     params = _protocol_params(cfg)
     true_params = params.with_xi(xi_true)
     # what the run holds, made before any other work so that a run too
     # large fails first: Bob's and Alice's bit of every repetition block,
     # the gaussian rows for batch.csv alone, and the first k_test <= 2m
-    # decoy rounds, which the energy test reads
+    # decoy rounds, which the energy test reads.  Parameter estimation
+    # reads only W = (||X||^2, ||Y||^2, <X, S Y>) of the gaussian modes,
+    # drawn without their rows unless batch.csv needs them (gaussian_rows
+    # draws the same W first)
     blocks = 4 * cfg.n // cfg.k_rep
     bits_b = np.empty(blocks, dtype=np.uint8)
     bits_a = np.empty(blocks, dtype=np.uint8)
-    gaussian = gaussian_rows(true_params, cfg.seed)[1] if batch_csv else None
+    totals, gaussian = (gaussian_rows(true_params, cfg.seed) if batch_csv
+                        else (gaussian_gram(true_params, cfg.seed), None))
     test_ax, test_ap, test_bx, test_bp = round_records(
         true_params, cfg.seed, 2 * cfg.n, 2 * cfg.n + cfg.k_test)
     # every chunk of key rounds is generated, counted, reduced to its
@@ -601,10 +611,7 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
             2 * start // cfg.k_rep, cfg.k_rep, bits_b, bits_a),
         _key_chunks(cfg), cfg.workers))
 
-    # parameter estimation reads only W = (||X||^2, ||Y||^2, <X, S Y>) of
-    # the gaussian modes, drawn without their rows (gaussian_rows draws the
-    # same W).  sigma_hat are the same totals per gaussian mode.
-    totals = gaussian_gram(true_params, cfg.seed)
+    # sigma_hat are W's totals per gaussian mode
     sigma_hat = tuple(total / (2 * cfg.k) for total in totals)
     try:
         gammas = gamma_estimates(*totals, cfg.k, budget.eps_pe)

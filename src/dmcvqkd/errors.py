@@ -14,19 +14,7 @@ class ConfigError(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """Array shapes or declared dimensions do not line up."""
-
-
-class EmptySelection(ValueError):
-    """A role/selection filter matched no rounds."""
-
-
-class InsufficientRounds(ValueError):
-    """Not enough rounds of the required role to perform the operation."""
-
-
-class EpsilonTooSmall(ValueError):
-    """The failure probability requested is below the validity floor."""
+    """Array shapes, bit-string lengths or round counts do not line up."""
 
 
 class ValidityRange(ValueError):
@@ -35,14 +23,6 @@ class ValidityRange(ValueError):
 
 class RegimeError(ValueError):
     """Parameters are outside the regime where the estimator chain holds."""
-
-
-class LengthError(ValueError):
-    """A bit-string or block length constraint is violated."""
-
-
-class UnknownAxis(ValueError):
-    """Sweep axis name does not correspond to a known parameter."""
 
 
 class PrecisionLoss(ArithmeticError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LengthError, PrecisionLoss
+from .errors import DimensionMismatch, DomainError, PrecisionLoss
 from .gaussian import holevo_f
 from .parallel import stream
 
@@ -30,8 +30,8 @@ class SecurityBudget:
     eps_sm: float
     eps_ent: float
     eps_cor: float
-    p_ec: float = 0.99
-    eps_rob: float = 1e-2
+    p_ec: float
+    eps_rob: float
 
     def __post_init__(self):
         for name in ("eps_pe", "eps_sm", "eps_ent", "eps_cor", "eps_rob"):
@@ -202,7 +202,7 @@ def toeplitz_hasher(seed, n_in: int, out_len: int):
     two strings with one seed costs one transform of the seed, not two.
     """
     if out_len < 0 or out_len > n_in:
-        raise LengthError(
+        raise DimensionMismatch(
             f"out_len must be in [0, {n_in}], got {out_len!r}"
         )
     t_len = n_in + out_len - 1
@@ -215,8 +215,8 @@ def toeplitz_hasher(seed, n_in: int, out_len: int):
     def hash_bits(bits) -> np.ndarray:
         x = np.asarray(bits, dtype=np.uint8)
         if x.shape != (n_in,):
-            raise LengthError(f"bits have shape {x.shape}, expected "
-                              f"({n_in},)")
+            raise DimensionMismatch(f"bits have shape {x.shape}, "
+                                    f"expected ({n_in},)")
         if np.any(x > 1):
             raise DomainError("bits must be 0/1 valued")
         if out_len == 0:

@@ -10,7 +10,7 @@ every spawn key apart.  No two draws share a spawn key:
     (6,)       the error-correction verification hash (cli)
     (8,)       the privacy-amplification hash (cli)
     (r,)       validate's row family r, r in {0, 3, 4, 5, 7}
-    (*s, c)    angle chunk c of the transform keyed (seed, *s) (rotations);
+    (s, c)     angle chunk c of the transform keyed (seed, s) (rotations);
                the benchmark's pe-trials workload passes (seed, 1)
 
 A key (seed, *s), passed wherever a seed is taken, is that seed with s in

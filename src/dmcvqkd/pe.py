@@ -27,12 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import chdtri, ndtri
 
-from .errors import (
-    DomainError,
-    EpsilonTooSmall,
-    RegimeError,
-    ValidityRange,
-)
+from .errors import DomainError, RegimeError, ValidityRange
 from .modulation import lambda_ratio_sum_at, record_covariance
 
 class InnerProductBounds(NamedTuple):
@@ -116,7 +111,7 @@ def projection_bounds(norm_x2: float, k: int, epsilon: float) -> tuple:
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
     if epsilon < 2.0 * math.exp(-k / 2.0):
-        raise EpsilonTooSmall(
+        raise ValidityRange(
             f"epsilon={epsilon!r} below validity floor 2*exp(-k/2)"
             f"={2.0 * math.exp(-k / 2.0):.3e}"
         )
@@ -243,7 +238,7 @@ def pe_decision(
     T: float,
     xi: float,
     deltas: tuple,
-    epsilon_pe: float = float("nan"),
+    epsilon_pe: float,
 ) -> ConfidenceRegion:
     """Accept/abort decision against the expected-channel thresholds.
 
@@ -290,7 +285,7 @@ def calibrate_deltas(
     xi: float,
     k: int,
     epsilon_pe: float,
-    epsilon_rob: float = 1e-2,
+    epsilon_rob: float,
 ) -> DeltaTriple:
     """Robustness offsets so the honest channel aborts with prob <= eps_rob.
 

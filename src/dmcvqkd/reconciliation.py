@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, LengthError
+from .errors import DimensionMismatch, DomainError
 from .finitekey import toeplitz_hasher
 
 # Trapezoid nodes for an expectation over Z ~ N(0, 1): step 0.1 on
@@ -121,11 +121,11 @@ def repetition_reconcile(y, k_rep: int):
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
-        raise LengthError(f"y must be 1-d, got shape {y.shape}")
+        raise DimensionMismatch(f"y must be 1-d, got shape {y.shape}")
     if k_rep < 1:
         raise DomainError(f"k_rep must be >= 1, got {k_rep!r}")
     if y.size == 0 or y.size % k_rep != 0:
-        raise LengthError(
+        raise DimensionMismatch(
             f"length {y.size} not a positive multiple of k_rep={k_rep}"
         )
     blocks = y.reshape(-1, k_rep)
@@ -147,12 +147,12 @@ def repetition_decode(x, side_info: RepetitionSideInfo, k_rep: int) -> np.ndarra
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size % k_rep != 0:
-        raise LengthError(
+        raise DimensionMismatch(
             f"x of shape {x.shape} incompatible with k_rep={k_rep}"
         )
     mags = side_info.magnitudes.reshape(-1, k_rep)
     if mags.shape[0] != x.size // k_rep:
-        raise LengthError("side_info does not match the block count")
+        raise DimensionMismatch("side_info does not match the block count")
     full_signs = np.concatenate(
         [np.ones((mags.shape[0], 1)), side_info.sign_products], axis=1
     )
@@ -200,7 +200,7 @@ def verify_hash(string_a, string_b, eps_cor: float, seed) -> bool:
     a = np.asarray(string_a, dtype=np.uint8)
     b = np.asarray(string_b, dtype=np.uint8)
     if a.shape != b.shape:
-        raise LengthError(f"length mismatch {a.shape} vs {b.shape}")
+        raise DimensionMismatch(f"length mismatch {a.shape} vs {b.shape}")
     if a.ndim != 1:
         raise DomainError(f"bits must be 1-d, got shape {a.shape}")
     hash_bits = toeplitz_hasher(seed, a.size,

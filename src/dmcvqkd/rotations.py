@@ -7,10 +7,10 @@ touching a padded slot are dropped, which keeps the map exactly orthogonal
 on the real d coordinates.
 
 Angles are listed one per kept pair, in layer-major / index-minor order,
-and drawn in chunks of _ANGLE_CHUNK: chunk c of the transform keyed `seed`
-draws its uniforms from `parallel.stream(seed, c)`.  A transform is
-therefore reproducible from (dim, seed) alone, and the chunks are built on
-any number of threads with the same bits.
+and drawn in chunks of _ANGLE_CHUNK: chunk c of the transform keyed
+(seed, s) draws its uniforms from `parallel.stream(seed, s, c)`.  A
+transform is therefore reproducible from (dim, seed, s) alone, and the
+chunks are built on any number of threads with the same bits.
 
 A layer with stride s = 2^l is applied on reshaped views of the vector:
 the first 2s * (d // 2s) entries, viewed as (blocks, 2, s), pair row 0 of
@@ -118,15 +118,19 @@ class OrthogonalTransform:
     layers: tuple
 
     @classmethod
-    def random(cls, dim: int, seed, workers=None) -> "OrthogonalTransform":
-        """The transform of (dim, seed); `workers` threads build the angles.
+    def random(cls, dim: int, seed: tuple) -> "OrthogonalTransform":
+        """The transform of dim and the key `seed` = (seed, s).
 
-        `seed` may be a key (seed, *s); workers=None means every usable
-        core, and the result is the same for any count.  The layers hold
-        views of one cos and one sin array.
+        Its angle chunk c draws from spawn key (s, c), a length no other
+        draw's spawn key has, so a transform shares no stream with any
+        other draw of the seed.  The angles are built on every usable core,
+        with the same bits for any count.  The layers hold views of one cos
+        and one sin array.
         """
         if dim < 1:
             raise DomainError(f"dim must be >= 1, got {dim!r}")
+        if not (isinstance(seed, tuple) and len(seed) == 2):
+            raise DomainError(f"seed must be a key (seed, s), got {seed!r}")
         strides = [1 << layer for layer in range((dim - 1).bit_length())]
         counts = []
         for stride in strides:
@@ -135,8 +139,7 @@ class OrthogonalTransform:
         total = sum(counts)
         cos, sin = np.empty(total), np.empty(total)
         chunks = -(-total // _ANGLE_CHUNK)
-        run_parts(_angles, [(seed, c, cos, sin) for c in range(chunks)],
-                  workers)
+        run_parts(_angles, [(seed, c, cos, sin) for c in range(chunks)])
         layers = []
         pos = 0
         for stride, count in zip(strides, counts):

@@ -41,6 +41,11 @@ from .modulation import honest_covariance
 from .parallel import run_parts, stream
 
 _CHUNK = 4096
+#: correlation of the unit-variance entry pairs the lemma3 and lemma4 rows
+#: draw
+PAIR_CORRELATION = 0.6
+#: (alpha, T, xi) of the honest channel the pe-theorem row draws
+PE_THEOREM_CHANNEL = (0.5, 0.6, 0.05)
 
 
 @dataclass(frozen=True)
@@ -105,12 +110,12 @@ def lemma2_violations(seed, row: int, k: int, epsilon: float,
     return bad
 
 
-def lemma3_violations(seed, row: int, k: int, x: float, trials: int,
-                      r: float = 0.6) -> tuple:
+def lemma3_violations(seed, row: int, k: int, x: float, trials: int) -> tuple:
     """(two_sided, one_sided) violation counts for the split inner product.
 
     Vectors hold 2k modes (4k entries); halves are k modes each.
     """
+    r = PAIR_CORRELATION
     two = one = 0
     g = stream(seed, row)
     for size in _chunks(trials):
@@ -122,9 +127,10 @@ def lemma3_violations(seed, row: int, k: int, x: float, trials: int,
     return two, one
 
 
-def lemma4_violations(seed, row: int, k: int, epsilon: float, trials: int,
-                      r: float = 0.6) -> tuple:
+def lemma4_violations(seed, row: int, k: int, epsilon: float,
+                      trials: int) -> tuple:
     """(upper, lower, ip) violation counts for the cross-half bounds."""
+    r = PAIR_CORRELATION
     up = lo = ipv = 0
     g = stream(seed, row)
     for size in _chunks(trials):
@@ -138,8 +144,7 @@ def lemma4_violations(seed, row: int, k: int, epsilon: float, trials: int,
 
 
 def pe_theorem_violations(seed, row: int, k: int, eps_pe: float,
-                          trials: int, alpha: float = 0.5, T: float = 0.6,
-                          xi: float = 0.05) -> int:
+                          trials: int) -> int:
     """Count honest-channel runs where an estimator misses the true value.
 
     Bad event: gamma_a < V, gamma_b < Sigma_b, or gamma_c > sqrt(T) Z —
@@ -147,8 +152,8 @@ def pe_theorem_violations(seed, row: int, k: int, eps_pe: float,
     side.  Honest draws come straight from the joint record law (the
     symmetrization leaves that law invariant).
     """
-    v, sigma_b, z_bar = honest_covariance(alpha, T, xi)
-    sx, sy, r = gaussian_record_law(alpha, T, xi)
+    v, sigma_b, z_bar = honest_covariance(*PE_THEOREM_CHANNEL)
+    sx, sy, r = gaussian_record_law(*PE_THEOREM_CHANNEL)
     bad = 0
     g = stream(seed, row)
     for size in _chunks(trials):

@@ -31,6 +31,7 @@ from dmcvqkd.channel import (
     ROLE_KEY,
     ProtocolParams,
     QuadratureBatch,
+    gaussian_gram,
     gaussian_rows,
     interleave,
     simulate_rounds,
@@ -176,6 +177,7 @@ def test_validate_config_names_offending_field():
     ({"delta_ent_mode": "paper"},
      "'delta_ent_mode': must be 'derived', got 'paper'"),
     ({"out": ""}, "'out': must be a non-empty path string"),
+    ({"k_test": 2001}, "'k_test': 2001 exceeds the 2m = 2000 decoy modes"),
 ])
 def test_validate_config_messages_are_exact(overrides, message):
     with pytest.raises(ConfigError) as exc:
@@ -638,7 +640,7 @@ def test_key_parts_start_on_the_first_block_edge_after_a_chunk_edge(n,
     # part starts a block or more after its chunk's edge, so a part draws
     # less than one block of a chunk that another part draws
     step = k_rep // math.gcd(k_rep, 2)
-    parts = cli._key_chunks(config_from_dict({"n": n, "k_rep": k_rep}))
+    parts = list(cli._key_chunks(config_from_dict({"n": n, "k_rep": k_rep})))
     edges = [a for a, _ in parts] + [parts[-1][1]]
     assert edges[0] == 0 and edges[-1] == 2 * n
     assert [b for _, b in parts] == edges[1:]
@@ -655,8 +657,8 @@ def test_streamed_key_blocks_are_the_same_for_any_workers_and_the_rows(
     # edges are the first block edges at or after the chunk edges
     config = dict(SIM_BASE, n=12294, k_rep=24)
     cfg = config_from_dict(config)
-    assert cli._key_chunks(cfg) == [(0, 8196), (8196, 16392), (16392, 24576),
-                                    (24576, 24588)]
+    assert list(cli._key_chunks(cfg)) == [(0, 8196), (8196, 16392),
+                                          (16392, 24576), (24576, 24588)]
     hashed = []
     real = cli.verify_hash
 
@@ -903,7 +905,7 @@ def test_sigma_hat_are_the_pe_statistics_per_mode(tmp_path, config):
     row = dict(zip(header, rows[0]))
     cfg = config_from_dict(config)
     params = cli._protocol_params(cfg).with_xi(float(row["xi_actual"]))
-    totals = simulate_rounds(params, cfg.seed).gram
+    totals = gaussian_gram(params, cfg.seed)
     for name, total in zip("abc", totals):
         assert float(row[f"sigma_hat_{name}"]) == total / (2 * cfg.k)
     header, rows = read_csv(tmp_path / "pe.csv")
@@ -932,7 +934,7 @@ def test_batch_csv_gaussian_rows_reproduce_the_pe_totals(tmp_path, config):
     header, rows = read_csv(tmp_path / "transcript.csv")
     row = dict(zip(header, rows[0]))
     params = cli._protocol_params(cfg).with_xi(float(row["xi_actual"]))
-    gram = simulate_rounds(params, cfg.seed).gram
+    gram = gaussian_gram(params, cfg.seed)
     assert ax.size == 2 * cfg.k
     for name, got, want in zip("abc", exported, gram):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -1047,6 +1049,23 @@ def test_simulate_energy_test_needs_decoy_modes(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_ERROR
     assert "k_test" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["keyrate"], ["sweep", "--axis", "T", "--grid", "0.5"], ["simulate"],
+    ["validate-bounds", "--trials", "1000"],
+], ids=lambda command: command[0])
+def test_every_subcommand_refuses_more_energy_test_modes_than_decoys(
+        tmp_path, capsys, command):
+    # reduction.csv's photon cutoff is certified by an energy test on
+    # k_test modes, and a run has only 2m decoy modes to test
+    cfg = write_config(tmp_path, "c.json", k_test=201)  # > 2m = 200
+    out = tmp_path / "out"
+    rc = cli.main(command + ["--config", cfg, "--out", str(out)])
+    assert rc == EXIT_ERROR
+    assert capsys.readouterr().err == ("error: config field 'k_test': 201 "
+                                       "exceeds the 2m = 200 decoy modes\n")
+    assert not out.exists()
 
 
 def test_validate_bounds_cli(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from dmcvqkd import cli
 from dmcvqkd.channel import ProtocolParams
-from dmcvqkd.errors import DomainError, LengthError, PrecisionLoss
+from dmcvqkd.errors import DimensionMismatch, DomainError, PrecisionLoss
 from dmcvqkd.finitekey import (
     KeyLengthReport,
     SecurityBudget,
@@ -124,9 +124,11 @@ def test_key_length_input_guards():
 def test_security_budget_composition():
     assert BENIGN_BUDGET.eps_total == pytest.approx(4e-10, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
-        SecurityBudget(eps_pe=0.0, eps_sm=1e-10, eps_ent=1e-10, eps_cor=1e-10)
+        SecurityBudget(eps_pe=0.0, eps_sm=1e-10, eps_ent=1e-10, eps_cor=1e-10,
+                       p_ec=0.99, eps_rob=1e-2)
     with pytest.raises(DomainError):
-        SecurityBudget(eps_pe=0.5, eps_sm=0.5, eps_ent=0.5, eps_cor=0.5)
+        SecurityBudget(eps_pe=0.5, eps_sm=0.5, eps_ent=0.5, eps_cor=0.5,
+                       p_ec=0.99, eps_rob=1e-2)
 
 
 def test_universal_hash_deterministic_and_seed_sensitive():
@@ -252,7 +254,7 @@ def test_universal_hash_length_edges():
     bits = np.ones(16, dtype=np.uint8)
     assert universal_hash(bits, 0, 0).size == 0
     assert universal_hash(bits, 0, 16).size == 16
-    with pytest.raises(LengthError):
+    with pytest.raises(DimensionMismatch):
         universal_hash(bits, 0, 17)
     with pytest.raises(DomainError):
         universal_hash(np.array([0, 2], dtype=np.uint8), 0, 1)

@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import chdtr, chdtri
 
-from dmcvqkd.errors import (
-    DomainError,
-    EpsilonTooSmall,
-    RegimeError,
-    ValidityRange,
-)
+from dmcvqkd.errors import DomainError, RegimeError, ValidityRange
 from dmcvqkd.pe import (
     ConfidenceRegion,
     _estimator_terms,
@@ -58,7 +53,7 @@ def test_projection_bounds_frozen():
 
 def test_projection_bounds_epsilon_floor():
     # validity requires eps >= 2 exp(-k/2)
-    with pytest.raises(EpsilonTooSmall):
+    with pytest.raises(ValidityRange):
         projection_bounds(1.0, 10, 1e-9)
     projection_bounds(1.0, 10, 2.0 * math.exp(-5.0) * 1.01)
 
@@ -243,7 +238,7 @@ def test_calibration_matches_the_estimator(alpha, T, xi, k, eps_pe):
 
 def test_pe_decision_thresholds_and_verdicts():
     deltas = calibrate_deltas(0.5, 0.5, 0.01, 2_000_000_000, 1e-10, 1e-2)
-    dec = pe_decision((0.6, 0.4, 0.9), 1.5, 0.5, 0.01, deltas)
+    dec = pe_decision((0.6, 0.4, 0.9), 1.5, 0.5, 0.01, deltas, 1e-10)
     assert isinstance(dec, ConfidenceRegion)
     assert dec.sigma_a_max == pytest.approx(1.5009811602015506, rel=1e-12)
     assert dec.sigma_b_max == pytest.approx(1.2558850065017988, rel=1e-12)
@@ -251,16 +246,16 @@ def test_pe_decision_thresholds_and_verdicts():
                                             abs=0.0)
     assert dec.passed and dec.verdict == "pass"
     # violating any one threshold aborts
-    assert pe_decision((1.6, 0.4, 0.9), 1.5, 0.5, 0.01, deltas).verdict == "abort"
-    assert pe_decision((0.6, 1.3, 0.9), 1.5, 0.5, 0.01, deltas).verdict == "abort"
-    assert pe_decision((0.6, 0.4, 0.5), 1.5, 0.5, 0.01, deltas).verdict == "abort"
+    for gammas in ((1.6, 0.4, 0.9), (0.6, 1.3, 0.9), (0.6, 0.4, 0.5)):
+        assert pe_decision(gammas, 1.5, 0.5, 0.01, deltas,
+                           1e-10).verdict == "abort"
 
 
 def test_pe_decision_boundary_is_accepting():
     deltas = (0.1, 0.1, 0.1)
-    probe = pe_decision((0.0, 0.0, 10.0), 1.5, 0.5, 0.01, deltas)
+    probe = pe_decision((0.0, 0.0, 10.0), 1.5, 0.5, 0.01, deltas, 1e-2)
     edge = (probe.sigma_a_max, probe.sigma_b_max, probe.sigma_c_min)
-    assert pe_decision(edge, 1.5, 0.5, 0.01, deltas).passed
+    assert pe_decision(edge, 1.5, 0.5, 0.01, deltas, 1e-2).passed
 
 
 def test_worst_case_covariance_clamps_negative_correlation():
@@ -278,7 +273,7 @@ def test_worst_case_covariance_clamps_negative_correlation():
 
 def test_pe_decision_rejects_negative_deltas():
     with pytest.raises(DomainError):
-        pe_decision((0.0, 0.0, 0.0), 1.5, 0.5, 0.01, (-0.1, 0.1, 0.1))
+        pe_decision((0.0, 0.0, 0.0), 1.5, 0.5, 0.01, (-0.1, 0.1, 0.1), 1e-2)
 
 
 def _pe_chain_digest(points: int, seed: int) -> str:

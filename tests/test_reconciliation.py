@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dmcvqkd.errors import DomainError, LengthError
+from dmcvqkd.errors import DimensionMismatch, DomainError
 from dmcvqkd.reconciliation import (
     biawgn_capacity,
     hash_length,
@@ -137,9 +137,9 @@ def test_repetition_reconcile_reference_example():
 
 
 def test_repetition_reconcile_length_checks():
-    with pytest.raises(LengthError):
+    with pytest.raises(DimensionMismatch):
         repetition_reconcile([1.0, 2.0, 3.0], 2)
-    with pytest.raises(LengthError):
+    with pytest.raises(DimensionMismatch):
         repetition_reconcile([], 2)
 
 
@@ -225,7 +225,7 @@ def test_verify_hash():
     b[100] ^= 1
     # a single-bit flip slips past a 34-bit hash with prob ~1e-10 only
     assert not verify_hash(a, b, 1e-10, seed=7)
-    with pytest.raises(LengthError):
+    with pytest.raises(DimensionMismatch):
         verify_hash(a, a[:-1], 1e-10, seed=7)
 
 

@@ -1,12 +1,15 @@
 """Seeded layered pair rotations: orthogonality, determinism, bit identity."""
 
+import functools
 import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
+from dmcvqkd import rotations
 from dmcvqkd.errors import DimensionMismatch, DomainError
+from dmcvqkd.parallel import run_parts
 from dmcvqkd.rotations import OrthogonalTransform, kernel_name
 
 from oracles import dense_matrix, layer_pairs, rotate_pair_by_pair
@@ -21,7 +24,7 @@ def test_matrix_is_orthogonal(dim):
 
 def test_apply_matches_dense_matrix():
     rng = np.random.default_rng(5)
-    rot = OrthogonalTransform.random(33, seed=77)
+    rot = OrthogonalTransform.random(33, seed=(77, 1))
     mat = dense_matrix(rot)
     for _ in range(5):
         v = rng.normal(size=33)
@@ -40,7 +43,7 @@ def test_inverse_round_trip():
 
 def test_norm_preserved():
     rng = np.random.default_rng(7)
-    rot = OrthogonalTransform.random(1000, seed=3)
+    rot = OrthogonalTransform.random(1000, seed=(3, 1))
     v = rng.normal(size=1000)
     assert np.linalg.norm(rot.apply(v)) == pytest.approx(
         np.linalg.norm(v), rel=1e-12
@@ -76,7 +79,7 @@ def test_conjugate_preserves_signed_inner_product():
 def test_conjugate_round_trip():
     # S R S is orthogonal: its transpose S R^T S undoes it
     rng = np.random.default_rng(9)
-    rot = OrthogonalTransform.random(34, seed=5)
+    rot = OrthogonalTransform.random(34, seed=(5, 1))
     v = rng.normal(size=34)
     flip = np.where(np.arange(34) % 2 == 1, -1.0, 1.0)
     conj_t = flip[:, None] * dense_matrix(rot).T * flip[None, :]
@@ -84,18 +87,28 @@ def test_conjugate_round_trip():
 
 
 def test_apply_does_not_mutate_input():
-    rot = OrthogonalTransform.random(8, seed=1)
+    rot = OrthogonalTransform.random(8, seed=(1, 1))
     v = np.ones(8)
     rot.apply(v)
     np.testing.assert_array_equal(v, np.ones(8))
 
 
 def test_dimension_checks():
-    rot = OrthogonalTransform.random(8, seed=1)
+    rot = OrthogonalTransform.random(8, seed=(1, 1))
     with pytest.raises(DimensionMismatch):
         rot.apply(np.ones(9))
     with pytest.raises(DomainError):
-        OrthogonalTransform.random(0, seed=1)
+        OrthogonalTransform.random(0, seed=(1, 1))
+
+
+@pytest.mark.parametrize("seed", [5, (5,), (5, 1, 2)], ids=repr)
+def test_random_takes_only_a_key_with_one_spawn_entry(seed):
+    # angle chunk c of the key (seed, s) draws from spawn key (s, c), and
+    # no other draw's spawn key has length 2: a plain seed would draw
+    # chunk 2 from the gaussian block's (2,), and (5, 1, 2) chunk 1 from
+    # decoy chunk 2's (1, 2, 1)
+    with pytest.raises(DomainError, match="seed must be a key"):
+        OrthogonalTransform.random(64, seed)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 256, 257, 1000, 40001])
@@ -115,7 +128,7 @@ def test_kernel_agrees_with_pure_python(dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 256, 257, 1000])
 def test_layer_index_properties_list_the_pairs(dim):
-    rot = OrthogonalTransform.random(dim, seed=3)
+    rot = OrthogonalTransform.random(dim, seed=(3, 1))
     for layer, lay in enumerate(rot.layers):
         pairs = np.array(layer_pairs(dim, layer), dtype=np.int64)
         assert lay.lo.dtype == np.int64
@@ -151,8 +164,10 @@ TRANSFORM_PINS = {
 
 @pytest.mark.parametrize("dim", sorted(TRANSFORM_PINS))
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_transform_bytes_do_not_depend_on_workers(dim, workers):
-    rot = OrthogonalTransform.random(dim, (1, 1), workers=workers)
+def test_transform_bytes_do_not_depend_on_workers(dim, workers, monkeypatch):
+    monkeypatch.setattr(rotations, "run_parts",
+                        functools.partial(run_parts, workers=workers))
+    rot = OrthogonalTransform.random(dim, (1, 1))
     # 36 whole chunks of 8192 angles and a partial one
     assert sum(lay.cos.size for lay in rot.layers) - 36 * 8192 == \
         {40000: 3520, 40001: 3525}[dim]
@@ -162,10 +177,14 @@ def test_transform_bytes_do_not_depend_on_workers(dim, workers):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
-def test_small_transforms_do_not_depend_on_workers(dim):
+def test_small_transforms_do_not_depend_on_workers(dim, monkeypatch):
     # one angle chunk, fewer than the threads: some threads get none
-    one = OrthogonalTransform.random(dim, 8, workers=1)
-    three = OrthogonalTransform.random(dim, 8, workers=3)
+    built = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(rotations, "run_parts",
+                            functools.partial(run_parts, workers=workers))
+        built[workers] = OrthogonalTransform.random(dim, (8, 1))
+    one, three = built[1], built[3]
     assert len(one.layers) == len(three.layers)
     for a, b in zip(one.layers, three.layers):
         assert a.cos.tobytes() == b.cos.tobytes()
@@ -173,16 +192,15 @@ def test_small_transforms_do_not_depend_on_workers(dim):
 
 
 def test_angles_are_the_chunk_streams_uniforms():
-    # chunk c of the transform keyed (seed, *s) takes its angles 2 pi u from
-    # the uniforms of SFC64 on SeedSequence(seed, spawn_key=(*s, c)), in
+    # chunk c of the transform keyed (seed, s) takes its angles 2 pi u from
+    # the uniforms of SFC64 on SeedSequence(seed, spawn_key=(s, c)), in
     # layer-major order; 40001 has 37 chunks, the last one partial
-    for seed, spawn in ((1, (1,)), (7, ())):
-        rot = OrthogonalTransform.random(40001, (seed, *spawn) if spawn
-                                         else seed)
+    for seed, s in ((1, 1), (7, 3)):
+        rot = OrthogonalTransform.random(40001, (seed, s))
         cos = np.concatenate([lay.cos for lay in rot.layers])
         sin = np.concatenate([lay.sin for lay in rot.layers])
         u = np.concatenate([np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence(seed, spawn_key=(*spawn, c)))).random(
+            np.random.SeedSequence(seed, spawn_key=(s, c)))).random(
                 min(8192, cos.size - 8192 * c))
             for c in range(-(-cos.size // 8192))])
         theta = 2.0 * np.pi * u
