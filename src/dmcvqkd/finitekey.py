@@ -105,14 +105,17 @@ def mle_entropy(counts) -> float:
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise DomainError(f"counts must be a 1-d vector, got shape {arr.shape}")
-    if np.any(arr < 0):
+    # floats and math.log2: the last bit of numpy's log2 follows the CPU
+    counts = arr.tolist()
+    if min(counts) < 0:
         raise DomainError("counts must be non-negative")
-    total = float(arr.sum())
+    total = math.fsum(counts)
     if total < 1:
         raise DomainError("counts must sum to at least 1")
-    p = arr / total
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+    h = 0.0
+    for p in (c / total for c in counts if c > 0):
+        h += p * math.log2(p)
+    return -h
 
 
 def delta_ent(n_rounds: float, eps_ent: float) -> float:

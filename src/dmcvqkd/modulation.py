@@ -10,15 +10,13 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 #: phases of the four coherent states (radians)
 CONSTELLATION_PHASES = tuple((2 * k + 1) * math.pi / 4.0 for k in range(4))
 
 
-def lambda_weights(alpha: float) -> np.ndarray:
+def lambda_weights(alpha: float) -> tuple:
     """Eigenstate weights (lambda_0, ..., lambda_3) of the four-state mixture.
 
     lambda_{0,2} = (1/2) e^{-alpha^2} [cosh(alpha^2) +/- cos(alpha^2)]
@@ -35,36 +33,32 @@ def lambda_weights(alpha: float) -> np.ndarray:
     ec = 0.5 * (1.0 + em)
     es = 0.5 * (1.0 - em)
     et = math.exp(-a2)
-    return np.array([
+    return (
         0.5 * (ec + et * math.cos(a2)),
         0.5 * (es + et * math.sin(a2)),
         0.5 * (ec - et * math.cos(a2)),
         0.5 * (es - et * math.sin(a2)),
-    ])
-
-
-def lambda_ratio_sum(lam: np.ndarray) -> float:
-    """sum_k lambda_k^{3/2} / lambda_{k+1 mod 4}^{1/2}.
-
-    This is the factor multiplying V_A in the trusted correlation strength;
-    it tends to 1 as alpha -> 0 and is strictly below the Gaussian-modulation
-    value sqrt(1 + 2/V_A) for alpha > 0.
-    """
-    if np.any(lam <= 0.0):
-        raise DomainError("lambda weights must be positive")
-    return float(np.sum(lam ** 1.5 / np.sqrt(lam[[1, 2, 3, 0]])))
+    )
 
 
 @functools.lru_cache(maxsize=256)
 def lambda_ratio_sum_at(alpha: float) -> float:
-    """`lambda_ratio_sum(lambda_weights(alpha))`, computed once per alpha.
+    """sum_k lambda_k^{3/2} / lambda_{k+1 mod 4}^{1/2} at this alpha.
 
-    Every keyrate or sweep point asks for it more than once at the same
-    alpha.  It keeps numpy's `power`: `x ** 1.5` on Python floats differs
-    from it in the last bit on about 5 % of inputs, which would change the
-    reported key-length terms at some alphas.
+    This is the factor multiplying V_A in the trusted correlation strength;
+    it tends to 1 as alpha -> 0 and is strictly below the Gaussian-modulation
+    value sqrt(1 + 2/V_A) for alpha > 0.  Cached: every keyrate or sweep
+    point asks for it more than once.  It sums left to right over
+    `math.pow` and `math.sqrt`; numpy's `power` picks its kernel by CPU
+    feature and differs in the last bit with and without AVX-512.
     """
-    return lambda_ratio_sum(lambda_weights(alpha))
+    lam = lambda_weights(alpha)
+    if min(lam) <= 0.0:
+        raise DomainError("lambda weights must be positive")
+    total = 0.0
+    for num, den in zip(lam, lam[1:] + lam[:1]):
+        total += math.pow(num, 1.5) / math.sqrt(den)
+    return total
 
 
 def honest_covariance(alpha: float, T: float, xi: float) -> tuple:

@@ -179,20 +179,21 @@ def biawgn_capacity_trapezoid(s: float) -> float:
     """The binary-input AWGN capacity as the documented fixed-node sum.
 
     Written out on arrays from the docstring of the package's capacity:
-    nodes Z = linspace(-40, 40, 801), weights exp(-Z^2/2) normalised to
-    sum to 1, x = s + sqrt(s) Z, and C ln 2 = s - E[log1p(2 sinh^2(x/2))]
-    for s <= 1, ln 2 - E[logaddexp(0, -2x)] above.  The form whose bits
-    tests/golden.json froze; its accuracy is checked against
+    nodes Z = linspace(-40, 40, 801), weights exp(-Z^2/2) from math.exp
+    normalised to sum to 1, x = s + sqrt(s) Z, and C ln 2 = s -
+    E[log1p(2 sinh^2(x/2))] for s <= 1, ln 2 - E[logaddexp(0, -2x)] above,
+    each E an elementwise product and np.sum, never a BLAS dot.  The form
+    whose bits tests/golden.json froze; its accuracy is checked against
     biawgn_capacity_mp and the small-s series.
     """
     z = np.linspace(-40.0, 40.0, 801)
-    w = np.exp(-z * z / 2.0)
+    w = np.array([math.exp(-zi * zi / 2.0) for zi in z.tolist()])
     w = w / np.sum(w)
     x = s + math.sqrt(s) * z
     if s <= 1.0:
-        c = s - np.dot(w, np.log1p(2.0 * np.sinh(x / 2.0) ** 2))
+        c = s - np.sum(w * np.log1p(2.0 * np.sinh(x / 2.0) ** 2))
     else:
-        c = math.log(2.0) - np.dot(w, np.logaddexp(0.0, -2.0 * x))
+        c = math.log(2.0) - np.sum(w * np.logaddexp(0.0, -2.0 * x))
     return min(max(float(c) / math.log(2.0), 0.0), math.nextafter(1.0, 0.0))
 
 

@@ -719,33 +719,6 @@ def test_batch_csv_is_the_same_for_any_blas_thread_count(tmp_path):
         (outs[1] / "batch.csv").read_bytes()
 
 
-def test_simulate_does_not_depend_on_numpy_simd_kernels(tmp_path):
-    # numpy picks some float kernels (log1p, power, ...) by CPU feature at
-    # run time; with the AVX2 and AVX-512 groups disabled, every file of a
-    # --batch-csv run must be the same bytes.  numpy ignores a disabled
-    # feature that the CPU lacks, so this runs on any x86-64 machine.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {key: value for key, value in os.environ.items()
-           if key != "NPY_DISABLE_CPU_FEATURES"}
-    outs = []
-    for name, disabled in (
-            ("all", {}),
-            ("baseline", {"NPY_DISABLE_CPU_FEATURES":
-                          "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"})):
-        outs.append(tmp_path / name)
-        proc = subprocess.run(
-            [sys.executable, "-m", "dmcvqkd.cli", "simulate", "--batch-csv",
-             "--out", str(outs[-1])],
-            env={**env, **disabled, "PYTHONPATH": src}, capture_output=True,
-            text=True, timeout=120)
-        assert proc.returncode == EXIT_NO_KEY, proc.stderr
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert names == sorted(SIM_FILES)
-    for name in names:
-        assert (outs[0] / name).read_bytes() == \
-            (outs[1] / name).read_bytes(), name
-
-
 @pytest.mark.parametrize("command", ["simulate", "validate-bounds"])
 def test_a_seed_of_2_to_the_64_is_refused_by_name(command, tmp_path,
                                                    capsys):

@@ -302,5 +302,5 @@ def test_pe_chain_bits_are_frozen():
     # runs, so a refactor of the threshold arithmetic that moves any bit
     # anywhere fails here
     assert _pe_chain_digest(200, 20) == (
-        "9eb66358124499ec18b984037577e1436deef606f745201414aad4512b89d1e1"
+        "c962f6b3621c8432fc4f115cbf879677754f52015eba042f872e7390632339ad"
     )
