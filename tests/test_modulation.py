@@ -41,13 +41,19 @@ def test_lambda_ratio_sum_frozen():
     )
 
 
-def test_cached_ratio_sum_is_the_uncached_sum_bit_for_bit():
-    for alpha in np.geomspace(0.05, 1e3, 1000):
+def test_lambda_ratio_sum_matches_the_roll_form_bit_for_bit():
+    for alpha in np.geomspace(0.05, 50.0, 400):
         lam = lambda_weights(float(alpha))
         # the roll form in math, summed left to right
-        want = 0.0
+        rolled = 0.0
         for k in range(4):
-            want += math.pow(lam[k], 1.5) / math.sqrt(lam[(k + 1) % 4])
+            rolled += math.pow(lam[k], 1.5) / math.sqrt(lam[(k + 1) % 4])
+        assert lambda_ratio_sum_at.__wrapped__(float(alpha)) == rolled
+
+
+def test_cached_ratio_sum_is_the_uncached_sum_bit_for_bit():
+    for alpha in np.geomspace(0.05, 1e3, 1000):
+        want = lambda_ratio_sum_at.__wrapped__(float(alpha))
         assert lambda_ratio_sum_at(float(alpha)) == want
         assert lambda_ratio_sum_at(float(alpha)) == want  # from the cache
 
