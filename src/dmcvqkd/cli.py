@@ -47,12 +47,7 @@ from .channel import (
     # item 10)
     split_pe_sets,
 )
-from .definetti import (
-    EnergyTestConfig,
-    ReductionReport,
-    energy_test,
-    make_reduction_report,
-)
+from .definetti import ReductionReport, energy_test, make_reduction_report
 from .errors import ConfigError, RegimeError
 from .finitekey import (
     KeyLengthReport,
@@ -146,6 +141,9 @@ ALPHA_MIN = 0.05
 # rejected here by name instead of failing downstream.
 ALPHA_MAX = 1e3
 XI_MAX = 1e6
+# Upper limit of n, m and k: it keeps 4n and 2(n + m + k), the largest
+# round counts the chain uses as floats, exact below 2**53.
+ROUNDS_MAX = 2**50
 # Upper limit of the thread count: far above any core count this package
 # can use, it keeps a typo from asking for millions of threads.
 WORKERS_MAX = 256
@@ -210,6 +208,8 @@ _CHECKS = (
        "must be an integer, got {!r}") for name in _INT_FIELDS),
     *((name, lambda v: v >= 1, "must be >= 1")
       for name in ("n", "m", "k", "k_test", "k_rep")),
+    *((name, lambda v: v <= ROUNDS_MAX, "must be at most 2**50")
+      for name in ("n", "m", "k")),
     ("workers", _or_unset("workers", lambda v: 1 <= v <= WORKERS_MAX),
      f"must lie in [1, {WORKERS_MAX}], got {{!r}}"),
     ("trials", lambda v: v >= 1, "must be >= 1"),
@@ -306,7 +306,18 @@ def _protocol_params(cfg: RunConfig) -> ProtocolParams:
                           n=cfg.n, m=cfg.m, k=cfg.k)
 
 
-def _keyrate_chain(cfg: RunConfig, budget: SecurityBudget):
+def _deltas(cfg: RunConfig, budget: SecurityBudget) -> tuple:
+    """The calibrated PE offsets; a (k, eps_pe) outside the estimator
+    regime is refused by name."""
+    try:
+        return calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k,
+                                budget.eps_pe, budget.eps_rob)
+    except RegimeError as exc:
+        raise _regime_error(cfg, budget, exc) from None
+
+
+def _keyrate_chain(cfg: RunConfig, budget: SecurityBudget,
+                   deltas: tuple) -> KeyLengthReport:
     """Analytic composition: calibrated thresholds -> worst case -> l.
 
     The accepted worst-case covariance corner is exactly the decision
@@ -315,30 +326,22 @@ def _keyrate_chain(cfg: RunConfig, budget: SecurityBudget):
     quadrature sign.
     """
     params = _protocol_params(cfg)
-    deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k,
-                              budget.eps_pe, budget.eps_rob)
     v = params.v_a + 1.0
     always_pass = (float("-inf"), float("-inf"), float("inf"))
     region = pe_decision(always_pass, v, cfg.T, cfg.xi, deltas,
                          budget.eps_pe)
     s = snr(params.v_a, cfg.T, cfg.xi)
     leak = leak_model(2 * cfg.n, cfg.beta, s, budget.eps_cor)
-    report = key_length(params, budget, 1.0, region.worst_case_covariance(),
-                        leak)
-    return params, region, report
-
-
-def _energy_config(cfg: RunConfig, budget: SecurityBudget) -> EnergyTestConfig:
-    d_a, d_b = resolve_energy_thresholds(cfg)
-    return EnergyTestConfig(k_test=cfg.k_test, d_a=d_a, d_b=d_b,
-                            eps_test=budget.eps_total)
+    return key_length(params, budget, 1.0, region.worst_case_covariance(),
+                      leak)
 
 
 def _reduction(cfg: RunConfig, budget: SecurityBudget) -> ReductionReport:
     n_modes = 2 * (cfg.n + cfg.m + cfg.k)
     try:
-        return make_reduction_report(n_modes, _energy_config(cfg, budget),
-                                     budget.eps_total)
+        return make_reduction_report(n_modes, cfg.k_test,
+                                     *resolve_energy_thresholds(cfg),
+                                     budget.eps_total, budget.eps_total)
     except RegimeError as exc:  # the energy test is too short for a cutoff
         raise ConfigError(f"config field 'k_test' = {cfg.k_test} with "
                           f"eps_total = {budget.eps_total!r} is outside the "
@@ -427,10 +430,7 @@ def _outdir(cfg: RunConfig) -> Path:
 
 def run_keyrate(cfg: RunConfig) -> int:
     budget = resolve_budget(cfg)
-    try:
-        _, _, report = _keyrate_chain(cfg, budget)
-    except RegimeError as exc:
-        raise _regime_error(cfg, budget, exc) from None
+    report = _keyrate_chain(cfg, budget, _deltas(cfg, budget))
     reduction = _reduction(cfg, budget)
     out = _outdir(cfg)
     _write_csv(out / "keyrate.csv", KeyLengthReport.CSV_HEADER,
@@ -481,9 +481,10 @@ def run_sweep(cfg: RunConfig, axis: str, grid: list) -> int:
             _check_epsilon_sum(point)
         point_budget = budget or resolve_budget(point)
         try:
-            _, _, report = _keyrate_chain(point, point_budget)
-        except RegimeError as exc:
-            raise _regime_error(point, point_budget, exc) from None
+            report = _keyrate_chain(point, point_budget,
+                                    _deltas(point, point_budget))
+        except ConfigError:
+            raise
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"axis {axis!r} at {float(value)!r}: "
                               f"{type(exc).__name__}: {exc}") from None
@@ -586,10 +587,13 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
             f"config field 'n': 4n = {4 * cfg.n} raw values must be a "
             f"multiple of k_rep = {cfg.k_rep}"
         )
+    # both regime gates refuse a config before anything is allocated or drawn
+    deltas = _deltas(cfg, budget)
+    reduction = _reduction(cfg, budget)
     xi_true = cfg.xi if cfg.xi_actual is None else cfg.xi_actual
     params = _protocol_params(cfg)
     true_params = params.with_xi(xi_true)
-    # what the run holds, made before any other work so that a run too
+    # what the run holds, made before any other draw so that a run too
     # large fails first: Bob's and Alice's bit of every repetition block,
     # the gaussian rows for batch.csv alone, and the first k_test <= 2m
     # decoy rounds, which the energy test reads.  Parameter estimation
@@ -613,12 +617,7 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
 
     # sigma_hat are W's totals per gaussian mode
     sigma_hat = tuple(total / (2 * cfg.k) for total in totals)
-    try:
-        gammas = gamma_estimates(*totals, cfg.k, budget.eps_pe)
-        deltas = calibrate_deltas(cfg.alpha, cfg.T, cfg.xi, cfg.k,
-                                  budget.eps_pe, budget.eps_rob)
-    except RegimeError as exc:
-        raise _regime_error(cfg, budget, exc) from None
+    gammas = gamma_estimates(*totals, cfg.k, budget.eps_pe)
     region = pe_decision(gammas, params.v_a + 1.0, cfg.T, cfg.xi, deltas,
                          budget.eps_pe)
 
@@ -633,16 +632,16 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
                            seed=(cfg.seed, 6))
     leak_ec = float(disclosed + hash_length(budget.eps_cor))
 
-    # energy test on the first k_test decoy modes; Alice's record is the
-    # sent amplitude, so its power is already a state-energy estimate
+    # energy test on the first k_test decoy modes, at the thresholds the
+    # reduction is certified with; Alice's record is the sent amplitude, so
+    # its power is already a state-energy estimate
     energy_a = 0.5 * (test_ax ** 2 + test_ap ** 2)
     energy_b = heterodyne_energy(test_bx, test_bp)
-    etc = _energy_config(cfg, budget)
-    energy_ok = energy_test(energy_a, energy_b, etc)
+    energy_ok = energy_test(energy_a, energy_b, reduction.k_test,
+                            reduction.d_a, reduction.d_b)
 
     report = key_length(params, budget, h_mle, region.worst_case_covariance(),
                         leak_ec)
-    reduction = _reduction(cfg, budget)
 
     success = (region.passed and verified and energy_ok and report.feasible)
     if success:
@@ -662,9 +661,8 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
         4 * cfg.n, cfg.k_rep, blocks, disclosed,
         hash_length(budget.eps_cor), block_errors, verified,
     )])
-    # the thresholds may be ints from the config; %.17g prints them as floats
     _write_csv(out / "energy.csv", ENERGY_HEADER, [(
-        cfg.k_test, float(etc.d_a), float(etc.d_b),
+        cfg.k_test, reduction.d_a, reduction.d_b,
         float(np.mean(energy_a)), float(np.mean(energy_b)), energy_ok,
     )])
     _write_csv(out / "keylength.csv", KeyLengthReport.CSV_HEADER,

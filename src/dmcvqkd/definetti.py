@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -72,15 +71,14 @@ def truncation_epsilon(n: int, K: int, eta: float) -> float:
 def volume_T(n: int, eta: float) -> float:
     """Volume prefactor T(n, eta) = (n-1)(n-2)^2(n-3) / (12 (1-eta)^4).
 
-    The integer part is evaluated as an exact rational.  It stays below
-    K^4/12 at K = n/(1-eta).
+    The integer part is one correctly rounded int/int division.  It stays
+    below K^4/12 at K = n/(1-eta).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     if not 0.0 <= eta < 1.0:
         raise DomainError(f"eta must be in [0, 1), got {eta!r}")
-    numer = Fraction((n - 1) * (n - 2) ** 2 * (n - 3), 12)
-    return float(numer) / (1.0 - eta) ** 4
+    return ((n - 1) * (n - 2) ** 2 * (n - 3) / 12) / (1.0 - eta) ** 4
 
 
 def photon_cutoff(n: int, k: int, d_a: float, d_b: float, eps: float) -> int:
@@ -113,8 +111,8 @@ def general_attack_epsilon(eps_collective: float, K: int) -> float:
     This is the whole composition the package implements:
     eps_general = (2 + K^4/6) eps_collective, with K the photon cutoff of
     the energy test.  Neither the energy test's own failure probability
-    (`EnergyTestConfig.eps_test`) nor `truncation_epsilon` is added.  The
-    bound is vacuous when the result is >= 1, that is once
+    (the eps_test of `make_reduction_report`) nor `truncation_epsilon` is
+    added.  The bound is vacuous when the result is >= 1, that is once
     K > (6/eps_collective)^(1/4), about 280 at eps_collective = 1e-9.
     """
     if not 0.0 < eps_collective < 1.0:
@@ -123,47 +121,28 @@ def general_attack_epsilon(eps_collective: float, K: int) -> float:
         )
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K!r}")
-    prefactor = 2.0 + float(Fraction(int(K) ** 4, 6))
+    prefactor = 2.0 + int(K) ** 4 / 6
     return prefactor * eps_collective
 
 
-@dataclass(frozen=True)
-class EnergyTestConfig:
-    """Energy-test thresholds: k_test modes per side, per-mode limits."""
-
-    k_test: int
-    d_a: float
-    d_b: float
-    eps_test: float
-
-    def __post_init__(self):
-        if self.k_test < 1:
-            raise DomainError(f"k_test must be >= 1, got {self.k_test!r}")
-        if self.d_a < 0 or self.d_b < 0:
-            raise DomainError("energy thresholds must be >= 0")
-        if not 0.0 < self.eps_test < 1.0:
-            raise DomainError(
-                f"eps_test must be in (0, 1), got {self.eps_test!r}"
-            )
-
-
-def energy_test(alice_energies, bob_energies, config: EnergyTestConfig) -> bool:
-    """Pass iff both per-side total energies stay within k_test * d.
+def energy_test(alice_energies, bob_energies, k_test: int, d_a: float,
+                d_b: float) -> bool:
+    """Pass iff both per-side totals over the k_test modes stay within
+    k_test * d_a and k_test * d_b.
 
     Inputs are per-mode state energies (for heterodyne records, use
     (x^2 + p^2)/2 - 1, i.e. after removing the one-vacuum-unit offset).
     """
+    if k_test < 1:
+        raise DomainError(f"k_test must be >= 1, got {k_test!r}")
     a = np.asarray(alice_energies, dtype=float)
     b = np.asarray(bob_energies, dtype=float)
-    if a.shape != (config.k_test,) or b.shape != (config.k_test,):
+    if a.shape != (k_test,) or b.shape != (k_test,):
         raise DimensionMismatch(
-            f"expected {config.k_test} energies per side, got"
+            f"expected {k_test} energies per side, got"
             f" {a.shape} and {b.shape}"
         )
-    return bool(
-        a.sum() <= config.k_test * config.d_a
-        and b.sum() <= config.k_test * config.d_b
-    )
+    return bool(a.sum() <= k_test * d_a and b.sum() <= k_test * d_b)
 
 
 @dataclass(frozen=True)
@@ -189,26 +168,29 @@ class ReductionReport:
 
 def make_reduction_report(
     n_modes: int,
-    config: EnergyTestConfig,
+    k_test: int,
+    d_a: float,
+    d_b: float,
+    eps_test: float,
     eps_collective: float,
 ) -> ReductionReport:
-    """Compose the reduction numbers for a run of n_modes protocol modes.
+    """Compose the reduction numbers for a run of n_modes protocol modes,
+    certified by an energy test on k_test modes per side with per-mode
+    thresholds d_a, d_b and failure probability eps_test.
 
     eta sits on the truncation-validity boundary: the rounded K/(K + n - 5),
     stepped up by ulps until `truncation_epsilon` accepts the cutoff K.
     """
-    K = photon_cutoff(
-        n_modes, config.k_test, config.d_a, config.d_b, config.eps_test
-    )
+    K = photon_cutoff(n_modes, k_test, d_a, d_b, eps_test)
     big_n = max(n_modes - 5, 1)
     eta = K / (K + big_n)
     while eta < 1.0 and K > (eta / (1.0 - eta)) * big_n:
         eta = math.nextafter(eta, 1.0)
     return ReductionReport(
         n_modes=int(n_modes),
-        k_test=int(config.k_test),
-        d_a=float(config.d_a),
-        d_b=float(config.d_b),
+        k_test=int(k_test),
+        d_a=float(d_a),
+        d_b=float(d_b),
         eta=float(eta),
         K=int(K),
         t_n_eta=volume_T(n_modes, eta),

@@ -47,7 +47,8 @@ BENIGN = cli.RunConfig(
 
 def _chain(**overrides):
     cfg = dataclasses.replace(BENIGN, **overrides) if overrides else BENIGN
-    return cli._keyrate_chain(cfg, cli.resolve_budget(cfg))[2]
+    budget = cli.resolve_budget(cfg)
+    return cli._keyrate_chain(cfg, budget, cli._deltas(cfg, budget))
 
 
 def test_criterion_01_symplectic_closed_form_vs_dense_oracle():

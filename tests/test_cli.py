@@ -178,6 +178,7 @@ def test_validate_config_names_offending_field():
      "'delta_ent_mode': must be 'derived', got 'paper'"),
     ({"out": ""}, "'out': must be a non-empty path string"),
     ({"k_test": 2001}, "'k_test': 2001 exceeds the 2m = 2000 decoy modes"),
+    ({"k": 2 ** 50 + 1}, "'k': must be at most 2**50"),
 ])
 def test_validate_config_messages_are_exact(overrides, message):
     with pytest.raises(ConfigError) as exc:
@@ -211,14 +212,22 @@ def test_thread_count_defaults_to_every_usable_core():
     ("alpha", 0.04),
     ("eps_pe", 1e-300),
     ("eps_total", 1e-300),
+    ("n", 2 ** 50 + 1),
+    *(pytest.param(field, 10 ** 80, id=f"{field}-10**80")
+      for field in ("n", "m", "k")),
+    pytest.param("n", 10 ** 400, id="n-10**400"),
 ])
 def test_extreme_config_values_exit_1(tmp_path, capsys, field, value):
-    # Infinity, bools and finite values outside [ALPHA_MIN, ALPHA_MAX] or
-    # beyond XI_MAX are rejected by name before any computation could
-    # overflow or lose its digits to cancellation; an eps_pe outside the
-    # estimator regime is named when the regime check fails
+    # Infinity, bools, finite values outside [ALPHA_MIN, ALPHA_MAX] or
+    # beyond XI_MAX and round counts beyond ROUNDS_MAX are rejected by name
+    # before any computation could overflow or lose its digits to
+    # cancellation, by every subcommand; an eps_pe outside the estimator
+    # regime is named when the regime check fails, which validate-bounds
+    # does not make
     cfg = write_config(tmp_path, "c.json", **{field: value})
-    for command in ("keyrate", "simulate"):
+    regime = field in ("eps_pe", "eps_total")
+    for command in ("keyrate", "simulate") + (() if regime
+                                              else ("validate-bounds",)):
         rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
@@ -252,6 +261,30 @@ def test_energy_test_regime_error_names_k_test(tmp_path, capsys):
         assert not out.exists()
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
                      "--axis", "T", "--grid", "0.6"]) == EXIT_NO_KEY
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"k": 100},
+     "error: config field 'eps_total': eps_pe = eps_total/4 = 2.5e-10 with "
+     "config field 'k' = 100 is outside the estimator regime (regime "
+     "constraint fails at k=100, eps=2.5e-10: 6.30251e+09 > 2.52065)\n"),
+    ({"k_test": 40},
+     "error: config field 'k_test' = 40 with eps_total = 1e-09 is outside "
+     "the energy test's regime (k=40 must exceed 2 ln(8/eps) = 45.6054)\n"),
+], ids=["pe", "energy"])
+def test_simulate_refuses_an_out_of_regime_config_before_it_draws(
+        tmp_path, capsys, monkeypatch, overrides, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("simulate drew rounds for a refused config")
+
+    monkeypatch.setattr(cli, "round_records", no_draw)
+    monkeypatch.setattr(cli, "gaussian_gram", no_draw)
+    cfg = write_config(tmp_path, "c.json", **overrides)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config", [BENIGN, {}], ids=["benign", "default"])

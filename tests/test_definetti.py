@@ -1,5 +1,6 @@
 """Reduction from general to collective attacks: cutoff, volume, epsilon."""
 
+import random
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from dmcvqkd.definetti import (
-    EnergyTestConfig,
     ReductionReport,
     energy_test,
     general_attack_epsilon,
@@ -91,6 +91,20 @@ def test_volume_prefactor():
         assert volume_T(n, eta) <= (n / (1.0 - eta)) ** 4 / 12.0
 
 
+def test_integer_parts_are_the_exact_rationals_rounded_once():
+    # int/int division rounds correctly, as Fraction.__float__ does; n and K
+    # log-uniform up to 1e18 (beyond 2(n + m + k) at the n, m, k cap) and
+    # 1e75
+    rng = random.Random(32)
+    for _ in range(2000):
+        n = int(10 ** rng.uniform(0.8, 18))
+        assert volume_T(n, 0.0) == float(
+            Fraction((n - 1) * (n - 2) ** 2 * (n - 3), 12))
+        K = int(10 ** rng.uniform(0, 75))
+        assert general_attack_epsilon(0.5, K) == \
+            (2.0 + float(Fraction(K ** 4, 6))) * 0.5
+
+
 def test_photon_cutoff_frozen():
     assert photon_cutoff(10 ** 8, 10 ** 9, 3.0, 3.0, 1e-10) == 600559879
     with pytest.raises(RegimeError):
@@ -104,29 +118,30 @@ def test_photon_cutoff_frozen():
 def test_general_attack_epsilon_exact_prefactor():
     val = general_attack_epsilon(1e-10, 20)
     assert val == pytest.approx(2.666866666666667e-06, rel=1e-15, abs=0.0)
-    # prefactor is evaluated as an exact rational before the product
+    # the prefactor's K^4/6 is the exact rational, rounded once
     assert val == (2.0 + float(Fraction(20 ** 4, 6))) * 1e-10
     # a vacuous bound is returned as its value, >= 1
     assert general_attack_epsilon(1e-3, 20) >= 1.0
 
 
 def test_energy_test_decisions():
-    cfg = EnergyTestConfig(k_test=4, d_a=1.0, d_b=2.0, eps_test=1e-10)
+    cfg = (4, 1.0, 2.0)  # k_test, d_a, d_b
     ok_a = np.array([0.5, 0.5, 0.5, 0.5])
     ok_b = np.array([1.0, 1.0, 1.0, 1.0])
-    assert energy_test(ok_a, ok_b, cfg)
+    assert energy_test(ok_a, ok_b, *cfg)
     # totals compared against k_test * d, not per-mode maxima
     spiky = np.array([3.5, 0.0, 0.0, 0.0])
-    assert energy_test(spiky, ok_b, cfg)
-    assert not energy_test(ok_a + 1.0, ok_b, cfg)
-    assert not energy_test(ok_a, ok_b + 2.0, cfg)
+    assert energy_test(spiky, ok_b, *cfg)
+    assert not energy_test(ok_a + 1.0, ok_b, *cfg)
+    assert not energy_test(ok_a, ok_b + 2.0, *cfg)
     with pytest.raises(DimensionMismatch):
-        energy_test(ok_a[:3], ok_b, cfg)
+        energy_test(ok_a[:3], ok_b, *cfg)
+    with pytest.raises(DomainError):
+        energy_test([], [], 0, 1.0, 2.0)
 
 
 def test_make_reduction_report_frozen():
-    cfg = EnergyTestConfig(k_test=1000, d_a=1.0, d_b=1.0, eps_test=1e-10)
-    rep = make_reduction_report(200_000_000, cfg, 4e-10)
+    rep = make_reduction_report(200_000_000, 1000, 1.0, 1.0, 1e-10, 4e-10)
     assert rep.K == 515773559
     assert rep.eta == pytest.approx(0.7205820278182561, rel=1e-14, abs=0.0)
     assert rep.eps_general == pytest.approx(4.7178598823434603e+24, rel=1e-12)
@@ -144,8 +159,7 @@ def test_make_reduction_report_frozen():
 def test_make_reduction_report_eta_admits_the_cutoff(n_modes, d):
     # eta is the rounded boundary K/(K + n - 5), or the first float above
     # it at which truncation_epsilon accepts the cutoff
-    cfg = EnergyTestConfig(k_test=1000, d_a=d, d_b=d, eps_test=1e-10)
-    rep = make_reduction_report(n_modes, cfg, 4e-10)
+    rep = make_reduction_report(n_modes, 1000, d, d, 1e-10, 4e-10)
     truncation_epsilon(rep.n_modes, rep.K, rep.eta)
     big_n = n_modes - 5
     below = np.nextafter(rep.eta, 0.0)
