@@ -210,6 +210,8 @@ _CHECKS = (
       for name in ("n", "m", "k", "k_test", "k_rep")),
     *((name, lambda v: v <= ROUNDS_MAX, "must be at most 2**50")
       for name in ("n", "m", "k")),
+    # a repetition block divides the 4n <= 4 * ROUNDS_MAX raw values
+    ("k_rep", lambda v: v <= 4 * ROUNDS_MAX, "must be at most 2**52"),
     ("workers", _or_unset("workers", lambda v: 1 <= v <= WORKERS_MAX),
      f"must lie in [1, {WORKERS_MAX}], got {{!r}}"),
     ("trials", lambda v: v >= 1, "must be >= 1"),
@@ -584,8 +586,8 @@ def run_simulate(cfg: RunConfig, batch_csv: bool = False) -> int:
     budget = resolve_budget(cfg)
     if (4 * cfg.n) % cfg.k_rep != 0:
         raise ConfigError(
-            f"config field 'n': 4n = {4 * cfg.n} raw values must be a "
-            f"multiple of k_rep = {cfg.k_rep}"
+            f"config field 'n', 'k_rep': 4n = {4 * cfg.n} raw values must "
+            f"be a multiple of k_rep = {cfg.k_rep}"
         )
     # both regime gates refuse a config before anything is allocated or drawn
     deltas = _deltas(cfg, budget)

@@ -8,9 +8,12 @@ on the real d coordinates.
 
 Angles are listed one per kept pair, in layer-major / index-minor order,
 and drawn in chunks of _ANGLE_CHUNK: chunk c of the transform keyed
-(seed, s) draws its uniforms from `parallel.stream(seed, s, c)`.  A
-transform is therefore reproducible from (dim, seed, s) alone, and the
-chunks are built on any number of threads with the same bits.
+(seed, s) draws its uniforms from `parallel.stream(seed, s, c)`.  Each
+angle is uniform on the circle, and its cos and sin come from a pair of
+uniforms by von Neumann's rejection method (`_angles`), with + - * / and
+no transcendental function.  A transform is therefore reproducible from
+(dim, seed, s) alone, with the same bits on any CPU and any C library,
+and the chunks are built on any number of threads with the same bits.
 
 A layer with stride s = 2^l is applied on reshaped views of the vector:
 the first 2s * (d // 2s) entries, viewed as (blocks, 2, s), pair row 0 of
@@ -20,11 +23,10 @@ This gives exactly the result of rotating the pairs one at a time: the
 pairs within a layer are disjoint, so no rotation reads a slot that
 another rotation of the same layer writes, and each element goes through
 the same floating-point operations (c*a + s*b and (-s)*a + c*b) as in a
-per-pair loop.
+per-pair loop.  The views are rotated in place.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +42,52 @@ def kernel_name() -> str:
 
 #: angles per chunk; each chunk has its own stream, so changing it changes
 #: every transform.  It does not depend on the worker count.
-_ANGLE_CHUNK = 8192
+_ANGLE_CHUNK = 65536
+#: most candidate points drawn at a time; it changes no angle
+_BATCH = 32768
 
 
 def _angles(seed, chunk: int, cos: np.ndarray, sin: np.ndarray) -> None:
-    """cos and sin of chunk `chunk`'s angles, written in place."""
+    """cos and sin of chunk `chunk`'s angles, written in place.
+
+    The angles are von Neumann's: the chunk's stream, read as consecutive
+    uniform pairs (u, v), gives the points (x, y) = (2u - 1, 2v - 1), and
+    the angles are those of the first points inside the unit disc, minus
+    its centre.  Such a point is uniform on that disc, so twice its polar
+    angle is uniform on the circle, with cos (x - y)(x + y)/r and sin
+    2xy/r at r = x*x + y*y.  Every step is an exactly rounded IEEE
+    operation, so the bits depend on no math library and no SIMD kernel.
+    The points are drawn in batches of at most _BATCH, each no larger than
+    the angles still missing are likely to need.
+    """
     part = slice(chunk * _ANGLE_CHUNK, (chunk + 1) * _ANGLE_CHUNK)
     cos, sin = cos[part], sin[part]
-    theta = (2.0 * math.pi) * stream(seed, chunk).random(cos.size)
-    np.cos(theta, out=cos)
-    np.sin(theta, out=sin)
+    gen = stream(seed, chunk)
+    points, radii = np.empty(2 * _BATCH), np.empty(_BATCH)
+    done = 0
+    while done < cos.size:
+        need = cos.size - done
+        # a point is inside with probability pi/4 > 3/4
+        batch = min(_BATCH, need + need // 3 + 64)
+        xy = gen.random(out=points[: 2 * batch])
+        xy *= 2.0
+        xy -= 1.0  # exact: 2u is a multiple of 2^-52 in [0, 2)
+        r = np.multiply(xy[0::2], xy[0::2], out=radii[:batch])
+        r += xy[1::2] * xy[1::2]
+        inside = np.flatnonzero((r > 0.0) & (r < 1.0))[:need]
+        # each (x, y) pair is one complex128, so one take moves both
+        z = xy.view(np.complex128).take(inside)
+        x, y, r = z.real, z.imag, r.take(inside)
+        c = cos[done : done + inside.size]
+        s = sin[done : done + inside.size]
+        np.multiply(x, y, out=s)
+        s *= 2.0
+        s /= r
+        np.subtract(x, y, out=c)
+        x += y
+        c *= x
+        c /= r
+        done += inside.size
 
 
 #: strides up to this one are rotated in column-major order (`_Layer.rotate`)
@@ -101,13 +139,12 @@ def _rotate(a, b, c, s, order: str = "K") -> None:
     and IEEE addition is commutative.  `order` is the ufuncs' iteration
     order; each element gets the same operations in any order.
     """
-    new_a = np.multiply(c, a, order=order)
-    tmp = np.multiply(s, b, order=order)
-    np.add(new_a, tmp, out=new_a, order=order)
-    np.multiply(s, a, out=tmp, order=order)
+    sb = np.multiply(s, b, order=order)
+    sa = np.multiply(s, a, order=order)
+    np.multiply(c, a, out=a, order=order)
+    np.add(a, sb, out=a, order=order)
     np.multiply(b, c, out=b, order=order)
-    np.subtract(b, tmp, out=b, order=order)
-    a[...] = new_a
+    np.subtract(b, sa, out=b, order=order)
 
 
 @dataclass(frozen=True)
@@ -150,6 +187,7 @@ class OrthogonalTransform:
         return cls(dim=dim, layers=tuple(layers))
 
     def _check(self, v: np.ndarray) -> np.ndarray:
+        """A float64 copy of v, which must be a vector of length dim."""
         v = np.asarray(v, dtype=np.float64)
         if v.ndim != 1 or v.shape[0] != self.dim:
             raise DimensionMismatch(
@@ -172,10 +210,11 @@ class OrthogonalTransform:
         preserved: <A', S B'> = <R A, S (S R S) B> = <A, S B>.  It equals the
         inverse of the conjugated inverse rotation, i.e. applying it to
         measured data undoes the p-sign flip the channel conjugation
-        introduces.
+        introduces.  Does not modify v.
         """
         out = self._check(v)
         out[1::2] *= -1.0
-        out = self.apply(out)
+        for lay in self.layers:
+            lay.rotate(out)
         out[1::2] *= -1.0
         return out

@@ -468,6 +468,28 @@ def rotate_pair_by_pair(layers, v):
     return np.array(v)
 
 
+def von_neumann_angles(seed, spawn_key, count: int) -> tuple:
+    """cos and sin lists of `count` angles of the stream (seed, spawn_key).
+
+    The uniforms are drawn one at a time and scanned pair by pair: each
+    pair (u, v) is the point (x, y) = (2u - 1, 2v - 1), and a point with
+    0 < r = x^2 + y^2 < 1 gives the angle twice its polar angle, with cos
+    (x - y)(x + y)/r and sin 2xy/r.  A reference for the batched draws of
+    `rotations._angles` that shares none of their batching.
+    """
+    gen = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=spawn_key)))
+    cos, sin = [], []
+    while len(cos) < count:
+        x = 2.0 * gen.random() - 1.0
+        y = 2.0 * gen.random() - 1.0
+        r = x * x + y * y
+        if 0.0 < r < 1.0:
+            cos.append((x - y) * (x + y) / r)
+            sin.append(2.0 * x * y / r)
+    return cos, sin
+
+
 def gaussian_capacity(s: float) -> float:
     """Shannon capacity (1/2) log2(1 + s), bits/symbol, of the Gaussian-input
     channel: the upper bound for the binary-input capacity at SNR s."""

@@ -191,7 +191,7 @@ def test_a_simulate_run_draws_only_the_listed_spawn_keys(tmp_path,
     path.write_text(json.dumps(cfg))
     assert cli.main(["simulate", "--batch-csv", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == cli.EXIT_NO_KEY
-    OrthogonalTransform.random(2000, (77, 1))
+    OrthogonalTransform.random(12000, (77, 1))  # 79312 angles
     assert {seed for seed, _ in drawn} == {77}
     used = {spawn for _, spawn in drawn}
     want = {(ROLE_KEY, chunk, use) for chunk in (0, 1) for use in (0, 1)}

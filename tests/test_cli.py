@@ -216,10 +216,12 @@ def test_thread_count_defaults_to_every_usable_core():
     *(pytest.param(field, 10 ** 80, id=f"{field}-10**80")
       for field in ("n", "m", "k")),
     pytest.param("n", 10 ** 400, id="n-10**400"),
+    pytest.param("k_rep", 10 ** 30, id="k_rep-10**30"),
 ])
 def test_extreme_config_values_exit_1(tmp_path, capsys, field, value):
     # Infinity, bools, finite values outside [ALPHA_MIN, ALPHA_MAX] or
-    # beyond XI_MAX and round counts beyond ROUNDS_MAX are rejected by name
+    # beyond XI_MAX, round counts beyond ROUNDS_MAX and a k_rep beyond the
+    # 4 * ROUNDS_MAX raw values it would divide are rejected by name
     # before any computation could overflow or lose its digits to
     # cancellation, by every subcommand; an eps_pe outside the estimator
     # regime is named when the regime check fails, which validate-bounds
@@ -1047,7 +1049,9 @@ def test_simulate_block_length_must_divide(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", n=500)  # 2000 % 64 != 0
     rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_ERROR
-    assert "k_rep" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error: config field 'n', 'k_rep': 4n = 2000 raw values must be a "
+        "multiple of k_rep = 64")
 
 
 def test_simulate_energy_test_needs_decoy_modes(tmp_path, capsys):

@@ -8,8 +8,9 @@ change only together with a CHANGES.md line that names the run, the file
 and the reason.
 
 The manifest records no CPU: the digests hold on any x86-64 CPU, and a
-subprocess test reruns three runs and the key-rate chain with numpy's AVX2
-and AVX-512 kernels disabled and OpenBLAS's Haswell kernel.  Only the
+subprocess test reruns three runs, the key-rate chain and the
+symmetrization transform with numpy's AVX2 and AVX-512 kernels disabled and
+OpenBLAS's Haswell kernel.  Only the
 capacity at s <= 1 can still move with the CPU (numpy's sinh and log1p);
 the canonical runs' bits do not.
 
@@ -41,6 +42,7 @@ from dmcvqkd.modulation import lambda_ratio_sum_at
 from dmcvqkd.reconciliation import biawgn_capacity
 from test_cli import SIM_BASE
 from test_pe_bounds import _pe_chain_digest
+from test_rotations import transform_digests
 
 MANIFEST = Path(__file__).with_name("golden.json")
 
@@ -126,8 +128,9 @@ OTHER_CPU = {"NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR",
 
 
 def cpu_sensitive_bits(tmp: Path) -> dict:
-    """Three canonical runs, and digests of the ratio sum, the capacity
-    above s = 1, the plug-in entropy and the PE chain at seeded points.
+    """Three canonical runs, digests of the ratio sum, the capacity above
+    s = 1, the plug-in entropy and the PE chain at seeded points, and the
+    two digests of the 40000-dim transform.
 
     The points come from `random` and `math` alone: numpy's exp and the
     like would make the inputs themselves depend on the CPU.
@@ -152,6 +155,7 @@ def cpu_sensitive_bits(tmp: Path) -> dict:
     bits["biawgn_capacity"] = digest([biawgn_capacity(s) for s in snrs])
     bits["mle_entropy"] = digest([mle_entropy(c) for c in counts])
     bits["pe_chain"] = _pe_chain_digest(200, 20)
+    bits["transform"] = list(transform_digests(40000))
     return bits
 
 

@@ -2,17 +2,24 @@
 
 import functools
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dmcvqkd import rotations
 from dmcvqkd.errors import DimensionMismatch, DomainError
 from dmcvqkd.parallel import run_parts
 from dmcvqkd.rotations import OrthogonalTransform, kernel_name
 
-from oracles import dense_matrix, layer_pairs, rotate_pair_by_pair
+from oracles import (dense_matrix, layer_pairs, rotate_pair_by_pair,
+                     von_neumann_angles)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 16, 40, 129])
@@ -140,26 +147,28 @@ def _sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-def test_transform_bytes_are_frozen():
-    # any change to the angle stream, the layer order or the operation
-    # order changes these bytes
-    rot = OrthogonalTransform.random(40000, (1, 1))
-    v = np.random.default_rng(2024).normal(size=40000)
-    assert _sha256(rot.apply(v)) == \
-        "64246d0e321bdeab0077b488de9aa74c83b98eb781c666b9d20564ad24304736"
-    assert _sha256(rot.apply_conjugate(v)) == \
-        "ef3ce8ff2b9991b0f0493c2679238f9bd0b358a8bcf77417a7a6e87bcffea943"
+def transform_digests(dim: int) -> tuple:
+    """sha256 of apply(v) and apply_conjugate(v) for the transform of dim
+    keyed (1, 1), v seeded normals."""
+    rot = OrthogonalTransform.random(dim, (1, 1))
+    v = np.random.default_rng(2024).normal(size=dim)
+    return _sha256(rot.apply(v)), _sha256(rot.apply_conjugate(v))
 
 
-# (dim, seed) -> sha256 of apply(v) and apply_conjugate(v), v as above;
-# 40000 holds 298432 angles and 40001 holds 298437, 37 chunks each, so
-# their chunks split unevenly over 2 and 3 threads
+# dim -> transform_digests(dim); 40000 holds 298432 angles and 40001 holds
+# 298437, 5 chunks each, so their chunks split unevenly over 2 and 3
+# threads.  Any change to the angle stream, the angle law, the layer order
+# or the operation order changes these bytes.
 TRANSFORM_PINS = {
-    40000: ("64246d0e321bdeab0077b488de9aa74c83b98eb781c666b9d20564ad24304736",
-            "ef3ce8ff2b9991b0f0493c2679238f9bd0b358a8bcf77417a7a6e87bcffea943"),
-    40001: ("b43189abd5a9784bf6d02c352a798fe45b95eea6e1333ca0f30decc8ccda2041",
-            "5473b6a73d9dbe74eb4b69a5eb39115073a563a1bbfe46cff2e25587e0f22527"),
+    40000: ("7213c2550c7a67936100caa5fd464796e447ec9a2a3be5d3f86e8dd41058f503",
+            "00ed594dc9b1185ffddc4c1b535fd1e06644820f8d7b10f576d6cd481ce19974"),
+    40001: ("000b5e38080245b2b9ea77bf12ac67f671e8a20a6532f3a2b9de06bf37d8bc93",
+            "39422dd34568cfe3311a3338f821010163394ffc9ff772ea78efdc3a9cd6719a"),
 }
+
+
+def test_transform_bytes_are_frozen():
+    assert transform_digests(40000) == TRANSFORM_PINS[40000]
 
 
 @pytest.mark.parametrize("dim", sorted(TRANSFORM_PINS))
@@ -168,12 +177,34 @@ def test_transform_bytes_do_not_depend_on_workers(dim, workers, monkeypatch):
     monkeypatch.setattr(rotations, "run_parts",
                         functools.partial(run_parts, workers=workers))
     rot = OrthogonalTransform.random(dim, (1, 1))
-    # 36 whole chunks of 8192 angles and a partial one
-    assert sum(lay.cos.size for lay in rot.layers) - 36 * 8192 == \
-        {40000: 3520, 40001: 3525}[dim]
-    v = np.random.default_rng(2024).normal(size=dim)
-    assert (_sha256(rot.apply(v)), _sha256(rot.apply_conjugate(v))) == \
-        TRANSFORM_PINS[dim]
+    # 4 whole chunks of 65536 angles and a partial one
+    assert sum(lay.cos.size for lay in rot.layers) - 4 * 65536 == \
+        {40000: 36288, 40001: 36293}[dim]
+    assert transform_digests(dim) == TRANSFORM_PINS[dim]
+
+
+# glibc's AVX, AVX2, FMA and AVX-512 variants off: they choose among the
+# libm kernels that a cos or sin would run on
+NO_GLIBC_VARIANTS = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX"}
+
+
+def test_transform_bytes_do_not_depend_on_glibc():
+    # the angles take only + - * /, so no libm variant can move a bit; the
+    # variable acts only on the child process
+    env = {key: value for key, value in os.environ.items()
+           if key not in NO_GLIBC_VARIANTS}
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(rotations.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_rotations; print(json.dumps({d: "
+         "test_rotations.transform_digests(d) for d in (40000, 40001)}))"],
+        env={**env, **NO_GLIBC_VARIANTS,
+             "PYTHONPATH": os.pathsep.join((src, tests))},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert {int(dim): tuple(pins) for dim, pins in
+            json.loads(proc.stdout).items()} == TRANSFORM_PINS
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
@@ -191,21 +222,49 @@ def test_small_transforms_do_not_depend_on_workers(dim, monkeypatch):
         assert a.sin.tobytes() == b.sin.tobytes()
 
 
-def test_angles_are_the_chunk_streams_uniforms():
-    # chunk c of the transform keyed (seed, s) takes its angles 2 pi u from
-    # the uniforms of SFC64 on SeedSequence(seed, spawn_key=(s, c)), in
-    # layer-major order; 40001 has 37 chunks, the last one partial
-    for seed, s in ((1, 1), (7, 3)):
-        rot = OrthogonalTransform.random(40001, (seed, s))
-        cos = np.concatenate([lay.cos for lay in rot.layers])
-        sin = np.concatenate([lay.sin for lay in rot.layers])
-        u = np.concatenate([np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence(seed, spawn_key=(s, c)))).random(
-                min(8192, cos.size - 8192 * c))
-            for c in range(-(-cos.size // 8192))])
-        theta = 2.0 * np.pi * u
-        assert cos.tobytes() == np.cos(theta).tobytes()
-        assert sin.tobytes() == np.sin(theta).tobytes()
+def _angles_of(rot):
+    return (np.concatenate([lay.cos for lay in rot.layers]),
+            np.concatenate([lay.sin for lay in rot.layers]))
+
+
+@pytest.mark.parametrize("dim, seed, s", [(40001, 1, 1), (12000, 7, 3)])
+def test_angles_are_von_neumanns_from_the_chunk_streams(dim, seed, s):
+    # chunk c of the transform keyed (seed, s) takes its angles, in
+    # layer-major order, from the stream SFC64 on SeedSequence(seed,
+    # spawn_key=(s, c)) as a pair-by-pair scan finds them; 40001 has 5
+    # chunks, the last one partial, and 12000 has 2
+    cos, sin = _angles_of(OrthogonalTransform.random(dim, (seed, s)))
+    want_cos, want_sin = [], []
+    for c in range(-(-cos.size // 65536)):
+        part = von_neumann_angles(seed, (s, c),
+                                  min(65536, cos.size - 65536 * c))
+        want_cos += part[0]
+        want_sin += part[1]
+    assert cos.tobytes() == np.array(want_cos).tobytes()
+    assert sin.tobytes() == np.array(want_sin).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 1000])
+def test_angles_do_not_depend_on_the_batch(batch, monkeypatch):
+    # 12000 holds 79312 angles, two chunks; the angles are the first points
+    # inside the disc, however many are drawn at a time
+    want = _angles_of(OrthogonalTransform.random(12000, (5, 1)))
+    monkeypatch.setattr(rotations, "_BATCH", batch)
+    dim = 12000 if batch > 1 else 2000
+    got = _angles_of(OrthogonalTransform.random(dim, (5, 1)))
+    size = got[0].size
+    assert got[0].tobytes() == want[0][:size].tobytes()
+    assert got[1].tobytes() == want[1][:size].tobytes()
+
+
+def test_angles_are_uniform_on_the_circle():
+    # atan2(sin, cos) passes a Kolmogorov-Smirnov test against the uniform
+    # law on [-pi, pi], and cos^2 + sin^2 is 1 within 4 ulp
+    cos, sin = _angles_of(OrthogonalTransform.random(40001, (3, 2)))
+    theta = np.arctan2(sin, cos)
+    assert stats.kstest(theta, stats.uniform(-np.pi, 2 * np.pi).cdf).pvalue \
+        > 1e-3
+    assert np.max(np.abs(cos * cos + sin * sin - 1.0)) <= 4 * np.spacing(1.0)
 
 
 def test_seeds_near_2_to_the_64_give_distinct_transforms():
